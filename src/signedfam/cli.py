@@ -64,11 +64,6 @@ def build_parser() -> _Parser:
         action="store_true",
         help="search all families instead of shifted representatives",
     )
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="accepted for compatibility; runs are always deterministic",
-    )
     p.add_argument("--witness-out", metavar="FILE", help="write an optimal family here")
     p.add_argument("--vertex-cap", type=int, default=solver.DEFAULT_VERTEX_CAP)
 
@@ -409,14 +404,8 @@ def _cmd_report(args) -> int:
     params = _suite_params(args)
     reports = []
     for name in names:
-        kwargs = dict(params)
-        if name not in ("lemma3",):
-            kwargs.pop("trials", None)
-        if name not in ("lemma3", "precedes", "solver-oracle"):
-            kwargs.pop("seed", None)
-        if name not in ("theorem1", "eq111", "bounds"):
-            kwargs.pop("budget", None)
-        kwargs.pop("n", None), kwargs.pop("k", None), kwargs.pop("l", None)
+        accepted = suites.suite_parameters(name)
+        kwargs = {key: value for key, value in params.items() if key in accepted}
         reports.append(suites.run_suite(name, **kwargs))
     _emit_reports(reports, args.fmt, args.out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAIL

@@ -13,14 +13,15 @@ from itertools import combinations
 from typing import Iterable, Literal, Optional
 
 from .vectors import (
+    ForbiddenSpec,
     Profile,
     SignedVector,
     SuffixMarkers,
     VectorFamily,
     enumerate_all,
     min_suffix_sum,
-    scalar_product,
     suffix_markers,
+    verify_family,
 )
 
 
@@ -46,18 +47,6 @@ def ekr_family(profile: Profile) -> VectorFamily:
     return VectorFamily(profile, members)
 
 
-def _min_product_ok(fam: VectorFamily) -> tuple[bool, Optional[tuple]]:
-    """Check that no pair of members reaches the minimum product -2l."""
-    floor = -2 * fam.profile.l
-    members = fam.members
-    for a in range(len(members)):
-        va = members[a]
-        for b in range(a + 1, len(members)):
-            if scalar_product(va, members[b]) == floor:
-                return False, (va, members[b])
-    return True, None
-
-
 def inductive_extend(fam: VectorFamily, check: bool = True) -> VectorFamily:
     """Extend an avoiding family over n to one over n + 1.
 
@@ -71,11 +60,10 @@ def inductive_extend(fam: VectorFamily, check: bool = True) -> VectorFamily:
     if p.l < 1:
         raise ValueError("extension requires l >= 1")
     if check:
-        ok, pair = _min_product_ok(fam)
-        if not ok:
-            raise ValueError(
-                f"input family reaches the minimum product on pair {pair[0]}, {pair[1]}"
-            )
+        result = verify_family(fam, ForbiddenSpec.exact({-2 * p.l}))
+        if not result.ok:
+            a, b, _ = result.violation
+            raise ValueError(f"input family reaches the minimum product on pair {a}, {b}")
     new_profile = Profile(p.n + 1, p.k, p.l)
     members = [SignedVector(p.n + 1, v.pos, v.neg) for v in fam]
     last_bit = 1 << p.n

@@ -1,23 +1,38 @@
 """Exact maximum-independent-set solving over conflict graphs of vector families.
 
-Two engines: a branch-and-bound search (greedy clique-cover upper
-bounds, max-degree branching, deterministic) and an exhaustive oracle
-for small graphs.  solve_extremal wraps them for the two extremal
-targets: "g" (largest family avoiding the minimum product -2l) and "m"
-(largest family with no negative product).  For "g" the search may be
-restricted to shift-closed families, which preserves the optimum value.
+Two search engines share one setup routine, _search, which checks the
+seed incumbent, builds the first greedy clique cover (the upper bound
+both engines prune with), bounds the run by the budget and assembles
+the witness.  mis_exact branches on a vertex of maximum degree after
+cheap reductions; the shift-pruned search of the g target walks
+vertices in a linear extension of the shift order, keeping only
+shift-closed families.  mis_bruteforce is an exhaustive oracle for
+small graphs.
+solve_extremal wraps the engines for the two extremal targets: "g"
+(largest family avoiding the minimum product -2l) and "m" (largest
+family with no negative product).  Both engines are deterministic.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .constructions import ekr_family, inductive_extend, split_family
 from .formulas import p_split
 from .shifting import precedes
-from .vectors import Profile, SignedVector, VectorFamily, enumerate_all, scalar_product
+# verify_family lives in vectors; it is re-exported here for callers of solver
+from .vectors import (
+    ForbiddenSpec,
+    Profile,
+    SignedVector,
+    VectorFamily,
+    enumerate_all,
+    scalar_product,
+    verify_family,
+)
 
 DEFAULT_VERTEX_CAP = 5000
 BRUTEFORCE_VERTEX_CAP = 25
@@ -28,42 +43,6 @@ STATUS_TIMEOUT = "lower_bound_timeout"
 
 class VertexCapExceeded(ValueError):
     """Raised when a requested conflict graph would exceed the vertex cap."""
-
-
-@dataclass(frozen=True)
-class ForbiddenSpec:
-    """Which scalar products create a conflict edge.
-
-    Exactly one of exact_values (a nonempty set of forbidden products)
-    or below (every product strictly less is forbidden) is set.
-    """
-
-    exact_values: Optional[frozenset[int]] = None
-    below: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if (self.exact_values is None) == (self.below is None):
-            raise ValueError("exactly one of exact_values / below must be given")
-        if self.exact_values is not None and not self.exact_values:
-            raise ValueError("exact_values must be nonempty")
-
-    @classmethod
-    def exact(cls, values) -> "ForbiddenSpec":
-        return cls(exact_values=frozenset(values))
-
-    @classmethod
-    def all_below(cls, threshold: int) -> "ForbiddenSpec":
-        return cls(below=threshold)
-
-    def forbids(self, product: int) -> bool:
-        if self.exact_values is not None:
-            return product in self.exact_values
-        return product < self.below
-
-    def describe(self) -> str:
-        if self.exact_values is not None:
-            return "exact:" + ",".join(str(v) for v in sorted(self.exact_values))
-        return f"below:{self.below}"
 
 
 class ConflictGraph:
@@ -133,27 +112,6 @@ def graph_from_family(family: VectorFamily, spec: ForbiddenSpec) -> ConflictGrap
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return ConflictGraph(adj, family, spec)
-
-
-@dataclass(frozen=True)
-class FamilyCheck:
-    ok: bool
-    pairs_checked: int
-    violation: Optional[tuple[SignedVector, SignedVector, int]] = None
-
-
-def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
-    """Scan all pairs of a family for a forbidden product; first hit wins."""
-    members = fam.members
-    checked = 0
-    for a in range(len(members)):
-        va = members[a]
-        for b in range(a + 1, len(members)):
-            checked += 1
-            prod = scalar_product(va, members[b])
-            if spec.forbids(prod):
-                return FamilyCheck(False, checked, (va, members[b], prod))
-    return FamilyCheck(True, checked)
 
 
 @dataclass(frozen=True)
@@ -299,6 +257,67 @@ def _bnb(adj: Sequence[int], state: _SearchState, pool: int, size: int, mask: in
     _bnb(adj, state, pool & ~bit, size, mask)
 
 
+def _result(
+    graph: ConflictGraph, indices: tuple[int, ...], status: str, nodes: int, start: float
+) -> SolveResult:
+    """SolveResult for a vertex set of graph, its members as the witness."""
+    witness = None
+    if graph.family is not None:
+        witness = VectorFamily(graph.family.profile, [graph.family.members[i] for i in indices])
+    return SolveResult(
+        value=len(indices),
+        status=status,
+        nodes_explored=nodes,
+        elapsed=time.monotonic() - start,
+        witness_indices=indices,
+        witness=witness,
+    )
+
+
+def _search(
+    graph: ConflictGraph,
+    adj: Sequence[int],
+    labels: Sequence[int],
+    seeds: Sequence[int],
+    start: float,
+    budget: float,
+    search: Callable[[_SearchState], None],
+) -> SolveResult:
+    """Run one engine's search loop inside the scaffolding both engines share.
+
+    adj is the graph relabelled for the engine: its vertex i is vertex
+    labels[i] of graph.  Every seed must be independent in adj; the
+    largest (the first on ties) is the starting incumbent.  search(state)
+    explores from there until done or until start + budget passes, when
+    the best set found so far is returned with a lower-bound status.
+    """
+    for seed in seeds:
+        rest = seed
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & seed:
+                raise ValueError("initial incumbent is not independent")
+            rest ^= low
+    best = max(seeds, key=int.bit_count)
+    state = _SearchState(best.bit_count(), best, start + budget)
+    state.cover = _greedy_clique_cover(adj, (1 << len(adj)) - 1)
+    for c in state.cover:
+        state.covered |= c
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 2 * len(adj) + 100))
+    status = STATUS_EXACT
+    try:
+        search(state)
+    except _Timeout:
+        status = STATUS_TIMEOUT
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+    indices = tuple(sorted(labels[i] for i in _indices(state.best_mask)))
+    return _result(graph, indices, status, state.nodes, start)
+
+
 def mis_exact(
     graph: ConflictGraph,
     budget: float = 60.0,
@@ -314,48 +333,9 @@ def mis_exact(
     adj = graph.adj
     start = time.monotonic()
     full = (1 << n) - 1
-
-    seed = initial_mask
-    rest = seed
-    while rest:
-        low = rest & -rest
-        if adj[low.bit_length() - 1] & seed:
-            raise ValueError("initial incumbent is not independent")
-        rest ^= low
-    greedy = _greedy_independent(adj, full)
-    if greedy.bit_count() > seed.bit_count():
-        seed = greedy
-
-    state = _SearchState(seed.bit_count(), seed, start + budget)
-    state.cover = _greedy_clique_cover(adj, full)
-    for c in state.cover:
-        state.covered |= c
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 100))
-    status = STATUS_EXACT
-    try:
-        _bnb(adj, state, full, 0, 0)
-    except _Timeout:
-        status = STATUS_TIMEOUT
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    witness_indices = _indices(state.best_mask)
-    witness = None
-    if graph.family is not None:
-        witness = VectorFamily(
-            graph.family.profile, [graph.family.members[i] for i in witness_indices]
-        )
-    return SolveResult(
-        value=state.best_size,
-        status=status,
-        nodes_explored=state.nodes,
-        elapsed=time.monotonic() - start,
-        witness_indices=witness_indices,
-        witness=witness,
+    seeds = (initial_mask, _greedy_independent(adj, full))
+    return _search(
+        graph, adj, range(n), seeds, start, budget, lambda state: _bnb(adj, state, full, 0, 0)
     )
 
 
@@ -377,27 +357,14 @@ def mis_bruteforce(graph: ConflictGraph) -> SolveResult:
         for b in range(a + 1, n):
             if not graph.adj[a] & (1 << b):
                 comp.add_edge(a, b)
-    best: tuple[int, tuple[int, ...]] = (0, ())
+    best: tuple[int, ...] = ()
     count = 0
     for clique in nx.find_cliques(comp):
         count += 1
         cand = tuple(sorted(clique))
-        key = (len(cand), tuple(-i for i in cand))
-        if key > (best[0], tuple(-i for i in best[1])):
-            best = (len(cand), cand)
-    witness = None
-    if graph.family is not None:
-        witness = VectorFamily(
-            graph.family.profile, [graph.family.members[i] for i in best[1]]
-        )
-    return SolveResult(
-        value=best[0],
-        status=STATUS_EXACT,
-        nodes_explored=count,
-        elapsed=time.monotonic() - start,
-        witness_indices=best[1],
-        witness=witness,
-    )
+        if (len(cand), [-i for i in cand]) > (len(best), [-i for i in best]):
+            best = cand
+    return _result(graph, best, STATUS_EXACT, count, start)
 
 
 def _potential(v: SignedVector) -> int:
@@ -466,64 +433,40 @@ def _solve_shifted(
         low = rest & -rest
         rest ^= low
         seed_ranked |= 1 << rank[low.bit_length() - 1]
-
-    state = _SearchState(seed_ranked.bit_count(), seed_ranked, start + budget)
     full = (1 << n) - 1
-    state.cover = _greedy_clique_cover(adj, full)
-    for c in state.cover:
-        state.covered |= c
 
-    def rec(idx: int, chosen: int, dead: int, size: int) -> None:
-        _tick(state, adj, full & ~dead & (full << idx) if idx < n else 0)
-        while idx < n:
+    def search(state: _SearchState) -> None:
+        def rec(idx: int, chosen: int, dead: int, size: int) -> None:
+            _tick(state, adj, full & ~dead & (full << idx) if idx < n else 0)
+            while idx < n:
+                bit = 1 << idx
+                if dead & bit:
+                    idx += 1
+                    continue
+                if pred[idx] & dead:
+                    dead |= bit | succ[idx]
+                    idx += 1
+                    continue
+                if adj[idx] & chosen:
+                    dead |= bit | succ[idx]
+                    idx += 1
+                    continue
+                break
+            if idx >= n:
+                if size > state.best_size:
+                    state.best_size = size
+                    state.best_mask = chosen
+                return
+            remaining = full & ~dead & (full << idx)
+            if size + _cover_bound(state, remaining) <= state.best_size:
+                return
             bit = 1 << idx
-            if dead & bit:
-                idx += 1
-                continue
-            if pred[idx] & dead:
-                dead |= bit | succ[idx]
-                idx += 1
-                continue
-            if adj[idx] & chosen:
-                dead |= bit | succ[idx]
-                idx += 1
-                continue
-            break
-        if idx >= n:
-            if size > state.best_size:
-                state.best_size = size
-                state.best_mask = chosen
-            return
-        remaining = full & ~dead & (full << idx)
-        if size + _cover_bound(state, remaining) <= state.best_size:
-            return
-        bit = 1 << idx
-        rec(idx + 1, chosen | bit, dead | (adj[idx] & ~((1 << idx) - 1)), size + 1)
-        rec(idx + 1, chosen, dead | bit | succ[idx], size)
+            rec(idx + 1, chosen | bit, dead | (adj[idx] & ~((1 << idx) - 1)), size + 1)
+            rec(idx + 1, chosen, dead | bit | succ[idx], size)
 
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * n + 100))
-    status = STATUS_EXACT
-    try:
         rec(0, 0, 0, 0)
-    except _Timeout:
-        status = STATUS_TIMEOUT
-    finally:
-        sys.setrecursionlimit(old_limit)
 
-    witness_ranked = _indices(state.best_mask)
-    witness_indices = tuple(sorted(order[r] for r in witness_ranked))
-    witness = VectorFamily(family.profile, [members[i] for i in witness_indices])
-    return SolveResult(
-        value=state.best_size,
-        status=status,
-        nodes_explored=state.nodes,
-        elapsed=time.monotonic() - start,
-        witness_indices=witness_indices,
-        witness=witness,
-    )
+    return _search(graph, adj, order, (seed_ranked,), start, budget, search)
 
 
 def solve_extremal(
@@ -532,7 +475,6 @@ def solve_extremal(
     budget: float = 60.0,
     shifted_pruning: Optional[bool] = None,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
-    deterministic: bool = True,
 ) -> SolveResult:
     """Exact extremal family size for a profile.
 
@@ -540,9 +482,9 @@ def solve_extremal(
     shift-closure pruning defaults on and preserves the optimum.
     target "m": forbid every negative product; pruning is refused since
     the optimum there is not attained on shift-closed families.
+    The search starts from a construction (greedy_seed_g for g, the best
+    split family for m); one with a conflicting pair raises ValueError.
     """
-    if not deterministic:
-        raise ValueError("only deterministic sequential search is implemented")
     if target == "g":
         if not profile.is_g_profile:
             raise ValueError(
@@ -571,13 +513,6 @@ def solve_extremal(
     seed_mask = 0
     for v in seed_family:
         seed_mask |= 1 << index_of[v]
-    rest = seed_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if graph.adj[low.bit_length() - 1] & seed_mask:
-            seed_mask = 0  # construction unexpectedly conflicts; fall back
-            break
 
     if shifted_pruning:
         return _solve_shifted(graph, budget, seed_mask)

@@ -10,6 +10,7 @@ suite.  All numbers in reports are exact (integers or p/q rationals).
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import random
@@ -136,12 +137,11 @@ def solved_instances() -> list[tuple[tuple, solver.SolveResult]]:
     return list(_SOLVE_MEMO.items())
 
 
-def _suite_theorem1(params: dict) -> VerificationReport:
+def _suite_theorem1(
+    budget: float = 60.0, instances=((4, 2), (5, 2), (6, 2), (6, 3))
+) -> VerificationReport:
     """Solver values against the exact closed form for l = 1."""
     report = VerificationReport("theorem1")
-    budget = float(params.pop("budget", 60.0))
-    instances = params.pop("instances", [(4, 2), (5, 2), (6, 2), (6, 3)])
-    _reject_extra(params)
     for n, k in instances:
         expected = formulas.g_closed_l1(n, k)
         result = solve_memo(n, k, 1, "g", budget)
@@ -155,12 +155,9 @@ def _suite_theorem1(params: dict) -> VerificationReport:
     return report
 
 
-def _suite_eq111(params: dict) -> VerificationReport:
+def _suite_eq111(budget: float = 600.0, instances=((6, 3, 2), (7, 3, 2))) -> VerificationReport:
     """Solver values against the fixed-first-coordinate count in its proven window."""
     report = VerificationReport("eq111")
-    budget = float(params.pop("budget", 600.0))
-    instances = params.pop("instances", [(6, 3, 2), (7, 3, 2)])
-    _reject_extra(params)
     for n, k, l in instances:
         value, in_range = formulas.g_ekr_value(n, k, l)
         result = solve_memo(n, k, l, "g", budget)
@@ -175,15 +172,12 @@ def _suite_eq111(params: dict) -> VerificationReport:
     return report
 
 
-def _suite_bounds(params: dict) -> VerificationReport:
+def _suite_bounds(
+    budget: float = 60.0,
+    instances=((4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2)),
+) -> VerificationReport:
     """Lower/upper sandwich holds at every solved instance."""
     report = VerificationReport("bounds")
-    budget = float(params.pop("budget", 60.0))
-    instances = params.pop(
-        "instances",
-        [(4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2)],
-    )
-    _reject_extra(params)
     for n, k, l in instances:
         lower, upper = formulas.g_bounds(n, k, l)
         result = solve_memo(n, k, l, "g", budget)
@@ -221,14 +215,18 @@ def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, int, str
     return eligible, failures, first
 
 
-def _suite_lemma1(params: dict) -> VerificationReport:
-    """Exhaustive witness construction and validation over whole classes."""
+def _suite_lemma1(n=None, k=None, l=None, profiles=None) -> VerificationReport:
+    """Exhaustive witness construction and validation over whole classes.
+
+    n, k and l together name a single profile in place of the list.
+    """
     report = VerificationReport("lemma1")
-    if {"n", "k", "l"} <= params.keys():
-        profiles = [(params.pop("n"), params.pop("k"), params.pop("l"))]
-    else:
-        profiles = params.pop("profiles", [(5, 2, 1), (6, 3, 2), (8, 3, 2)])
-    _reject_extra(params)
+    if (n, k, l) != (None, None, None):
+        if None in (n, k, l) or profiles is not None:
+            raise ValueError("suite lemma1 takes either profiles or all of n, k, l")
+        profiles = [(n, k, l)]
+    elif profiles is None:
+        profiles = [(5, 2, 1), (6, 3, 2), (8, 3, 2)]
     for n, k, l in profiles:
         profile = Profile(n, k, l)
         use_oracle = n <= 8
@@ -262,12 +260,9 @@ def _random_biregular_params(rng: random.Random) -> tuple[int, int, int, int]:
             return a, b, da, db
 
 
-def _suite_lemma3(params: dict) -> VerificationReport:
+def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationReport:
     """Averaging bound on randomized biregular graphs and independent sets."""
     report = VerificationReport("lemma3")
-    trials = int(params.pop("trials", 1000))
-    seed = int(params.pop("seed", 20260815))
-    _reject_extra(params)
     rng = random.Random(seed)
     violations = 0
     first = ""
@@ -290,12 +285,9 @@ def _suite_lemma3(params: dict) -> VerificationReport:
     return report
 
 
-def _suite_ratios(params: dict) -> VerificationReport:
+def _suite_ratios(max_dim: int = 12, pairs=None) -> VerificationReport:
     """Window-class cardinalities and their ratio against the closed forms."""
     report = VerificationReport("ratios")
-    max_dim = int(params.pop("max_dim", 12))
-    pairs = params.pop("pairs", None)
-    _reject_extra(params)
     if pairs is None:
         pairs = [
             (k, l)
@@ -346,13 +338,11 @@ def _suite_ratios(params: dict) -> VerificationReport:
     return report
 
 
-def _suite_precedes(params: dict) -> VerificationReport:
+def _suite_precedes(
+    max_exhaustive: int = 5, random_pairs: int = 10000, seed: int = 20260815
+) -> VerificationReport:
     """Fast reachability test against the breadth-first oracle."""
     report = VerificationReport("precedes")
-    max_exhaustive = int(params.pop("max_exhaustive", 5))
-    random_pairs = int(params.pop("random_pairs", 10000))
-    seed = int(params.pop("seed", 20260815))
-    _reject_extra(params)
 
     mism = 0
     checked = 0
@@ -414,12 +404,9 @@ def _random_vector(rng: random.Random, n: int, k: int, l: int) -> SignedVector:
     return SignedVector.from_supports(n, plus, minus)
 
 
-def _suite_constructions(params: dict) -> VerificationReport:
+def _suite_constructions(max_n: int = 30, pairs=((2, 1), (3, 1), (3, 2))) -> VerificationReport:
     """Construction families: validity at small scale, sizes at full scale."""
     report = VerificationReport("constructions")
-    max_n = int(params.pop("max_n", 30))
-    pairs = params.pop("pairs", [(2, 1), (3, 1), (3, 2)])
-    _reject_extra(params)
 
     for k, l in pairs:
         ok = True
@@ -517,12 +504,9 @@ def _random_graph(rng: random.Random, n: int, p: float) -> solver.ConflictGraph:
     return solver.ConflictGraph(adj)
 
 
-def _suite_solver_oracle(params: dict) -> VerificationReport:
+def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> VerificationReport:
     """Branch-and-bound against the exhaustive oracle."""
     report = VerificationReport("solver-oracle")
-    seed = int(params.pop("seed", 20260815))
-    random_graphs = int(params.pop("random_graphs", 200))
-    _reject_extra(params)
 
     profile_cases = []
     for n in range(2, 9):
@@ -580,12 +564,9 @@ def _suite_solver_oracle(params: dict) -> VerificationReport:
     return report
 
 
-def _suite_p_increment(params: dict) -> VerificationReport:
+def _suite_p_increment(max_n: int = 60, max_kl: int = 5) -> VerificationReport:
     """Split-count increment versus the claimed recursion: informational."""
     report = VerificationReport("p-increment")
-    max_n = int(params.pop("max_n", 60))
-    max_kl = int(params.pop("max_kl", 5))
-    _reject_extra(params)
 
     r = formulas.p_increment_report(10, 2, 1)
     report.add(
@@ -631,12 +612,7 @@ def _suite_p_increment(params: dict) -> VerificationReport:
     return report
 
 
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise ValueError(f"unknown suite parameters: {sorted(params)}")
-
-
-_SUITES: dict[str, Callable[[dict], VerificationReport]] = {
+_SUITES: dict[str, Callable[..., VerificationReport]] = {
     "theorem1": _suite_theorem1,
     "eq111": _suite_eq111,
     "bounds": _suite_bounds,
@@ -654,9 +630,21 @@ def suite_names() -> list[str]:
     return sorted(_SUITES)
 
 
-def run_suite(name: str, **params) -> VerificationReport:
-    """Run one named suite; unknown names or parameters raise ValueError."""
+def _suite(name: str) -> Callable[..., VerificationReport]:
     fn = _SUITES.get(name)
     if fn is None:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
-    return fn(dict(params))
+    return fn
+
+
+def suite_parameters(name: str) -> frozenset[str]:
+    """Names of the keyword parameters one suite accepts."""
+    return frozenset(inspect.signature(_suite(name)).parameters)
+
+
+def run_suite(name: str, **params) -> VerificationReport:
+    """Run one named suite; unknown names or parameters raise ValueError."""
+    unknown = sorted(params.keys() - suite_parameters(name))
+    if unknown:
+        raise ValueError(f"unknown suite parameters: {unknown}")
+    return _suite(name)(**params)

@@ -215,6 +215,63 @@ def scalar_product(v: SignedVector, w: SignedVector) -> int:
     )
 
 
+@dataclass(frozen=True)
+class ForbiddenSpec:
+    """Which scalar products create a conflict edge.
+
+    Exactly one of exact_values (a nonempty set of forbidden products)
+    or below (every product strictly less is forbidden) is set.
+    """
+
+    exact_values: Optional[frozenset[int]] = None
+    below: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if (self.exact_values is None) == (self.below is None):
+            raise ValueError("exactly one of exact_values / below must be given")
+        if self.exact_values is not None and not self.exact_values:
+            raise ValueError("exact_values must be nonempty")
+
+    @classmethod
+    def exact(cls, values) -> "ForbiddenSpec":
+        return cls(exact_values=frozenset(values))
+
+    @classmethod
+    def all_below(cls, threshold: int) -> "ForbiddenSpec":
+        return cls(below=threshold)
+
+    def forbids(self, product: int) -> bool:
+        if self.exact_values is not None:
+            return product in self.exact_values
+        return product < self.below
+
+    def describe(self) -> str:
+        if self.exact_values is not None:
+            return "exact:" + ",".join(str(v) for v in sorted(self.exact_values))
+        return f"below:{self.below}"
+
+
+@dataclass(frozen=True)
+class FamilyCheck:
+    ok: bool
+    pairs_checked: int
+    violation: Optional[tuple[SignedVector, SignedVector, int]] = None
+
+
+def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
+    """Scan all pairs of a family for a forbidden product; first hit wins."""
+    members = fam.members
+    checked = 0
+    for a in range(len(members)):
+        va = members[a]
+        for b in range(a + 1, len(members)):
+            checked += 1
+            prod = scalar_product(va, members[b])
+            if spec.forbids(prod):
+                return FamilyCheck(False, checked, (va, members[b], prod))
+    return FamilyCheck(True, checked)
+
+
 def min_suffix_sum(v: SignedVector) -> int:
     """Minimum over i in [1, dim] of the coordinate sum over [i, dim].
 

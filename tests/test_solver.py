@@ -1,6 +1,7 @@
 """Conflict graphs and the exact maximum-independent-set machinery."""
 
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,9 @@ from signedfam import (
     Profile,
     SignedVector,
     VectorFamily,
+    enumerate_all,
     is_shifted,
+    solver,
 )
 from signedfam.solver import (
     ConflictGraph,
@@ -236,9 +239,21 @@ class TestSolveExtremal:
         with pytest.raises(ValueError, match="target"):
             solve_extremal(Profile(4, 2, 1), "q")
 
-    def test_nondeterministic_refused(self):
-        with pytest.raises(ValueError, match="deterministic"):
-            solve_extremal(Profile(4, 2, 1), "g", deterministic=False)
+    def test_conflicting_seed_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "greedy_seed_g", enumerate_all)
+        with pytest.raises(ValueError, match="independent"):
+            solve_extremal(Profile(6, 3, 2), "g")
+
+    def test_shifted_budget_exhaustion_keeps_lower_bound(self):
+        limit = sys.getrecursionlimit()
+        res = solve_extremal(Profile(8, 3, 2), "g", budget=0.0)
+        assert res.status == "lower_bound_timeout"
+        assert not res.is_exact
+        assert (res.value, res.nodes_explored) == (230, 256)
+        assert len(res.witness) == res.value
+        assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
+        assert is_shifted(res.witness)
+        assert sys.getrecursionlimit() == limit
 
     def test_vertex_cap_propagates(self):
         with pytest.raises(VertexCapExceeded):

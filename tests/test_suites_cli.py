@@ -7,7 +7,7 @@ import pytest
 from signedfam import Profile, VectorFamily, suites
 from signedfam.cache import ResultCache, cache_key
 from signedfam.cli import main
-from signedfam.suites import VerificationReport, run_suite, suite_names
+from signedfam.suites import VerificationReport, run_suite, suite_names, suite_parameters
 
 
 class TestCacheKey:
@@ -83,6 +83,21 @@ class TestRunSuite:
     def test_unknown_parameter(self):
         with pytest.raises(ValueError, match="unknown suite parameters"):
             run_suite("lemma3", trials=5, bogus=1)
+
+    def test_shared_parameters_reach_their_suites(self):
+        takes = {
+            param: {name for name in suite_names() if param in suite_parameters(name)}
+            for param in ("trials", "seed", "budget")
+        }
+        assert takes == {
+            "trials": {"lemma3"},
+            "seed": {"lemma3", "precedes", "solver-oracle"},
+            "budget": {"theorem1", "eq111", "bounds"},
+        }
+
+    def test_lemma1_partial_profile_rejected(self):
+        with pytest.raises(ValueError, match="lemma1"):
+            run_suite("lemma1", n=5)
 
     def test_lemma3_small(self):
         report = run_suite("lemma3", trials=25, seed=3)
@@ -387,6 +402,24 @@ class TestCliOther:
         payload = json.loads(out.read_text())
         assert payload["ok"] is True
         assert [r["suite"] for r in payload["reports"]] == ["p-increment", "precedes"]
+
+    def test_report_forwards_only_accepted_parameters(self, monkeypatch, tmp_path):
+        calls = {}
+
+        def fake_run_suite(name, **kwargs):
+            calls[name] = kwargs
+            return VerificationReport(name)
+
+        monkeypatch.setattr(suites, "run_suite", fake_run_suite)
+        argv = ["report", "--suites", "lemma3,precedes,theorem1,ratios", "--seed", "3"]
+        argv += ["--trials", "5", "--budget", "9", "--out", str(tmp_path / "r.txt")]
+        assert main(argv) == 0
+        assert calls == {
+            "lemma3": {"seed": 3, "trials": 5},
+            "precedes": {"seed": 3},
+            "theorem1": {"budget": 9.0},
+            "ratios": {},
+        }
 
     def test_invalid_arguments(self):
         assert main(["solve", "--k", "2", "--l", "1"]) == 3  # missing --n
