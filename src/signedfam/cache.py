@@ -3,13 +3,16 @@
 Keys are "n,k,l,target,pruning".  Each entry stores the best known value
 with its status and a timestamp.  Timed-out entries are lower bounds and
 may be upgraded by a later larger value or by an exact result; exact
-entries are never downgraded.  A corrupt cache file is rebuilt from
-scratch with a warning rather than failing.
+entries are never downgraded.  A corrupt cache file is moved aside to
+"<path>.corrupt" and rebuilt from scratch with a warning rather than
+failing.  Saves write a temporary file and rename it into place, so an
+interrupted save leaves the previous file intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from typing import Optional
@@ -47,7 +50,12 @@ class ResultCache:
         except FileNotFoundError:
             self.entries = {}
         except (json.JSONDecodeError, ValueError, OSError) as exc:
-            warnings.warn(f"result cache at {self.path} is corrupt ({exc}); rebuilding")
+            try:
+                os.replace(self.path, self.path + ".corrupt")
+                kept = f"moved to {self.path}.corrupt"
+            except OSError as move_exc:
+                kept = f"could not be moved aside ({move_exc})"
+            warnings.warn(f"result cache at {self.path} is corrupt ({exc}); {kept}; rebuilding")
             self.entries = {}
 
     def get(self, key: str) -> Optional[dict]:
@@ -75,6 +83,13 @@ class ResultCache:
     def save(self) -> None:
         if self.path is None:
             return
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.entries, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # a sibling file, so the rename stays on one file system
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(self.entries, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

@@ -1,13 +1,17 @@
 """Exact maximum-independent-set solving over conflict graphs of vector families.
 
+build_conflict_graph generates the graph of the minimum product -2l
+directly from each vector's partners, O(V * degree); any other spec,
+and graph_from_family for an arbitrary family, scans every pair.
 Two search engines share one setup routine, _search, which checks the
 seed incumbent, builds the first greedy clique cover (the upper bound
 both engines prune with), bounds the run by the budget and assembles
 the witness.  mis_exact branches on a vertex of maximum degree after
 cheap reductions; the shift-pruned search of the g target walks
 vertices in a linear extension of the shift order, keeping only
-shift-closed families.  mis_bruteforce is an exhaustive oracle for
-small graphs.
+shift-closed families, and builds the closure of that order from the
+single-shift images of each vector.  mis_bruteforce is an exhaustive
+oracle for small graphs.
 solve_extremal wraps the engines for the two extremal targets: "g"
 (largest family avoiding the minimum product -2l) and "m" (largest
 family with no negative product).  Both engines are deterministic.
@@ -17,11 +21,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from .constructions import ekr_family, inductive_extend, split_family
 from .formulas import p_split
+# precedes is not used here; it is re-exported for callers of solver
 from .shifting import precedes
 # verify_family lives in vectors; it is re-exported here for callers of solver
 from .vectors import (
@@ -98,7 +104,45 @@ def build_conflict_graph(
             f"has {size} vectors, above the cap of {vertex_cap}"
         )
     family = enumerate_all(profile)
+    if spec == ForbiddenSpec.exact({-2 * profile.l}):
+        return ConflictGraph(_min_product_adjacency(family), family, spec)
     return graph_from_family(family, spec)
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out
+
+
+def _min_product_adjacency(family: VectorFamily) -> list[int]:
+    """Adjacency of the product -2l among all vectors of a full class.
+
+    v.w = -2l exactly when w's minus support is an l-subset of v's plus
+    support and w's plus support is v's minus support together with k - l
+    of v's zero coordinates, so each vertex has C(k,l) * C(n-k-l, k-l)
+    partners, looked up by their masks.
+    """
+    p = family.profile
+    members = family.members
+    if p.l > p.k:
+        return [0] * len(members)  # every product is at least -2k > -2l
+    index = {(v.pos, v.neg): i for i, v in enumerate(members)}
+    full = (1 << p.n) - 1
+    adj = []
+    for v in members:
+        minus_sets = [sum(c) for c in combinations(_bits(v.pos), p.l)]
+        zeros = _bits(full & ~(v.pos | v.neg))
+        mask = 0
+        for extra in combinations(zeros, p.k - p.l):
+            pos = v.neg | sum(extra)
+            for neg in minus_sets:
+                mask |= 1 << index[(pos, neg)]
+        adj.append(mask)
+    return adj
 
 
 def graph_from_family(family: VectorFamily, spec: ForbiddenSpec) -> ConflictGraph:
@@ -395,6 +439,59 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
     return fam
 
 
+def _shift_images(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
+    """(pos, neg) masks of every single-shift image of a vector other than itself.
+
+    A shift at i < j changes the vector exactly when v_i < v_j: a +1 at j
+    swaps with a 0 or -1 at i, or a 0 at j swaps with a -1 at i.
+    """
+    out = []
+    for bj in _bits(pos):
+        for bi in _bits(~pos & (bj - 1)):
+            swap = bi | bj
+            out.append((pos ^ swap, neg ^ swap if neg & bi else neg))
+    for bj in _bits(full & ~(pos | neg)):
+        for bi in _bits(neg & (bj - 1)):
+            out.append((pos, neg ^ bi ^ bj))
+    return out
+
+
+def _shift_closure(
+    members: Sequence[SignedVector],
+) -> tuple[list[int], list[int], list[int]]:
+    """Linear extension of the shift order on a full class, and its closure.
+
+    order lists member indices by ascending _potential, index on ties.
+    Over ranks in that order, pred[r] has bit s when members[order[s]] is
+    reachable from members[order[r]] by shifts, s != r; succ is its
+    transpose.  Each nontrivial shift lowers _potential by (j-i)(b-a) > 0,
+    so every image ranks below its source: pred is filled in rank order
+    from the single-shift images, succ in reverse rank order from the
+    preimages, which are the negated images of the negated vector.
+    """
+    n = len(members)
+    order = sorted(range(n), key=lambda i: (_potential(members[i]), i))
+    rank = {(members[i].pos, members[i].neg): r for r, i in enumerate(order)}
+    full = (1 << members[0].dim) - 1
+    pred = [0] * n
+    for r, i in enumerate(order):
+        v = members[i]
+        mask = 0
+        for key in _shift_images(v.pos, v.neg, full):
+            s = rank[key]
+            mask |= pred[s] | (1 << s)
+        pred[r] = mask
+    succ = [0] * n
+    for r in range(n - 1, -1, -1):
+        v = members[order[r]]
+        mask = 0
+        for neg, pos in _shift_images(v.neg, v.pos, full):
+            s = rank[(pos, neg)]
+            mask |= succ[s] | (1 << s)
+        succ[r] = mask
+    return order, pred, succ
+
+
 def _solve_shifted(
     graph: ConflictGraph, budget: float, seed_mask: int
 ) -> SolveResult:
@@ -405,8 +502,7 @@ def _solve_shifted(
     n = len(members)
     start = time.monotonic()
 
-    # linear extension of the shift order: ascending weighted support sum
-    order = sorted(range(n), key=lambda i: (_potential(members[i]), i))
+    order, pred, succ = _shift_closure(members)
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
@@ -417,15 +513,6 @@ def _solve_shifted(
             low = mask & -mask
             mask ^= low
             adj[r] |= 1 << rank[low.bit_length() - 1]
-
-    succ = [0] * n
-    pred = [0] * n
-    for a in range(n):
-        va = members[order[a]]
-        for b in range(a + 1, n):
-            if precedes(va, members[order[b]]):
-                succ[a] |= 1 << b
-                pred[b] |= 1 << a
 
     seed_ranked = 0
     rest = seed_mask
@@ -484,7 +571,10 @@ def solve_extremal(
     the optimum there is not attained on shift-closed families.
     The search starts from a construction (greedy_seed_g for g, the best
     split family for m); one with a conflicting pair raises ValueError.
+    budget bounds the whole call: the search gets what the setup leaves
+    of it, and elapsed is measured from entry.
     """
+    start = time.monotonic()
     if target == "g":
         if not profile.is_g_profile:
             raise ValueError(
@@ -514,6 +604,9 @@ def solve_extremal(
     for v in seed_family:
         seed_mask |= 1 << index_of[v]
 
+    remaining = max(0.0, budget - (time.monotonic() - start))
     if shifted_pruning:
-        return _solve_shifted(graph, budget, seed_mask)
-    return mis_exact(graph, budget, seed_mask)
+        result = _solve_shifted(graph, remaining, seed_mask)
+    else:
+        result = mis_exact(graph, remaining, seed_mask)
+    return replace(result, elapsed=time.monotonic() - start)

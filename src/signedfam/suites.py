@@ -504,9 +504,47 @@ def _random_graph(rng: random.Random, n: int, p: float) -> solver.ConflictGraph:
     return solver.ConflictGraph(adj)
 
 
+def _setup_mismatch(profile: Profile) -> str:
+    """First difference of the generated g setup from its pairwise definition."""
+    spec = solver.ForbiddenSpec.exact({-2 * profile.l})
+    graph = solver.build_conflict_graph(profile, spec)
+    members = graph.family.members
+    if graph.adj != solver.graph_from_family(graph.family, spec).adj:
+        return "conflict graph"
+    order, pred, succ = solver._shift_closure(members)
+    for b in range(len(order)):
+        for a in range(b):
+            related = shifting.precedes(members[order[a]], members[order[b]])
+            if related != bool(pred[b] >> a & 1) or related != bool(succ[a] >> b & 1):
+                return f"closure at ranks {a} < {b}"
+    return ""
+
+
 def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> VerificationReport:
-    """Branch-and-bound against the exhaustive oracle."""
+    """Branch-and-bound against the exhaustive oracle; g setup against pairwise scans."""
     report = VerificationReport("solver-oracle")
+
+    # the g graph and shift closure are generated, not scanned pairwise;
+    # re-derive both from their pairwise definitions
+    setup_profiles = [
+        Profile(n, k, l) for n in range(3, 8) for k in range(2, n) for l in range(1, k)
+        if k + l <= n
+    ]
+    mism = 0
+    first = ""
+    for profile in setup_profiles:
+        where = _setup_mismatch(profile)
+        if where:
+            mism += 1
+            if not first:
+                first = f"profile ({profile.n},{profile.k},{profile.l}): {where}"
+    report.add(
+        f"g-setup-pairwise[{len(setup_profiles)}]",
+        "0 mismatches",
+        f"{mism} mismatches" + (f"; first {first}" if first else ""),
+        mism == 0,
+        PROVENANCE_ORACLE,
+    )
 
     profile_cases = []
     for n in range(2, 9):

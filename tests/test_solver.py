@@ -2,8 +2,11 @@
 
 import random
 import sys
+import time
+from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from signedfam import (
     ForbiddenSpec,
@@ -12,6 +15,7 @@ from signedfam import (
     VectorFamily,
     enumerate_all,
     is_shifted,
+    precedes,
     solver,
 )
 from signedfam.solver import (
@@ -90,6 +94,68 @@ class TestConflictGraph:
     def test_rejects_out_of_range_mask(self):
         with pytest.raises(ValueError, match="out of range"):
             ConflictGraph([0b100, 0b000])
+
+
+@st.composite
+def small_profiles(draw):
+    """Any profile with n <= 8, l = 0 and l >= k included."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(1, n))
+    l = draw(st.integers(0, n - k))
+    return Profile(n, k, l)
+
+
+class TestGeneratedSetup:
+    """The generated min-product graph and shift closure against pairwise scans."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_profiles())
+    @example(Profile(5, 2, 0))  # l = 0: disjoint supports
+    @example(Profile(7, 4, 3))  # k = l + 1
+    @example(Profile(5, 1, 2))  # l > k: no edges
+    def test_min_product_graph_matches_pairwise(self, p):
+        spec = ForbiddenSpec.exact({-2 * p.l})
+        g = build_conflict_graph(p, spec)
+        assert g.adj == graph_from_family(enumerate_all(p), spec).adj
+        degree = comb(p.k, p.l) * comb(p.n - p.k - p.l, p.k - p.l) if p.k >= p.l else 0
+        assert all(g.degree(i) == degree for i in range(g.n_vertices))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_profiles())
+    @example(Profile(5, 2, 0))
+    @example(Profile(7, 4, 3))
+    def test_shift_closure_matches_pairwise_precedes(self, p):
+        members = enumerate_all(p).members
+        order, pred, succ = solver._shift_closure(members)
+        assert sorted(order) == list(range(len(members)))
+        for b in range(len(order)):
+            wb = members[order[b]]
+            for a in range(b):
+                expected = precedes(members[order[a]], wb)
+                assert bool(pred[b] >> a & 1) == expected
+                assert bool(succ[a] >> b & 1) == expected
+            assert pred[b] >> b == 0
+            assert succ[b] & ((2 << b) - 1) == 0
+
+    def test_other_specs_take_the_pairwise_path(self, monkeypatch):
+        calls = []
+        pairwise = solver.graph_from_family
+
+        def spy(family, spec):
+            calls.append(spec)
+            return pairwise(family, spec)
+
+        monkeypatch.setattr(solver, "graph_from_family", spy)
+        p = Profile(6, 3, 2)
+        m_spec = ForbiddenSpec.all_below(0)
+        g = build_conflict_graph(p, m_spec)
+        assert calls == [m_spec]
+        assert g.n_edges > 0
+        build_conflict_graph(p, ForbiddenSpec.exact({-4}))
+        assert calls == [m_spec]
+        wider = ForbiddenSpec.exact({-4, -2})
+        build_conflict_graph(p, wider)
+        assert calls == [m_spec, wider]
 
 
 class TestVerifyFamily:
@@ -254,6 +320,15 @@ class TestSolveExtremal:
         assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
         assert is_shifted(res.witness)
         assert sys.getrecursionlimit() == limit
+
+    def test_budget_covers_setup(self):
+        start = time.monotonic()
+        res = solve_extremal(Profile(11, 3, 2), "g", budget=0.5)
+        wall = time.monotonic() - start
+        assert res.status == "lower_bound_timeout"
+        assert wall < 5.0
+        assert res.elapsed >= 0.9 * wall
+        assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
 
     def test_vertex_cap_propagates(self):
         with pytest.raises(VertexCapExceeded):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from signedfam import Profile, VectorFamily, suites
+from signedfam import Profile, VectorFamily, solver, suites
 from signedfam.cache import ResultCache, cache_key
 from signedfam.cli import main
 from signedfam.suites import VerificationReport, run_suite, suite_names, suite_parameters
@@ -59,7 +59,59 @@ class TestResultCache:
             assert ResultCache(str(path)).entries == {}
 
 
+    def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = ResultCache(str(path))
+        cache.put("6,3,2,g,pruned", 30, "exact")
+        cache.save()
+        before = path.read_text()
+
+        def broken_dump(obj, fh, **kwargs):
+            fh.write('{"7,3,2,g,pruned": {"val')
+            raise OSError("disk full")
+
+        cache.put("7,3,2,g,pruned", 90, "exact")
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            cache.save()
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+        assert ResultCache(str(path)).get("6,3,2,g,pruned")["value"] == 30
+
+    def test_corrupt_file_kept_aside(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('{"6,3,2,g,pruned": {"value": 30, "sta')
+        with pytest.warns(UserWarning, match="cache.json.corrupt"):
+            cache = ResultCache(str(path))
+        cache.put("5,2,1,g,pruned", 12, "exact")
+        cache.save()
+        aside = tmp_path / "cache.json.corrupt"
+        assert aside.read_text() == '{"6,3,2,g,pruned": {"value": 30, "sta'
+        assert ResultCache(str(path)).get("5,2,1,g,pruned")["value"] == 12
+
+
 class TestRunSuite:
+    def test_solver_oracle_rederives_the_g_setup(self, monkeypatch):
+        def setup_case(report):
+            (case,) = [c for c in report.cases if c.case.startswith("g-setup-pairwise[")]
+            return case
+
+        assert setup_case(run_suite("solver-oracle", random_graphs=0)).passed
+        closure = solver._shift_closure
+
+        def no_pred(members):
+            order, pred, succ = closure(members)
+            return order, [0] * len(pred), succ
+
+        monkeypatch.setattr(solver, "_shift_closure", no_pred)
+        case = setup_case(run_suite("solver-oracle", random_graphs=0))
+        assert not case.passed and "closure" in case.actual
+        monkeypatch.undo()
+        monkeypatch.setattr(solver, "_min_product_adjacency", lambda family: [0] * len(family))
+        case = setup_case(run_suite("solver-oracle", random_graphs=0))
+        assert not case.passed and "conflict graph" in case.actual
+
     def test_names_sorted_and_complete(self):
         names = suite_names()
         assert names == sorted(names)
