@@ -24,6 +24,12 @@ def cache_key(n: int, k: int, l: int, target: str, pruning: bool) -> str:
     return f"{n},{k},{l},{target},{'pruned' if pruning else 'unpruned'}"
 
 
+def improves(value: int, status: str, old_value: int, old_status: str) -> bool:
+    """Upgrade rule: an exact result is final; a lower bound is replaced
+    by any exact result or by a larger lower bound."""
+    return old_status != STATUS_EXACT and (status == STATUS_EXACT or value > old_value)
+
+
 class ResultCache:
     """Load-modify-save mapping of solve results."""
 
@@ -62,17 +68,10 @@ class ResultCache:
         return self.entries.get(key)
 
     def put(self, key: str, value: int, status: str) -> bool:
-        """Record a result; returns True when the entry changed.
-
-        Upgrade rule: an exact entry is final; a lower-bound entry is
-        replaced by any exact result or by a larger lower bound.
-        """
+        """Record a result by the rule of improves; True when the entry changed."""
         old = self.entries.get(key)
-        if old is not None:
-            if old["status"] == STATUS_EXACT:
-                return False
-            if status != STATUS_EXACT and value <= old["value"]:
-                return False
+        if old is not None and not improves(value, status, old["value"], old["status"]):
+            return False
         self.entries[key] = {
             "value": value,
             "status": status,

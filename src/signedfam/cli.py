@@ -1,5 +1,17 @@
 """Command line interface.
 
+Each command takes only the flags its handler reads:
+
+- enumerate: --n --k --l --out
+- solve: --n --k --l --target --no-shift-pruning --witness-out
+  --vertex-cap --cache --budget --format json|csv --out
+- construct KIND: --n --k --l --out and the kind's own arguments
+  (split --plus-prefix, extend --base, xy --t --m --side)
+- classify: --vector or --family, --format json, --out
+- formula NAME: the arguments NAME takes, --format json, --out
+- verify SUITE: --n --k --l --seed --budget --trials --format json|csv --out
+- report: --suites --seed --budget --trials --format json|csv --out
+
 Exit codes: 0 success, 1 verification failure, 2 solver budget exhausted
 (result is a lower bound, not exact), 3 invalid input.
 """
@@ -7,8 +19,10 @@ Exit codes: 0 success, 1 verification failure, 2 solver budget exhausted
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from . import constructions, formulas, solver, suites
@@ -20,6 +34,22 @@ EXIT_VERIFY_FAIL = 1
 EXIT_BUDGET = 2
 EXIT_INVALID = 3
 
+_NKL = ("n", "k", "l")
+
+# formula name -> (function, the arguments it takes in order)
+_FORMULAS = {
+    "family-size": (formulas.family_size, _NKL),
+    "g-closed-l1": (formulas.g_closed_l1, ("n", "k")),
+    "g-bounds": (formulas.g_bounds, _NKL),
+    "g-ekr": (formulas.g_ekr_value, _NKL),
+    "increment": (formulas.increment_value, _NKL),
+    "p-split": (formulas.p_split, _NKL),
+    "p-increment": (formulas.p_increment_report, _NKL),
+    "n0": (formulas.n0_threshold, ("k", "l")),
+    "xy-sizes": (formulas.xy_family_sizes, _NKL + ("t", "m")),
+    "ratio-alpha": (formulas.ratio_and_alpha, _NKL + ("t", "m")),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; remap to the invalid-input code."""
@@ -29,35 +59,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache", metavar="PATH", help="JSON result cache file")
-    common.add_argument("--seed", type=int, help="seed for randomized checks")
-    common.add_argument("--budget", type=float, help="time budget in seconds")
-    common.add_argument(
-        "--format",
-        choices=["json", "csv"],
-        dest="fmt",
-        help="machine-readable output format (default: plain text)",
-    )
-    common.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    return common
+def _required_ints(p: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", type=int, required=True)
 
 
+def _output_args(p: argparse.ArgumentParser, formats=()) -> None:
+    if formats:
+        p.add_argument(
+            "--format",
+            choices=formats,
+            dest="fmt",
+            help="machine-readable output format (default: plain text)",
+        )
+    p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+
+
+def _suite_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, help="seed for randomized checks")
+    p.add_argument("--budget", type=float, help="time budget in seconds")
+    p.add_argument("--trials", type=int, help="randomized suites: number of trials")
+    _output_args(p, ["json", "csv"])
+
+
+@functools.cache
 def build_parser() -> _Parser:
-    common = _common_flags()
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = _Parser(prog="signedfam", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enumerate", parents=[common], help="list a whole vector class")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = sub.add_parser("enumerate", help="list a whole vector class")
+    _required_ints(p, _NKL)
+    _output_args(p)
 
-    p = sub.add_parser("solve", parents=[common], help="exact extremal family size")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p = sub.add_parser("solve", help="exact extremal family size")
+    _required_ints(p, _NKL)
     p.add_argument("--target", choices=["g", "m"], default="g")
     p.add_argument(
         "--no-shift-pruning",
@@ -66,58 +102,51 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--witness-out", metavar="FILE", help="write an optimal family here")
     p.add_argument("--vertex-cap", type=int, default=solver.DEFAULT_VERTEX_CAP)
+    p.add_argument("--cache", metavar="PATH", help="JSON result cache file")
+    p.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
+    _output_args(p, ["json", "csv"])
 
-    p = sub.add_parser("construct", parents=[common], help="build a named family")
-    p.add_argument("kind", choices=["ekr", "split", "extend", "xy"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--plus-prefix", type=int, help="split: size of the plus side prefix")
-    p.add_argument("--base", metavar="FILE", help="extend: family file to grow by one dimension")
-    p.add_argument("--t", type=int, help="xy: window parameter")
-    p.add_argument("--m", type=int, help="xy: window count parameter")
-    p.add_argument("--side", choices=["x", "y"], help="xy: which class")
+    kinds = sub.add_parser("construct", help="build a named family").add_subparsers(
+        dest="kind", required=True
+    )
+    for kind in ("ekr", "split", "extend", "xy"):
+        p = kinds.add_parser(kind)
+        _required_ints(p, _NKL)
+        if kind == "split":
+            p.add_argument("--plus-prefix", type=int, help="size of the plus side prefix")
+        elif kind == "extend":
+            p.add_argument("--base", metavar="FILE", help="family file to grow by one dimension")
+        elif kind == "xy":
+            _required_ints(p, ("t", "m"))
+            p.add_argument("--side", choices=["x", "y"], required=True, help="which class")
+        _output_args(p)
 
-    p = sub.add_parser("classify", parents=[common], help="label vectors ending in +1")
+    p = sub.add_parser("classify", help="label vectors ending in +1")
     p.add_argument("--vector", help="single vector, e.g. '+0-+'")
     p.add_argument("--family", metavar="FILE", help="family file to partition and label")
+    _output_args(p, ["json"])
 
-    p = sub.add_parser("formula", parents=[common], help="evaluate a closed form")
-    p.add_argument(
-        "name",
-        choices=[
-            "family-size",
-            "g-closed-l1",
-            "g-bounds",
-            "g-ekr",
-            "increment",
-            "p-split",
-            "p-increment",
-            "n0",
-            "xy-sizes",
-            "ratio-alpha",
-        ],
+    names = sub.add_parser("formula", help="evaluate a closed form").add_subparsers(
+        dest="name", required=True
     )
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--m", type=int)
+    for name, (_, args) in _FORMULAS.items():
+        p = names.add_parser(name)
+        _required_ints(p, args)
+        _output_args(p, ["json"])
 
-    p = sub.add_parser("verify", parents=[common], help="run one verification suite")
+    p = sub.add_parser("verify", help="run one verification suite")
     p.add_argument("suite", help="suite name, or 'list' to show the available names")
-    p.add_argument("--trials", type=int, help="randomized suites: number of trials")
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
+    for name in _NKL:
+        p.add_argument(f"--{name}", type=int)
+    _suite_args(p)
 
-    p = sub.add_parser("report", parents=[common], help="run several suites together")
+    p = sub.add_parser("report", help="run several suites together")
     p.add_argument(
         "--suites",
         default="default",
         help="comma-separated names, 'default' (all but eq111), or 'all'",
     )
-    p.add_argument("--trials", type=int)
+    _suite_args(p)
 
     return parser
 
@@ -130,12 +159,6 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [name for name in names if getattr(args, name.replace("-", "_")) is None]
-    if missing:
-        raise ValueError(f"missing required arguments: {', '.join('--' + m for m in missing)}")
-
-
 def _cmd_enumerate(args) -> int:
     fam = enumerate_all(Profile(args.n, args.k, args.l))
     _emit(fam.to_text(), args.out)
@@ -144,14 +167,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_solve(args) -> int:
     profile = Profile(args.n, args.k, args.l)
-    pruning = False if args.no_shift_pruning else None
-    budget = args.budget if args.budget is not None else 60.0
+    pruning = solver.shift_pruning(profile, args.target, False if args.no_shift_pruning else None)
     cache = ResultCache(args.cache) if args.cache else None
-
-    effective_pruning = (
-        pruning if pruning is not None else (args.target == "g" and profile.is_g_profile)
-    )
-    key = cache_key(args.n, args.k, args.l, args.target, effective_pruning)
+    key = cache_key(args.n, args.k, args.l, args.target, pruning)
     cached = cache.get(key) if cache else None
     if cached and cached["status"] == solver.STATUS_EXACT and not args.witness_out:
         payload = {
@@ -169,7 +187,7 @@ def _cmd_solve(args) -> int:
     result = solver.solve_extremal(
         profile,
         args.target,
-        budget=budget,
+        budget=args.budget,
         shifted_pruning=pruning,
         vertex_cap=args.vertex_cap,
     )
@@ -225,7 +243,6 @@ def _cmd_construct(args) -> int:
             base = constructions.ekr_family(profile)
         fam = constructions.inductive_extend(base)
     else:
-        _require(args, ["t", "m", "side"])
         fam = constructions.family_xy_tm(profile, args.t, args.m, args.side)
     _emit(fam.to_text(), args.out)
     return EXIT_OK
@@ -274,60 +291,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    name = args.name
-    if name == "family-size":
-        _require(args, ["n", "k", "l"])
-        payload = {"value": formulas.family_size(args.n, args.k, args.l)}
-    elif name == "g-closed-l1":
-        _require(args, ["n", "k"])
-        payload = {"value": formulas.g_closed_l1(args.n, args.k)}
-    elif name == "g-bounds":
-        _require(args, ["n", "k", "l"])
-        lower, upper = formulas.g_bounds(args.n, args.k, args.l)
-        payload = {"lower": lower, "upper": upper}
-    elif name == "g-ekr":
-        _require(args, ["n", "k", "l"])
-        value = formulas.g_ekr_value(args.n, args.k, args.l)
-        payload = {"value": value.value, "in_range": value.in_range}
-    elif name == "increment":
-        _require(args, ["n", "k", "l"])
-        inc = formulas.increment_value(args.n, args.k, args.l)
-        payload = {
-            "value": inc.value,
-            "applicable": inc.applicable,
-            "conjectured_threshold": str(inc.conjectured_threshold),
-        }
-    elif name == "p-split":
-        _require(args, ["n", "k", "l"])
-        value, argmax = formulas.p_split(args.n, args.k, args.l)
-        payload = {"value": value, "argmax": argmax}
-    elif name == "p-increment":
-        _require(args, ["n", "k", "l"])
-        rep = formulas.p_increment_report(args.n, args.k, args.l)
-        payload = {
-            "increment": rep.increment,
-            "candidate_lower_l": rep.candidate_lower_l,
-            "candidate_lower_k": rep.candidate_lower_k,
-            "average": str(rep.average),
-            "equality_holds": rep.equality_holds,
-            "ge_average_holds": rep.ge_average_holds,
-            "le_min_holds": rep.le_min_holds,
-        }
-    elif name == "n0":
-        _require(args, ["k", "l"])
-        payload = {"value": formulas.n0_threshold(args.k, args.l)}
-    elif name == "xy-sizes":
-        _require(args, ["n", "k", "l", "t", "m"])
-        x_size, y_size = formulas.xy_family_sizes(args.n, args.k, args.l, args.t, args.m)
-        payload = {"x_size": x_size, "y_size": y_size}
-    else:
-        _require(args, ["n", "k", "l", "t", "m"])
-        ra = formulas.ratio_and_alpha(args.n, args.k, args.l, args.t, args.m)
-        payload = {
-            "ratio": str(ra.ratio),
-            "alpha": str(ra.alpha),
-            "coefficient": str(ra.coefficient),
-        }
+    function, names = _FORMULAS[args.name]
+    result = function(*(getattr(args, name) for name in names))
+    fields = {"value": result} if isinstance(result, int) else result._asdict()
+    payload = {
+        key: str(value) if isinstance(value, Fraction) else value
+        for key, value in fields.items()
+        if key not in names
+    }
 
     if args.fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
@@ -343,9 +314,9 @@ def _suite_params(args) -> dict:
         params["seed"] = args.seed
     if args.budget is not None:
         params["budget"] = args.budget
-    if getattr(args, "trials", None) is not None:
+    if args.trials is not None:
         params["trials"] = args.trials
-    for name in ("n", "k", "l"):
+    for name in _NKL:
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value

@@ -184,7 +184,12 @@ def n0_threshold(k: int, l: int) -> int:
     return (k + l) * 2 ** (k + l + 2)
 
 
-def xy_family_sizes(n: int, k: int, l: int, t: int, m: int) -> tuple[int, int]:
+class XYSizes(NamedTuple):
+    x_size: int
+    y_size: int
+
+
+def xy_family_sizes(n: int, k: int, l: int, t: int, m: int) -> XYSizes:
     """Exact sizes of the two window-comparison classes over dimension n + 1.
 
     Vectors live in dimension n + 1 with the last coordinate fixed.
@@ -213,7 +218,7 @@ def xy_family_sizes(n: int, k: int, l: int, t: int, m: int) -> tuple[int, int]:
         * binom(rest, k - m)
         * binom(rest - (k - m), l - 1 - mu)
     )
-    return x_size, y_size
+    return XYSizes(x_size, y_size)
 
 
 class RatioAlpha(NamedTuple):

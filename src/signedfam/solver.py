@@ -54,17 +54,11 @@ class VertexCapExceeded(ValueError):
 class ConflictGraph:
     """Vertices in canonical family order; adjacency as per-vertex bit masks."""
 
-    __slots__ = ("family", "spec", "adj")
+    __slots__ = ("family", "adj")
 
-    def __init__(
-        self,
-        adj: Sequence[int],
-        family: Optional[VectorFamily] = None,
-        spec: Optional[ForbiddenSpec] = None,
-    ):
+    def __init__(self, adj: Sequence[int], family: Optional[VectorFamily] = None):
         self.adj = tuple(adj)
         self.family = family
-        self.spec = spec
         for v, mask in enumerate(self.adj):
             if mask >> len(self.adj):
                 raise ValueError(f"adjacency mask of vertex {v} out of range")
@@ -105,7 +99,7 @@ def build_conflict_graph(
         )
     family = enumerate_all(profile)
     if spec == ForbiddenSpec.exact({-2 * profile.l}):
-        return ConflictGraph(_min_product_adjacency(family), family, spec)
+        return ConflictGraph(_min_product_adjacency(family), family)
     return graph_from_family(family, spec)
 
 
@@ -155,7 +149,7 @@ def graph_from_family(family: VectorFamily, spec: ForbiddenSpec) -> ConflictGrap
             if spec.forbids(scalar_product(va, members[b])):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    return ConflictGraph(adj, family, spec)
+    return ConflictGraph(adj, family)
 
 
 @dataclass(frozen=True)
@@ -556,6 +550,25 @@ def _solve_shifted(
     return _search(graph, adj, order, (seed_ranked,), start, budget, search)
 
 
+def shift_pruning(profile: Profile, target: str, requested: Optional[bool] = None) -> bool:
+    """Whether a solve of target on profile searches shifted families only.
+
+    Pruning is on by default for target "g" and refused for target "m";
+    a target the profile does not admit raises ValueError.
+    """
+    if target == "g":
+        if not profile.is_g_profile:
+            raise ValueError(
+                f"target g requires k > l >= 1, got k={profile.k}, l={profile.l}"
+            )
+        return True if requested is None else requested
+    if target == "m":
+        if requested:
+            raise ValueError("shift-closure pruning is not valid for target m")
+        return False
+    raise ValueError(f"unknown target {target!r}; expected 'g' or 'm'")
+
+
 def solve_extremal(
     profile: Profile,
     target: str,
@@ -575,21 +588,11 @@ def solve_extremal(
     of it, and elapsed is measured from entry.
     """
     start = time.monotonic()
+    shifted_pruning = shift_pruning(profile, target, shifted_pruning)
     if target == "g":
-        if not profile.is_g_profile:
-            raise ValueError(
-                f"target g requires k > l >= 1, got k={profile.k}, l={profile.l}"
-            )
         spec = ForbiddenSpec.exact({-2 * profile.l})
-        if shifted_pruning is None:
-            shifted_pruning = True
-    elif target == "m":
-        if shifted_pruning:
-            raise ValueError("shift-closure pruning is not valid for target m")
-        spec = ForbiddenSpec.all_below(0)
-        shifted_pruning = False
     else:
-        raise ValueError(f"unknown target {target!r}; expected 'g' or 'm'")
+        spec = ForbiddenSpec.all_below(0)
 
     graph = build_conflict_graph(profile, spec, vertex_cap)
     assert graph.family is not None

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import bipartite, constructions, formulas, shifting, solver, witness
+from .cache import improves
 from .vectors import Profile, SignedVector, VectorFamily, enumerate_all, scalar_product
 
 PROVENANCE_FORMULA = "closed-form"
@@ -122,14 +123,16 @@ _SOLVE_MEMO: dict[tuple, solver.SolveResult] = {}
 def solve_memo(
     n: int, k: int, l: int, target: str = "g", budget: float = 600.0, pruning=None
 ) -> solver.SolveResult:
+    profile = Profile(n, k, l)
+    pruning = solver.shift_pruning(profile, target, pruning)
     key = (n, k, l, target, pruning)
-    result = _SOLVE_MEMO.get(key)
-    if result is None or (not result.is_exact and budget > 0):
-        result = solver.solve_extremal(
-            Profile(n, k, l), target, budget=budget, shifted_pruning=pruning
-        )
+    old = _SOLVE_MEMO.get(key)
+    if old is not None and (old.is_exact or budget <= 0):
+        return old
+    result = solver.solve_extremal(profile, target, budget=budget, shifted_pruning=pruning)
+    if old is None or improves(result.value, result.status, old.value, old.status):
         _SOLVE_MEMO[key] = result
-    return result
+    return _SOLVE_MEMO[key]
 
 
 def solved_instances() -> list[tuple[tuple, solver.SolveResult]]:

@@ -18,16 +18,8 @@ _DIM_CAP = 128
 
 
 def dimension_cap() -> int:
-    """Current maximum allowed vector dimension."""
+    """Maximum allowed vector dimension."""
     return _DIM_CAP
-
-
-def set_dimension_cap(cap: int) -> None:
-    """Raise or lower the maximum allowed vector dimension (default 128)."""
-    global _DIM_CAP
-    if not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"dimension cap must be a positive integer, got {cap!r}")
-    _DIM_CAP = cap
 
 
 def _mask_of(indices: Iterable[int], dim: int) -> int:

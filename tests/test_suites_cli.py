@@ -6,7 +6,7 @@ import pytest
 
 from signedfam import Profile, VectorFamily, solver, suites
 from signedfam.cache import ResultCache, cache_key
-from signedfam.cli import main
+from signedfam.cli import build_parser, main
 from signedfam.suites import VerificationReport, run_suite, suite_names, suite_parameters
 
 
@@ -480,3 +480,171 @@ class TestCliOther:
     def test_bad_vector_string(self, capsys):
         assert main(["classify", "--vector", "+x-"]) == 3
         assert "error" in capsys.readouterr().err
+
+
+NKL = ["--n", "4", "--k", "2", "--l", "1"]
+
+REFUSED = [
+    # a shared flag on a command that does not read it
+    ["enumerate", "--n", "3", "--k", "1", "--l", "1", "--seed", "1"],
+    ["solve", *NKL, "--seed", "1"],
+    ["verify", "lemma3", "--cache", "c.json"],
+    ["report", "--cache", "c.json"],
+    # an argument of another construct kind
+    ["construct", "ekr", *NKL, "--t", "1"],
+    ["construct", "split", *NKL, "--base", "f"],
+    # a formula argument the name does not take
+    ["formula", "n0", "--n", "9", "--k", "2", "--l", "1"],
+    ["formula", "g-closed-l1", "--n", "6", "--k", "2", "--l", "1"],
+    # an output format the command does not write
+    ["classify", "--vector", "++--+", "--format", "csv"],
+    ["formula", "p-split", "--n", "10", "--k", "2", "--l", "1", "--format", "csv"],
+]
+
+# formula arguments, plain output, JSON payload
+FORMULA_OUTPUT = [
+    (["family-size", "--n", "6", "--k", "2", "--l", "1"], "value: 60\n", {"value": 60}),
+    (["g-closed-l1", "--n", "12", "--k", "3"], "value: 537\n", {"value": 537}),
+    (
+        ["g-bounds", "--n", "7", "--k", "3", "--l", "2"],
+        "lower: 84\nupper: 294\n",
+        {"lower": 84, "upper": 294},
+    ),
+    (
+        ["g-ekr", "--n", "7", "--k", "3", "--l", "2"],
+        "value: 90\nin_range: True\n",
+        {"value": 90, "in_range": True},
+    ),
+    (
+        ["increment", "--n", "10", "--k", "5", "--l", "3"],
+        "value: 2520\napplicable: False\nconjectured_threshold: 56/3\n",
+        {"value": 2520, "applicable": False, "conjectured_threshold": "56/3"},
+    ),
+    (
+        ["p-split", "--n", "10", "--k", "2", "--l", "1"],
+        "value: 63\nargmax: 7\n",
+        {"value": 63, "argmax": 7},
+    ),
+    (
+        ["p-increment", "--n", "9", "--k", "3", "--l", "2"],
+        "increment: 30\ncandidate_lower_l: 40\ncandidate_lower_k: 36\naverage: 38\n"
+        "equality_holds: False\nge_average_holds: False\nle_min_holds: True\n",
+        {
+            "increment": 30,
+            "candidate_lower_l": 40,
+            "candidate_lower_k": 36,
+            "average": "38",
+            "equality_holds": False,
+            "ge_average_holds": False,
+            "le_min_holds": True,
+        },
+    ),
+    (["n0", "--k", "2", "--l", "1"], "value: 96\n", {"value": 96}),
+    (
+        ["xy-sizes", "--n", "8", "--k", "3", "--l", "2", "--t", "2", "--m", "0"],
+        "x_size: 30\ny_size: 30\n",
+        {"x_size": 30, "y_size": 30},
+    ),
+    (
+        ["ratio-alpha", "--n", "12", "--k", "3", "--l", "2", "--t", "2", "--m", "1"],
+        "ratio: 1/8\nalpha: 1\ncoefficient: 67/24\n",
+        {"ratio": "1/8", "alpha": "1", "coefficient": "67/24"},
+    ),
+]
+
+CONSTRUCT_OUTPUT = [
+    (["ekr", *NKL], "4 2 1\n++-0\n++0-\n+-+0\n+0+-\n+-0+\n+0-+\n"),
+    (["split", *NKL], "4 2 1\n++0-\n+0+-\n0++-\n"),
+    (
+        ["split", "--n", "5", "--k", "2", "--l", "1", "--plus-prefix", "2"],
+        "5 2 1\n++-00\n++0-0\n++00-\n",
+    ),
+    (
+        ["extend", *NKL],
+        "5 2 1\n++-00\n++0-0\n++00-\n+-+00\n+0+-0\n+0+0-\n0++0-\n+-0+0\n"
+        "+0-+0\n+00+-\n0+0+-\n00++-\n",
+    ),
+    (
+        ["xy", "--n", "5", "--k", "2", "--l", "1", "--t", "1", "--m", "0", "--side", "x"],
+        "5 2 1\n0++0-\n0+0+-\n00++-\n",
+    ),
+]
+
+
+class TestSolveMemo:
+    @pytest.mark.parametrize("target, pruning", [("g", True), ("m", False)])
+    def test_default_and_explicit_pruning_share_an_entry(self, monkeypatch, target, pruning):
+        monkeypatch.setattr(suites, "_SOLVE_MEMO", {})
+        calls = []
+        real = solver.solve_extremal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_extremal", counting)
+        first = suites.solve_memo(5, 2, 1, target)
+        assert suites.solve_memo(5, 2, 1, target, pruning=pruning) is first
+        assert len(calls) == 1
+        assert [key for key, _ in suites.solved_instances()] == [(5, 2, 1, target, pruning)]
+
+    def test_keeps_the_better_result(self, monkeypatch):
+        monkeypatch.setattr(suites, "_SOLVE_MEMO", {})
+        results = iter(
+            [(5, solver.STATUS_TIMEOUT), (3, solver.STATUS_TIMEOUT), (4, solver.STATUS_EXACT)]
+        )
+
+        def fake(profile, target, **kwargs):
+            value, status = next(results)
+            return solver.SolveResult(value, status, 0, 0.0, ())
+
+        monkeypatch.setattr(solver, "solve_extremal", fake)
+        assert suites.solve_memo(6, 3, 2, budget=10).value == 5
+        # a smaller lower bound from a shorter budget does not replace 5
+        assert suites.solve_memo(6, 3, 2, budget=1).value == 5
+        # an exact result replaces a lower bound, even a larger one, and is final
+        assert suites.solve_memo(6, 3, 2, budget=1).value == 4
+        assert suites.solve_memo(6, 3, 2, budget=1).is_exact
+        assert len(suites.solved_instances()) == 1
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
+    def test_unread_flag_is_refused(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: signedfam")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, text, payload", FORMULA_OUTPUT, ids=[case[0][0] for case in FORMULA_OUTPUT]
+    )
+    def test_formula_output(self, argv, text, payload, capsys):
+        assert main(["formula", *argv]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["formula", *argv, "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, text", CONSTRUCT_OUTPUT, ids=[" ".join(case[0]) for case in CONSTRUCT_OUTPUT]
+    )
+    def test_construct_output(self, argv, text, capsys):
+        assert main(["construct", *argv]) == 0
+        assert capsys.readouterr().out == text
+
+    def test_one_parser_serves_consecutive_commands(self, capsys, tmp_path):
+        assert build_parser() is build_parser()
+        p_split = ["formula", "p-split", "--n", "10", "--k", "2", "--l", "1"]
+        out = tmp_path / "p.json"
+        assert main([*p_split, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == {"value": 63, "argmax": 7}
+        assert main(p_split) == 0
+        assert capsys.readouterr().out == "value: 63\nargmax: 7\n"
+        assert main(["solve", *NKL, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("n,k,l,target,value,status,nodes")
+        assert main(["solve", *NKL, "--target", "m"]) == 0
+        assert capsys.readouterr().out.startswith("n: 4\nk: 2\nl: 1\ntarget: m\n")
+        assert main(["classify", "--vector", "++--+"]) == 0
+        assert capsys.readouterr().out == "++--+: B1 t=1 m=0 in_b1_prime=True\n"

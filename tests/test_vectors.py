@@ -14,7 +14,6 @@ from signedfam.vectors import (
     enumerate_all,
     min_suffix_sum,
     scalar_product,
-    set_dimension_cap,
     suffix_markers,
 )
 
@@ -103,14 +102,13 @@ class TestSignedVector:
 
     def test_dimension_cap(self):
         cap = dimension_cap()
-        try:
-            set_dimension_cap(6)
-            with pytest.raises(ValueError):
-                SignedVector.parse("+" + "0" * 6)
-            with pytest.raises(ValueError):
-                Profile(7, 2, 1)
-        finally:
-            set_dimension_cap(cap)
+        assert cap == 128
+        assert SignedVector.parse("+" + "0" * (cap - 1)).dim == cap
+        assert Profile(cap, 2, 1).n == cap
+        with pytest.raises(ValueError, match="exceeds cap 128"):
+            SignedVector.parse("+" + "0" * cap)
+        with pytest.raises(ValueError, match="exceeds cap 128"):
+            Profile(cap + 1, 2, 1)
 
     @given(vectors())
     def test_roundtrip_property(self, v):
