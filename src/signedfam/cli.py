@@ -10,6 +10,7 @@ Each command takes only the flags its handler reads:
 - classify: --vector or --family, --format json, --out
 - formula NAME: the arguments NAME takes, --format json, --out
 - verify SUITE: --n --k --l --seed --budget --trials --format json|csv --out
+  (verify list: --out only)
 - report: --suites --seed --budget --trials --format json|csv --out
 
 Exit codes: 0 success, 1 verification failure, 2 solver budget exhausted
@@ -122,8 +123,9 @@ def build_parser() -> _Parser:
         _output_args(p)
 
     p = sub.add_parser("classify", help="label vectors ending in +1")
-    p.add_argument("--vector", help="single vector, e.g. '+0-+'")
-    p.add_argument("--family", metavar="FILE", help="family file to partition and label")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--vector", help="single vector, e.g. '+0-+'")
+    source.add_argument("--family", metavar="FILE", help="family file to partition and label")
     _output_args(p, ["json"])
 
     names = sub.add_parser("formula", help="evaluate a closed form").add_subparsers(
@@ -260,9 +262,9 @@ def _label_dict(v: SignedVector) -> dict:
 
 def _cmd_classify(args) -> int:
     rows: list[dict] = []
-    if args.vector:
+    if args.vector is not None:
         rows.append(_label_dict(SignedVector.parse(args.vector)))
-    elif args.family:
+    else:
         fam = VectorFamily.load(args.family)
         minus, zero, plus = constructions.partition_by_last(fam)
         rows.append(
@@ -272,8 +274,6 @@ def _cmd_classify(args) -> int:
             }
         )
         rows.extend(_label_dict(v) for v in plus)
-    else:
-        raise ValueError("classify needs --vector or --family")
 
     if args.fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
@@ -358,6 +358,9 @@ def _emit_reports(reports: list, fmt: Optional[str], out: Optional[str]) -> None
 
 def _cmd_verify(args) -> int:
     if args.suite == "list":
+        given = [f"--{name}" for name in _suite_params(args)] + (["--format"] if args.fmt else [])
+        if given:
+            raise ValueError(f"verify list takes no suite flags, got {' '.join(given)}")
         _emit("\n".join(suites.suite_names()) + "\n", args.out)
         return EXIT_OK
     report = suites.run_suite(args.suite, **_suite_params(args))

@@ -4,17 +4,21 @@ build_conflict_graph generates the graph of the minimum product -2l
 directly from each vector's partners, O(V * degree); any other spec,
 and graph_from_family for an arbitrary family, scans every pair.
 Two search engines share one setup routine, _search, which checks the
-seed incumbent, builds the first greedy clique cover (the upper bound
-both engines prune with), bounds the run by the budget and assembles
-the witness.  mis_exact branches on a vertex of maximum degree after
-cheap reductions; the shift-pruned search of the g target walks
-vertices in a linear extension of the shift order, keeping only
-shift-closed families, and builds the closure of that order from the
-single-shift images of each vector.  mis_bruteforce is an exhaustive
-oracle for small graphs.
+seed incumbent, bounds the run by the budget and assembles the witness.
+Both prune with a greedy clique cover, whose number of cliques bounds
+any independent set.  mis_exact branches on a vertex of maximum degree
+after cheap reductions and covers the pool of every node afresh; the
+shift-pruned search of the g target walks vertices in a linear
+extension of the shift order, keeping only shift-closed families,
+builds the closure of that order from the single-shift images of each
+vector, and reuses a cover rebuilt every 64 nodes.  mis_bruteforce is
+an exhaustive oracle for small graphs.
 solve_extremal wraps the engines for the two extremal targets: "g"
 (largest family avoiding the minimum product -2l) and "m" (largest
-family with no negative product).  Both engines are deterministic.
+family with no negative product).  Without shift pruning it runs the
+search of mis_exact below a root that takes vertex 0, which is exact
+because the graph of a whole class is vertex-transitive.  Both engines
+are deterministic.
 """
 
 from __future__ import annotations
@@ -210,40 +214,23 @@ class _Timeout(Exception):
 
 
 class _SearchState:
-    __slots__ = ("best_size", "best_mask", "nodes", "deadline", "cover", "covered")
+    __slots__ = ("best_size", "best_mask", "nodes", "deadline")
 
     def __init__(self, best_size: int, best_mask: int, deadline: float):
         self.best_size = best_size
         self.best_mask = best_mask
         self.nodes = 0
         self.deadline = deadline
-        self.cover: list[int] = []
-        self.covered = 0
 
 
-def _tick(state: _SearchState, adj: Sequence[int], pool: int) -> None:
+def _tick(state: _SearchState) -> None:
     state.nodes += 1
-    if state.nodes % 64 == 0:
-        state.cover = _greedy_clique_cover(adj, pool)
-        state.covered = 0
-        for c in state.cover:
-            state.covered |= c
     if state.nodes % 256 == 0 and time.monotonic() > state.deadline:
         raise _Timeout
 
 
-def _cover_bound(state: _SearchState, pool: int) -> int:
-    # a clique cover of any superset, restricted to pool, still covers what
-    # it covers; vertices it misses count as singletons
-    bound = (pool & ~state.covered).bit_count()
-    for c in state.cover:
-        if c & pool:
-            bound += 1
-    return bound
-
-
 def _bnb(adj: Sequence[int], state: _SearchState, pool: int, size: int, mask: int) -> None:
-    _tick(state, adj, pool)
+    _tick(state)
 
     # cheap reductions: isolated vertices are always taken; a vertex with
     # one neighbor is always at least as good as the neighbor
@@ -276,7 +263,7 @@ def _bnb(adj: Sequence[int], state: _SearchState, pool: int, size: int, mask: in
             state.best_mask = mask
         return
 
-    if size + _cover_bound(state, pool) <= state.best_size:
+    if size + len(_greedy_clique_cover(adj, pool)) <= state.best_size:
         return
 
     # branch on the densest remaining vertex, lowest index on ties
@@ -338,9 +325,6 @@ def _search(
             rest ^= low
     best = max(seeds, key=int.bit_count)
     state = _SearchState(best.bit_count(), best, start + budget)
-    state.cover = _greedy_clique_cover(adj, (1 << len(adj)) - 1)
-    for c in state.cover:
-        state.covered |= c
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, 2 * len(adj) + 100))
@@ -361,11 +345,14 @@ def mis_exact(
     budget: float = 60.0,
     initial_mask: int = 0,
 ) -> SolveResult:
-    """Branch-and-bound maximum independent set.
+    """Branch-and-bound maximum independent set of any graph.
 
+    Every node is bounded by a greedy clique cover of its own pool.
     Deterministic and sequential.  initial_mask seeds the incumbent; it
     must be independent.  On budget exhaustion the best set found so far
-    is returned with a lower-bound status.
+    is returned with a lower-bound status.  solve_extremal runs the same
+    search below a vertex-0 root, which holds only for the
+    vertex-transitive graph of a whole class.
     """
     n = graph.n_vertices
     adj = graph.adj
@@ -517,8 +504,23 @@ def _solve_shifted(
     full = (1 << n) - 1
 
     def search(state: _SearchState) -> None:
+        # a greedy clique cover of a superset of the pool, rebuilt every 64
+        # nodes: restricted to any pool it still covers what it covers, and
+        # vertices it misses count as singletons
+        cover: list[int] = []
+        covered = 0
+
+        def refresh(pool: int) -> None:
+            nonlocal cover, covered
+            cover = _greedy_clique_cover(adj, pool)
+            covered = 0
+            for c in cover:
+                covered |= c
+
         def rec(idx: int, chosen: int, dead: int, size: int) -> None:
-            _tick(state, adj, full & ~dead & (full << idx) if idx < n else 0)
+            _tick(state)
+            if state.nodes % 64 == 0:
+                refresh(full & ~dead & (full << idx) if idx < n else 0)
             while idx < n:
                 bit = 1 << idx
                 if dead & bit:
@@ -539,12 +541,17 @@ def _solve_shifted(
                     state.best_mask = chosen
                 return
             remaining = full & ~dead & (full << idx)
-            if size + _cover_bound(state, remaining) <= state.best_size:
+            bound = (remaining & ~covered).bit_count()
+            for c in cover:
+                if c & remaining:
+                    bound += 1
+            if size + bound <= state.best_size:
                 return
             bit = 1 << idx
             rec(idx + 1, chosen | bit, dead | (adj[idx] & ~((1 << idx) - 1)), size + 1)
             rec(idx + 1, chosen, dead | bit | succ[idx], size)
 
+        refresh(full)
         rec(0, 0, 0, 0)
 
     return _search(graph, adj, order, (seed_ranked,), start, budget, search)
@@ -582,6 +589,9 @@ def solve_extremal(
     shift-closure pruning defaults on and preserves the optimum.
     target "m": forbid every negative product; pruning is refused since
     the optimum there is not attained on shift-closed families.
+    Without pruning the search takes vertex 0 at the root and explores
+    only its non-neighbours: the class is one S_n-orbit and the spec
+    depends only on the product, so some optimum contains vertex 0.
     The search starts from a construction (greedy_seed_g for g, the best
     split family for m); one with a conflicting pair raises ValueError.
     budget bounds the whole call: the search gets what the setup leaves
@@ -611,5 +621,14 @@ def solve_extremal(
     if shifted_pruning:
         result = _solve_shifted(graph, remaining, seed_mask)
     else:
-        result = mis_exact(graph, remaining, seed_mask)
+        # vertex-transitive graph (see above): take vertex 0, no exclude branch
+        adj = graph.adj
+        full = (1 << len(adj)) - 1
+        root = full & ~(adj[0] | 1)
+        seeds = (seed_mask, _greedy_independent(adj, full))
+
+        def search(state: _SearchState) -> None:
+            _bnb(adj, state, root, 1, 1)
+
+        result = _search(graph, adj, range(len(adj)), seeds, time.monotonic(), remaining, search)
     return replace(result, elapsed=time.monotonic() - start)

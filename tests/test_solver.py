@@ -18,6 +18,7 @@ from signedfam import (
     precedes,
     solver,
 )
+from signedfam.formulas import g_closed_l1
 from signedfam.solver import (
     ConflictGraph,
     VertexCapExceeded,
@@ -333,6 +334,64 @@ class TestSolveExtremal:
     def test_vertex_cap_propagates(self):
         with pytest.raises(VertexCapExceeded):
             solve_extremal(Profile(6, 3, 2), "g", vertex_cap=10)
+
+
+def target_spec(profile, target):
+    return ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
+
+
+# every class the exhaustive oracle can take
+ORACLE_CLASSES = [
+    Profile(n, k, l)
+    for n in range(1, solver.BRUTEFORCE_VERTEX_CAP + 1)
+    for k in range(1, n + 1)
+    for l in range(n - k + 1)
+    if comb(n, k) * comb(n - k, l) <= solver.BRUTEFORCE_VERTEX_CAP
+]
+
+
+class TestUnprunedRoot:
+    """Unpruned solves take vertex 0 at the root; checked by independent routes."""
+
+    @pytest.mark.parametrize("target", ["m", "g"])
+    def test_matches_oracle_on_every_small_class(self, target):
+        profiles = [p for p in ORACLE_CLASSES if target == "m" or p.is_g_profile]
+        assert len(profiles) == {"m": 142, "g": 28}[target]
+        for p in profiles:
+            spec = target_spec(p, target)
+            res = solve_extremal(p, target, shifted_pruning=False)
+            assert res.is_exact
+            assert res.value == mis_bruteforce(build_conflict_graph(p, spec)).value, p
+            assert verify_family(res.witness, spec).ok
+
+    def test_unpruned_g_731_matches_pruning_and_closed_form(self):
+        p = Profile(7, 3, 1)
+        assert p.family_size() == 140
+        plain = solve_extremal(p, "g", shifted_pruning=False)
+        pruned = solve_extremal(p, "g")
+        assert plain.is_exact and pruned.is_exact
+        assert plain.value == pruned.value == g_closed_l1(7, 3) == 60
+        assert verify_family(plain.witness, ForbiddenSpec.exact({-2})).ok
+
+    def test_plain_engine_agrees_on_m_732(self):
+        p = Profile(7, 3, 2)
+        plain = mis_exact(build_conflict_graph(p, ForbiddenSpec.all_below(0)))
+        rooted = solve_extremal(p, "m")
+        assert plain.is_exact and rooted.is_exact
+        assert plain.value == rooted.value == 33
+
+
+class TestSearchEffort:
+    """Node counts that pin the strength of each engine."""
+
+    def test_m_732_within_5000_nodes(self):
+        res = solve_extremal(Profile(7, 3, 2), "m")
+        assert res.is_exact and res.value == 33
+        assert res.nodes_explored <= 5000
+
+    def test_pruned_g_932_node_count_unchanged(self):
+        res = solve_extremal(Profile(9, 3, 2), "g")
+        assert (res.value, res.status, res.nodes_explored) == (510, "exact", 8339)
 
 
 class TestGraphFromFamily:

@@ -403,9 +403,23 @@ class TestCliOther:
         assert main(["formula", "p-split", "--n", "10", "--k", "2"]) == 3
         assert "--l" in capsys.readouterr().err
 
-    def test_verify_list(self, capsys):
+    def test_verify_list(self, capsys, tmp_path):
         assert main(["verify", "list"]) == 0
         assert "lemma3" in capsys.readouterr().out
+        out = tmp_path / "names.txt"
+        assert main(["verify", "list", "--out", str(out)]) == 0
+        assert out.read_text().split() == suite_names()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seed", "3"], ["--budget", "1"], ["--trials", "2"], ["--n", "9"], ["--format", "json"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_verify_list_refuses_suite_flags(self, flags, capsys):
+        assert main(["verify", "list", *flags]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"takes no suite flags, got {flags[0]}" in captured.err
 
     def test_verify_pass_and_csv(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -496,6 +510,9 @@ REFUSED = [
     # a formula argument the name does not take
     ["formula", "n0", "--n", "9", "--k", "2", "--l", "1"],
     ["formula", "g-closed-l1", "--n", "6", "--k", "2", "--l", "1"],
+    # classify reads exactly one of --vector and --family
+    ["classify", "--vector", "++--+", "--family", "f.txt"],
+    ["classify", "--format", "json"],
     # an output format the command does not write
     ["classify", "--vector", "++--+", "--format", "csv"],
     ["formula", "p-split", "--n", "10", "--k", "2", "--l", "1", "--format", "csv"],
