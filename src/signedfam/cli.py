@@ -11,7 +11,11 @@ Each command takes only the flags its handler reads:
 - formula NAME: the arguments NAME takes, --format json, --out
 - verify SUITE: --n --k --l --seed --budget --trials --format json|csv --out
   (verify list: --out only)
-- report: --suites --seed --budget --trials --format json|csv --out
+- report: --suites (at least one name) --seed --budget --trials
+  --format json|csv --out
+
+--budget is seconds, 0 or more; --trials is 1 or more.  verify and report
+print suites.render: text, one JSON document, or CSV with one header row.
 
 Exit codes: 0 success, 1 verification failure, 2 solver budget exhausted
 (result is a lower bound, not exact), 3 invalid input.
@@ -76,10 +80,26 @@ def _output_args(p: argparse.ArgumentParser, formats=()) -> None:
     p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
 
+def _at_least(low, parse):
+    """An argparse type: parse the text, then refuse values below low (and NaN)."""
+
+    def check(text: str):
+        value = parse(text)
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    check.__name__ = parse.__name__  # argparse names the type in its messages
+    return check
+
+
+_BUDGET = _at_least(0, float)
+
+
 def _suite_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="seed for randomized checks")
-    p.add_argument("--budget", type=float, help="time budget in seconds")
-    p.add_argument("--trials", type=int, help="randomized suites: number of trials")
+    p.add_argument("--budget", type=_BUDGET, help="time budget in seconds")
+    p.add_argument("--trials", type=_at_least(1, int), help="randomized suites: number of trials")
     _output_args(p, ["json", "csv"])
 
 
@@ -104,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--witness-out", metavar="FILE", help="write an optimal family here")
     p.add_argument("--vertex-cap", type=int, default=solver.DEFAULT_VERTEX_CAP)
     p.add_argument("--cache", metavar="PATH", help="JSON result cache file")
-    p.add_argument("--budget", type=float, default=60.0, help="time budget in seconds")
+    p.add_argument("--budget", type=_BUDGET, default=60.0, help="time budget in seconds")
     _output_args(p, ["json", "csv"])
 
     kinds = sub.add_parser("construct", help="build a named family").add_subparsers(
@@ -323,39 +343,6 @@ def _suite_params(args) -> dict:
     return params
 
 
-def _report_text(reports: list) -> str:
-    lines = []
-    for report in reports:
-        passed, failed, info = report.counts
-        lines.append(
-            f"[{'PASS' if report.ok else 'FAIL'}] suite {report.suite}: "
-            f"{passed} passed, {failed} failed, {info} informational"
-        )
-        for case in report.cases:
-            status = "pass" if case.passed else ("info" if not case.required else "FAIL")
-            lines.append(f"  {status:4} {case.case}: expected {case.expected}; got {case.actual}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_reports(reports: list, fmt: Optional[str], out: Optional[str]) -> None:
-    if fmt == "json":
-        payload = {
-            "ok": all(r.ok for r in reports),
-            "reports": [r.to_json_dict() for r in reports],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", out)
-    elif fmt == "csv":
-        chunks = []
-        for i, report in enumerate(reports):
-            text = report.to_csv_text()
-            if i:
-                text = text.split("\n", 1)[1]
-            chunks.append(text)
-        _emit("".join(chunks), out)
-    else:
-        _emit(_report_text(reports), out)
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "list":
         given = [f"--{name}" for name in _suite_params(args)] + (["--format"] if args.fmt else [])
@@ -364,7 +351,7 @@ def _cmd_verify(args) -> int:
         _emit("\n".join(suites.suite_names()) + "\n", args.out)
         return EXIT_OK
     report = suites.run_suite(args.suite, **_suite_params(args))
-    _emit_reports([report], args.fmt, args.out)
+    _emit(suites.render([report], args.fmt), args.out)
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
@@ -375,13 +362,15 @@ def _cmd_report(args) -> int:
         names = [name for name in suites.suite_names() if name != "eq111"]
     else:
         names = [name.strip() for name in args.suites.split(",") if name.strip()]
+        if not names:
+            raise ValueError(f"--suites {args.suites!r} names no suite")
     params = _suite_params(args)
     reports = []
     for name in names:
         accepted = suites.suite_parameters(name)
         kwargs = {key: value for key, value in params.items() if key in accepted}
         reports.append(suites.run_suite(name, **kwargs))
-    _emit_reports(reports, args.fmt, args.out)
+    _emit(suites.render(reports, args.fmt), args.out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAIL
 
 

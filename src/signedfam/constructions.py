@@ -19,6 +19,7 @@ from .vectors import (
     SuffixMarkers,
     VectorFamily,
     enumerate_all,
+    full_window,
     min_suffix_sum,
     suffix_markers,
     verify_family,
@@ -193,19 +194,7 @@ def classify_vector(v: SignedVector) -> ClassificationLabel:
     k, l = v.k, v.l
     markers = suffix_markers(v)
 
-    t_found = None
-    count = 0
-    t = 1
-    while 2 * t - 1 <= v.dim:
-        lo = 2 * t - 3 if t > 1 else 0
-        for idx in range(lo, 2 * t - 1):
-            if v.pos & (1 << idx):
-                count += 1
-        if count == t:
-            t_found = t
-            break
-        t += 1
-
+    t_found = full_window(v)
     if t_found is not None:
         prefix = (1 << t_found) - 1
         m = (v.neg & prefix).bit_count()

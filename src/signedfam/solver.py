@@ -340,17 +340,13 @@ def _search(
     return _result(graph, indices, status, state.nodes, start)
 
 
-def mis_exact(
-    graph: ConflictGraph,
-    budget: float = 60.0,
-    initial_mask: int = 0,
-) -> SolveResult:
+def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     """Branch-and-bound maximum independent set of any graph.
 
     Every node is bounded by a greedy clique cover of its own pool.
-    Deterministic and sequential.  initial_mask seeds the incumbent; it
-    must be independent.  On budget exhaustion the best set found so far
-    is returned with a lower-bound status.  solve_extremal runs the same
+    Deterministic and sequential; a greedy independent set is the first
+    incumbent.  On budget exhaustion the best set found so far is returned
+    with a lower-bound status.  solve_extremal runs the same
     search below a vertex-0 root, which holds only for the
     vertex-transitive graph of a whole class.
     """
@@ -358,7 +354,7 @@ def mis_exact(
     adj = graph.adj
     start = time.monotonic()
     full = (1 << n) - 1
-    seeds = (initial_mask, _greedy_independent(adj, full))
+    seeds = (_greedy_independent(adj, full),)
     return _search(
         graph, adj, range(n), seeds, start, budget, lambda state: _bnb(adj, state, full, 0, 0)
     )

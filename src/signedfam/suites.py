@@ -5,6 +5,12 @@ an exact closed form, a brute-force oracle, or an explicit construction.
 The provenance column records which.  Cases flagged required=False are
 informational: they document known discrepancies without failing the
 suite.  All numbers in reports are exact (integers or p/q rationals).
+
+A case that checks many items is a failure tally, added by
+VerificationReport.add_failures: it expects "0 <noun>", gets
+"<count> <noun>; first <description>", and passes when no item failed.
+render() is the one writer of reports: plain text, one JSON document, or
+CSV with a single header row.
 """
 
 from __future__ import annotations
@@ -56,6 +62,20 @@ class VerificationReport:
             CaseResult(case, _fmt(expected), _fmt(actual), passed, provenance, required)
         )
 
+    def add_failures(
+        self,
+        case: str,
+        noun: str,
+        failures: list[str],
+        among: str = "",
+        provenance: str = PROVENANCE_ORACLE,
+    ) -> None:
+        """A case that passes when failures, the failure descriptions in order, is empty."""
+        actual = f"{len(failures)} {noun}{among}"
+        if failures:
+            actual += f"; first {failures[0]}"
+        self.add(case, f"0 {noun}{among}", actual, not failures, provenance)
+
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.cases if c.required)
@@ -90,23 +110,6 @@ class VerificationReport:
             ],
         }
 
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "case", "expected", "actual", "pass", "provenance"])
-        for c in self.cases:
-            writer.writerow(
-                [
-                    self.suite,
-                    c.case,
-                    c.expected,
-                    c.actual,
-                    "true" if c.passed else "false",
-                    c.provenance,
-                ]
-            )
-        return buf.getvalue()
-
 
 def _fmt(value) -> str:
     if isinstance(value, Fraction):
@@ -114,6 +117,34 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def render(reports: list[VerificationReport], fmt: Optional[str]) -> str:
+    """Reports as plain text (fmt None), one JSON document, or CSV with one header row."""
+    if fmt == "json":
+        payload = {"ok": all(r.ok for r in reports), "reports": [r.to_json_dict() for r in reports]}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["suite", "case", "expected", "actual", "pass", "provenance"])
+        for r in reports:
+            for c in r.cases:
+                writer.writerow(
+                    [r.suite, c.case, c.expected, c.actual, _fmt(c.passed), c.provenance]
+                )
+        return buf.getvalue()
+    lines = []
+    for r in reports:
+        passed, failed, info = r.counts
+        lines.append(
+            f"[{'PASS' if r.ok else 'FAIL'}] suite {r.suite}: "
+            f"{passed} passed, {failed} failed, {info} informational"
+        )
+        for c in r.cases:
+            status = "pass" if c.passed else ("info" if not c.required else "FAIL")
+            lines.append(f"  {status:4} {c.case}: expected {c.expected}; got {c.actual}")
+    return "\n".join(lines) + "\n"
 
 
 # shared per-process memo so repeated suites reuse expensive solves
@@ -194,11 +225,10 @@ def _suite_bounds(
     return report
 
 
-def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, int, str]:
-    """(eligible, failures, first failure description) over a whole class."""
+def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, list[str]]:
+    """(eligible, failure descriptions) over a whole class."""
     eligible = 0
-    failures = 0
-    first = ""
+    failures = []
     floor = -2 * profile.l
     for w in enumerate_all(profile):
         cond_i, cond_ii = witness.check_conditions(w)
@@ -212,10 +242,8 @@ def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, int, str
             ok = ok and shifting.precedes_oracle(v, w)
         ok = ok and witness.verify_trace_claims(trace, w).all_pass
         if not ok:
-            failures += 1
-            if not first:
-                first = f"w={w}"
-    return eligible, failures, first
+            failures.append(f"w={w}")
+    return eligible, failures
 
 
 def _suite_lemma1(n=None, k=None, l=None, profiles=None) -> VerificationReport:
@@ -233,14 +261,9 @@ def _suite_lemma1(n=None, k=None, l=None, profiles=None) -> VerificationReport:
     for n, k, l in profiles:
         profile = Profile(n, k, l)
         use_oracle = n <= 8
-        eligible, failures, first = _witness_failures(profile, use_oracle)
-        report.add(
-            f"witness({n},{k},{l})",
-            f"0 failures among {eligible} eligible",
-            f"{failures} failures among {eligible} eligible"
-            + (f"; first {first}" if first else ""),
-            failures == 0,
-            PROVENANCE_ORACLE,
+        eligible, failures = _witness_failures(profile, use_oracle)
+        report.add_failures(
+            f"witness({n},{k},{l})", "failures", failures, f" among {eligible} eligible"
         )
         report.notes.append(
             f"profile ({n},{k},{l}): {eligible} eligible vectors, oracle={'on' if use_oracle else 'off'}"
@@ -267,24 +290,17 @@ def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationRepor
     """Averaging bound on randomized biregular graphs and independent sets."""
     report = VerificationReport("lemma3")
     rng = random.Random(seed)
-    violations = 0
-    first = ""
+    violations = []
     for trial in range(trials):
         a, b, da, db = _random_biregular_params(rng)
         g = bipartite.random_biregular(a, b, da, db, seed=rng.randrange(2**32))
         i_a, i_b = bipartite.random_independent_set(g, seed=rng.randrange(2**32))
         alpha = Fraction(b, a) + Fraction(rng.randint(0, 3), rng.randint(1, 4))
         if not bipartite.lemma3_check(g, i_a, i_b, alpha):
-            violations += 1
-            if not first:
-                first = f"trial {trial}: sides ({a},{b}), degrees ({da},{db}), alpha {alpha}"
-    report.add(
-        f"averaging-bound[{trials} trials]",
-        "0 violations",
-        f"{violations} violations" + (f"; first {first}" if first else ""),
-        violations == 0,
-        PROVENANCE_ORACLE,
-    )
+            violations.append(
+                f"trial {trial}: sides ({a},{b}), degrees ({da},{db}), alpha {alpha}"
+            )
+    report.add_failures(f"averaging-bound[{trials} trials]", "violations", violations)
     return report
 
 
@@ -301,9 +317,8 @@ def _suite_ratios(max_dim: int = 12, pairs=None) -> VerificationReport:
     for k, l in pairs:
         for dim in range(k + l + 1, max_dim + 1):
             n = dim - 1
-            mismatches = 0
+            mismatches = []
             checked = 0
-            first = ""
             for t in range(1, k + 1):
                 if 2 * t - 1 > dim - 1:
                     break
@@ -314,28 +329,22 @@ def _suite_ratios(max_dim: int = 12, pairs=None) -> VerificationReport:
                     y_fam = constructions.family_xy_tm(profile, t, m, "y")
                     checked += 1
                     if len(x_fam) != x_size or len(y_fam) != y_size:
-                        mismatches += 1
-                        if not first:
-                            first = (
-                                f"t={t}, m={m}: formula ({x_size},{y_size}), "
-                                f"enumerated ({len(x_fam)},{len(y_fam)})"
-                            )
+                        mismatches.append(
+                            f"t={t}, m={m}: formula ({x_size},{y_size}), "
+                            f"enumerated ({len(x_fam)},{len(y_fam)})"
+                        )
                         continue
                     if len(x_fam) > 0 and n > 3 * k:
                         ratio = formulas.ratio_and_alpha(n, k, l, t, m).ratio
                         if ratio != Fraction(len(y_fam), len(x_fam)):
-                            mismatches += 1
-                            if not first:
-                                first = (
-                                    f"t={t}, m={m}: ratio {ratio} != "
-                                    f"{len(y_fam)}/{len(x_fam)}"
-                                )
-            report.add(
+                            mismatches.append(
+                                f"t={t}, m={m}: ratio {ratio} != {len(y_fam)}/{len(x_fam)}"
+                            )
+            report.add_failures(
                 f"xy-sizes(dim={dim},k={k},l={l})",
-                f"0 mismatches among {checked}",
-                f"{mismatches} mismatches among {checked}"
-                + (f"; first {first}" if first else ""),
-                mismatches == 0,
+                "mismatches",
+                mismatches,
+                f" among {checked}",
                 PROVENANCE_FORMULA,
             )
     return report
@@ -347,9 +356,8 @@ def _suite_precedes(
     """Fast reachability test against the breadth-first oracle."""
     report = VerificationReport("precedes")
 
-    mism = 0
+    mismatches = []
     checked = 0
-    first = ""
     for n in range(2, max_exhaustive + 1):
         for k in range(1, n + 1):
             for l in range(0, min(k, n - k) + 1):
@@ -358,20 +366,13 @@ def _suite_precedes(
                     for w in fam:
                         checked += 1
                         if shifting.precedes(v, w) != shifting.precedes_oracle(v, w):
-                            mism += 1
-                            if not first:
-                                first = f"v={v}, w={w}"
-    report.add(
-        f"exhaustive(n<={max_exhaustive})",
-        f"0 mismatches among {checked}",
-        f"{mism} mismatches among {checked}" + (f"; first {first}" if first else ""),
-        mism == 0,
-        PROVENANCE_ORACLE,
+                            mismatches.append(f"v={v}, w={w}")
+    report.add_failures(
+        f"exhaustive(n<={max_exhaustive})", "mismatches", mismatches, f" among {checked}"
     )
 
     rng = random.Random(seed)
-    mism = 0
-    first = ""
+    mismatches = []
     dims = [6, 7]
     profiles_by_dim = {
         n: [
@@ -387,16 +388,8 @@ def _suite_precedes(
         v = _random_vector(rng, n, k, l)
         w = _random_vector(rng, n, k, l)
         if shifting.precedes(v, w) != shifting.precedes_oracle(v, w):
-            mism += 1
-            if not first:
-                first = f"v={v}, w={w}"
-    report.add(
-        f"random(n=6..7, {random_pairs} pairs)",
-        "0 mismatches",
-        f"{mism} mismatches" + (f"; first {first}" if first else ""),
-        mism == 0,
-        PROVENANCE_ORACLE,
-    )
+            mismatches.append(f"v={v}, w={w}")
+    report.add_failures(f"random(n=6..7, {random_pairs} pairs)", "mismatches", mismatches)
     return report
 
 
@@ -533,21 +526,12 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
         Profile(n, k, l) for n in range(3, 8) for k in range(2, n) for l in range(1, k)
         if k + l <= n
     ]
-    mism = 0
-    first = ""
+    mismatches = []
     for profile in setup_profiles:
         where = _setup_mismatch(profile)
         if where:
-            mism += 1
-            if not first:
-                first = f"profile ({profile.n},{profile.k},{profile.l}): {where}"
-    report.add(
-        f"g-setup-pairwise[{len(setup_profiles)}]",
-        "0 mismatches",
-        f"{mism} mismatches" + (f"; first {first}" if first else ""),
-        mism == 0,
-        PROVENANCE_ORACLE,
-    )
+            mismatches.append(f"profile ({profile.n},{profile.k},{profile.l}): {where}")
+    report.add_failures(f"g-setup-pairwise[{len(setup_profiles)}]", "mismatches", mismatches)
 
     profile_cases = []
     for n in range(2, 9):
@@ -561,30 +545,20 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
                     specs.append(solver.ForbiddenSpec.exact({-2 * l}))
                 for spec in specs:
                     profile_cases.append((profile, spec))
-    mism = 0
-    first = ""
+    mismatches = []
     for profile, spec in profile_cases:
         graph = solver.build_conflict_graph(profile, spec)
         exact = solver.mis_exact(graph, budget=60.0)
         oracle = solver.mis_bruteforce(graph)
         if not exact.is_exact or exact.value != oracle.value:
-            mism += 1
-            if not first:
-                first = (
-                    f"profile ({profile.n},{profile.k},{profile.l}), {spec.describe()}: "
-                    f"{exact.value} vs {oracle.value}"
-                )
-    report.add(
-        f"profile-graphs[{len(profile_cases)}]",
-        "0 mismatches",
-        f"{mism} mismatches" + (f"; first {first}" if first else ""),
-        mism == 0,
-        PROVENANCE_ORACLE,
-    )
+            mismatches.append(
+                f"profile ({profile.n},{profile.k},{profile.l}), {spec.describe()}: "
+                f"{exact.value} vs {oracle.value}"
+            )
+    report.add_failures(f"profile-graphs[{len(profile_cases)}]", "mismatches", mismatches)
 
     rng = random.Random(seed)
-    mism = 0
-    first = ""
+    mismatches = []
     densities = [0.1, 0.3, 0.5]
     for i in range(random_graphs):
         p = densities[i % len(densities)]
@@ -592,16 +566,8 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
         exact = solver.mis_exact(graph, budget=60.0)
         oracle = solver.mis_bruteforce(graph)
         if not exact.is_exact or exact.value != oracle.value:
-            mism += 1
-            if not first:
-                first = f"graph {i} (p={p}): {exact.value} vs {oracle.value}"
-    report.add(
-        f"random-graphs[{random_graphs}]",
-        "0 mismatches",
-        f"{mism} mismatches" + (f"; first {first}" if first else ""),
-        mism == 0,
-        PROVENANCE_ORACLE,
-    )
+            mismatches.append(f"graph {i} (p={p}): {exact.value} vs {oracle.value}")
+    report.add_failures(f"random-graphs[{random_graphs}]", "mismatches", mismatches)
     return report
 
 

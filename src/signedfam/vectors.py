@@ -296,6 +296,21 @@ def suffix_markers(v: SignedVector) -> Optional[SuffixMarkers]:
     return None
 
 
+def full_window(v: SignedVector) -> Optional[int]:
+    """The smallest t whose window [1, 2t-1] holds exactly t plus coordinates, or None."""
+    count = 0
+    t = 1
+    while 2 * t - 1 <= v.dim:
+        # grow the window from 2t-3 to 2t-1 coordinates
+        for idx in range(2 * t - 3 if t > 1 else 0, 2 * t - 1):
+            if v.pos & (1 << idx):
+                count += 1
+        if count == t:
+            return t
+        t += 1
+    return None
+
+
 class VectorFamily:
     """Immutable, deduplicated, canonically ordered set of same-profile vectors."""
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .shifting import ShiftMove, shift_ij
-from .vectors import SignedVector, min_suffix_sum, scalar_product
+from .vectors import SignedVector, full_window, min_suffix_sum, scalar_product
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,13 @@ class ClaimReport:
 
 
 def check_conditions(w: SignedVector) -> tuple[bool, bool]:
-    """Evaluate conditions (i) and (ii) for a vector; total on any input."""
-    cond_i = min_suffix_sum(w) >= 0
-    cond_ii = True
-    count = 0
-    t = 1
-    while 2 * t - 1 <= w.dim:
-        # grow the window from 2t-3 to 2t-1 coordinates
-        lo = 2 * t - 3 if t > 1 else 0
-        for idx in range(lo, 2 * t - 1):
-            if w.pos & (1 << idx):
-                count += 1
-        if count > t - 1:
-            cond_ii = False
-            break
-        t += 1
-    return cond_i, cond_ii
+    """Evaluate conditions (i) and (ii) for a vector; total on any input.
+
+    (ii) fails exactly when some window [1, 2t-1] holds t plus
+    coordinates: the plus count rises by at most 2 as t grows by 1, so
+    the first window with more than t - 1 holds exactly t.
+    """
+    return min_suffix_sum(w) >= 0, full_window(w) is None
 
 
 def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:

@@ -214,11 +214,6 @@ class TestMisExact:
                 assert not g.adj[i] & (1 << j) or i == j
         assert len(res.witness) == res.value
 
-    def test_bad_incumbent_rejected(self):
-        g = ConflictGraph([0b10, 0b01])
-        with pytest.raises(ValueError, match="independent"):
-            mis_exact(g, initial_mask=0b11)
-
     def test_budget_exhaustion_keeps_lower_bound(self):
         g = random_graph(60, 0.15, random.Random(11))
         res = mis_exact(g, budget=0.0)

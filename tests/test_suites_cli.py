@@ -4,10 +4,16 @@ import json
 
 import pytest
 
-from signedfam import Profile, VectorFamily, solver, suites
+from signedfam import Profile, VectorFamily, formulas, solver, suites
 from signedfam.cache import ResultCache, cache_key
 from signedfam.cli import build_parser, main
-from signedfam.suites import VerificationReport, run_suite, suite_names, suite_parameters
+from signedfam.suites import (
+    VerificationReport,
+    render,
+    run_suite,
+    suite_names,
+    suite_parameters,
+)
 
 
 class TestCacheKey:
@@ -165,6 +171,21 @@ class TestRunSuite:
         assert report.ok
         assert all(c.provenance in ("closed-form", "oracle") for c in report.cases)
 
+    def test_failure_tally_names_count_and_first_failure(self, monkeypatch):
+        sizes = formulas.xy_family_sizes
+
+        def bumped(n, k, l, t, m):
+            real = sizes(n, k, l, t, m)
+            return real._replace(x_size=real.x_size + 1) if t == 2 else real
+
+        monkeypatch.setattr(formulas, "xy_family_sizes", bumped)
+        report = run_suite("ratios", max_dim=7)
+        assert not report.ok
+        (case,) = [c for c in report.cases if c.case == "xy-sizes(dim=7,k=3,l=2)"]
+        assert case.expected == "0 mismatches among 12"
+        assert case.actual == "4 mismatches among 12; first t=2, m=0: formula (4,9), enumerated (3,9)"
+        assert not case.passed and case.provenance == "closed-form"
+
     def test_p_increment_has_informational_cases(self):
         report = run_suite("p-increment", max_n=25, max_kl=3)
         assert report.ok
@@ -214,7 +235,7 @@ class TestReportShapes:
         assert d["cases"][1]["expected"] == "true"
 
     def test_csv_shape(self):
-        text = self.make().to_csv_text()
+        text = render([self.make()], "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "suite,case,expected,actual,pass,provenance"
         assert lines[1] == "demo,a,1,1,true,oracle"
@@ -469,6 +490,22 @@ class TestCliOther:
         assert payload["ok"] is True
         assert [r["suite"] for r in payload["reports"]] == ["p-increment", "precedes"]
 
+    def test_report_csv_has_one_header_row(self, capsys):
+        argv = ["report", "--suites", "lemma3,p-increment", "--trials", "3", "--format", "csv"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        header = "suite,case,expected,actual,pass,provenance"
+        assert lines[0] == header
+        assert lines.count(header) == 1
+        assert [line.split(",")[0] for line in lines[1:]] == ["lemma3"] + ["p-increment"] * 3
+
+    @pytest.mark.parametrize("names", [",", "", " , "])
+    def test_report_of_no_suite_is_refused(self, names, capsys):
+        assert main(["report", "--suites", names]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names no suite" in captured.err
+
     def test_report_forwards_only_accepted_parameters(self, monkeypatch, tmp_path):
         calls = {}
 
@@ -625,7 +662,32 @@ class TestSolveMemo:
         assert len(suites.solved_instances()) == 1
 
 
+# a count or budget out of range, on each command that takes it
+OUT_OF_RANGE = [
+    ["verify", "lemma3", "--trials", "-5"],
+    ["verify", "lemma3", "--trials", "0"],
+    ["report", "--suites", "lemma3", "--trials", "0"],
+    ["solve", *NKL, "--budget", "nan"],
+    ["solve", *NKL, "--budget", "-1"],
+    ["verify", "theorem1", "--budget", "-1"],
+    ["report", "--suites", "bounds", "--budget", "nan"],
+]
+
+
 class TestCliFlags:
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+    def test_out_of_range_value_is_refused(self, argv, capsys):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: must be at least" in captured.err
+
+    def test_range_bounds_are_inclusive(self, capsys):
+        args = build_parser().parse_args(["verify", "lemma3", "--budget", "0", "--trials", "1"])
+        assert (args.budget, args.trials) == (0.0, 1)
+        assert main(["solve", *NKL, "--budget", "abc"]) == 3
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", REFUSED, ids=" ".join)
     def test_unread_flag_is_refused(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
+from signedfam.constructions import classify_vector
 from signedfam.shifting import precedes, precedes_oracle
-from signedfam.vectors import Profile, SignedVector, enumerate_all, scalar_product
+from signedfam.vectors import Profile, SignedVector, enumerate_all, full_window, scalar_product
 from signedfam.witness import check_conditions, construct_witness, verify_trace_claims
 
 
@@ -30,6 +31,24 @@ class TestConditions:
     def test_total_on_any_profile(self):
         # callable even where the construction itself is out of scope
         assert check_conditions(v("0--+")) == (False, True)
+
+    def test_window_condition_and_b1_share_one_window_count(self):
+        # condition (ii) and the B1 label both read full_window; check it
+        # and both readers against the windows themselves, n <= 8
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for l in range(0, n - k + 1):
+                    for w in enumerate_all(Profile(n, k, l)):
+                        text = str(w)
+                        pluses = [text[: 2 * t - 1].count("+") for t in range(1, (n + 3) // 2)]
+                        full = [t for t, count in enumerate(pluses, 1) if count == t]
+                        assert full_window(w) == (full[0] if full else None), text
+                        below = all(count <= t - 1 for t, count in enumerate(pluses, 1))
+                        assert check_conditions(w)[1] == below, text
+                        if w.last == 1:
+                            label = classify_vector(w)
+                            assert (label.kind == "B1") == bool(full), text
+                            assert label.t == (full[0] if full else None), text
 
 
 # frozen end-to-end traces
