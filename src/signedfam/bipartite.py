@@ -17,6 +17,9 @@ from typing import Optional
 from .constructions import family_xy_tm
 from .vectors import Profile, VectorFamily, enumerate_all, scalar_product
 
+# stub pairings random_biregular draws before it falls back to a cyclic layout
+_MAX_RETRIES = 500
+
 
 class IrregularityError(ValueError):
     """A vertex whose degree differs from its side's common degree."""
@@ -160,14 +163,13 @@ def random_biregular(
     deg_a: int,
     deg_b: int,
     seed: int,
-    max_retries: int = 500,
 ) -> BipartiteGraph:
     """Random simple biregular bipartite graph.
 
     Each A vertex appears deg_a times and each B vertex deg_b times; a
     random stub pairing is drawn and redrawn when it collapses to a
     multi-edge.  Dense parameter choices rarely survive that rejection,
-    so after max_retries the graph falls back to a cyclic layout (A_i
+    so after _MAX_RETRIES draws the graph falls back to a cyclic layout (A_i
     adjacent to B_{(i*deg_a + r) mod b_size}, always simple and
     biregular when the handshake holds) under random relabelings of both
     sides.
@@ -183,7 +185,7 @@ def random_biregular(
     rng = random.Random(seed)
     a_stubs = [a for a in range(a_size) for _ in range(deg_a)]
     b_stubs = [b for b in range(b_size) for _ in range(deg_b)]
-    for _ in range(max_retries):
+    for _ in range(_MAX_RETRIES):
         rng.shuffle(b_stubs)
         pairs = list(zip(a_stubs, b_stubs))
         if len(set(pairs)) == len(pairs):

@@ -193,17 +193,10 @@ def _cmd_solve(args) -> int:
     cache = ResultCache(args.cache) if args.cache else None
     key = cache_key(args.n, args.k, args.l, args.target, pruning)
     cached = cache.get(key) if cache else None
+    payload = {"n": args.n, "k": args.k, "l": args.l, "target": args.target}
     if cached and cached["status"] == solver.STATUS_EXACT and not args.witness_out:
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "l": args.l,
-            "target": args.target,
-            "value": cached["value"],
-            "status": cached["status"],
-            "cached": True,
-        }
-        _emit(_solve_text(payload, args.fmt), args.out)
+        payload.update(value=cached["value"], status=cached["status"], cached=True)
+        _emit(_payload_text(payload, args.fmt), args.out)
         return EXIT_OK
 
     result = solver.solve_extremal(
@@ -219,22 +212,19 @@ def _cmd_solve(args) -> int:
     if args.witness_out and result.witness is not None:
         result.witness.save(args.witness_out)
 
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "l": args.l,
-        "target": args.target,
-        "value": result.value,
-        "status": result.status,
-        "nodes": result.nodes_explored,
-        "elapsed_seconds": round(result.elapsed, 3),
-        "cached": False,
-    }
-    _emit(_solve_text(payload, args.fmt), args.out)
+    payload.update(
+        value=result.value,
+        status=result.status,
+        nodes=result.nodes_explored,
+        elapsed_seconds=round(result.elapsed, 3),
+        cached=False,
+    )
+    _emit(_payload_text(payload, args.fmt), args.out)
     return EXIT_OK if result.is_exact else EXIT_BUDGET
 
 
-def _solve_text(payload: dict, fmt: Optional[str]) -> str:
+def _payload_text(payload: dict, fmt: Optional[str]) -> str:
+    """One flat result as "key: value" lines, JSON, or a CSV header and row."""
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
@@ -249,10 +239,10 @@ def _cmd_construct(args) -> int:
     if args.kind == "ekr":
         fam = constructions.ekr_family(profile)
     elif args.kind == "split":
-        x = args.plus_prefix
-        if x is None:
-            x = formulas.p_split(args.n, args.k, args.l).argmax
-        fam = constructions.split_family(profile, range(1, x + 1))
+        if args.plus_prefix is None:
+            fam = constructions.best_split_family(profile)
+        else:
+            fam = constructions.split_family(profile, range(1, args.plus_prefix + 1))
     elif args.kind == "extend":
         if args.base:
             base = VectorFamily.load(args.base)
@@ -319,12 +309,7 @@ def _cmd_formula(args) -> int:
         for key, value in fields.items()
         if key not in names
     }
-
-    if args.fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "".join(f"{key}: {value}\n" for key, value in payload.items())
-    _emit(text, args.out)
+    _emit(_payload_text(payload, args.fmt), args.out)
     return EXIT_OK
 
 
@@ -365,10 +350,11 @@ def _cmd_report(args) -> int:
         if not names:
             raise ValueError(f"--suites {args.suites!r} names no suite")
     params = _suite_params(args)
+    # resolve every name first, so a misspelt one runs no suite
+    accepted = {name: suites.suite_parameters(name) for name in names}
     reports = []
     for name in names:
-        accepted = suites.suite_parameters(name)
-        kwargs = {key: value for key, value in params.items() if key in accepted}
+        kwargs = {key: value for key, value in params.items() if key in accepted[name]}
         reports.append(suites.run_suite(name, **kwargs))
     _emit(suites.render(reports, args.fmt), args.out)
     return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAIL

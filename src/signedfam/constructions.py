@@ -1,9 +1,12 @@
 """Explicit extremal-family constructions and the member classification.
 
 Constructions: the fixed-first-coordinate family, the one-dimension
-inductive extension, and one-cut split families.  Classification sorts
-the plus-final members of a family into the two structure classes that
-exhaust any shifted family avoiding the minimum product.
+inductive extension, and one-cut split families, with best_split_family
+the one place that picks the optimal cut.  Each builds its members from
+index subsets the same way: combinations over bit values, summed into a
+mask.  Classification sorts the plus-final members of a family into the
+two structure classes that exhaust any shifted family avoiding the
+minimum product.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Literal, Optional
 
+from .formulas import p_split
 from .vectors import (
     ForbiddenSpec,
     Profile,
@@ -20,7 +24,6 @@ from .vectors import (
     VectorFamily,
     enumerate_all,
     full_window,
-    min_suffix_sum,
     suffix_markers,
     verify_family,
 )
@@ -33,18 +36,12 @@ def ekr_family(profile: Profile) -> VectorFamily:
     supports share coordinate 1.
     """
     n, k, l = profile.n, profile.k, profile.l
-    if k < 1:
-        raise ValueError("construction requires k >= 1")
     members = []
-    for support in combinations(range(1, n), k + l - 1):
-        support_mask = 1  # coordinate 1
-        for i in support:
-            support_mask |= 1 << i
-        for minus in combinations(support, l):
-            neg = 0
-            for i in minus:
-                neg |= 1 << i
-            members.append(SignedVector(n, support_mask & ~neg, neg))
+    for rest in combinations([1 << i for i in range(1, n)], k + l - 1):
+        support_mask = 1 + sum(rest)  # coordinate 1 is in every support
+        for minus in combinations(rest, l):
+            neg = sum(minus)
+            members.append(SignedVector(n, support_mask ^ neg, neg))
     return VectorFamily(profile, members)
 
 
@@ -68,17 +65,11 @@ def inductive_extend(fam: VectorFamily, check: bool = True) -> VectorFamily:
     new_profile = Profile(p.n + 1, p.k, p.l)
     members = [SignedVector(p.n + 1, v.pos, v.neg) for v in fam]
     last_bit = 1 << p.n
-    for support in combinations(range(p.n), p.k + p.l - 1):
-        support_mask = 0
-        for i in support:
-            support_mask |= 1 << i
+    for support in combinations([1 << i for i in range(p.n)], p.k + p.l - 1):
+        support_mask = sum(support)
         for minus in combinations(support, p.l - 1):
-            minus_mask = 0
-            for i in minus:
-                minus_mask |= 1 << i
-            members.append(
-                SignedVector(p.n + 1, support_mask & ~minus_mask, minus_mask | last_bit)
-            )
+            neg = sum(minus)
+            members.append(SignedVector(p.n + 1, support_mask ^ neg, neg | last_bit))
     return VectorFamily(new_profile, members)
 
 
@@ -95,20 +86,21 @@ def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
             raise ValueError(f"index {i} out of range [1, {n}]")
     if len(x) < k:
         raise ValueError(f"plus side has {len(x)} coordinates; needs at least k={k}")
-    y = [i for i in range(1, n + 1) if i not in set(x)]
+    y = [i for i in range(1, n + 1) if i not in x]
     if len(y) < l:
         raise ValueError(f"minus side has {len(y)} coordinates; needs at least l={l}")
+    minus_masks = [sum(c) for c in combinations([1 << (i - 1) for i in y], l)]
     members = []
-    for plus in combinations(x, k):
-        pos = 0
-        for i in plus:
-            pos |= 1 << (i - 1)
-        for minus in combinations(y, l):
-            neg = 0
-            for i in minus:
-                neg |= 1 << (i - 1)
-            members.append(SignedVector(n, pos, neg))
+    for plus in combinations([1 << (i - 1) for i in x], k):
+        pos = sum(plus)
+        members.extend(SignedVector(n, pos, neg) for neg in minus_masks)
     return VectorFamily(profile, members)
+
+
+def best_split_family(profile: Profile) -> VectorFamily:
+    """The split family of size p(n, k, l): plus side [1, x] for p_split's smallest maximizer x."""
+    x = p_split(profile.n, profile.k, profile.l).argmax
+    return split_family(profile, range(1, x + 1))
 
 
 def partition_by_last(fam: VectorFamily) -> tuple[VectorFamily, VectorFamily, VectorFamily]:
@@ -207,8 +199,7 @@ def classify_vector(v: SignedVector) -> ClassificationLabel:
             in_b1_prime=t_found <= k - l or m == 0,
         )
 
-    if min_suffix_sum(v) <= -1:
-        assert markers is not None
+    if markers is not None:
         jprime = markers.index
         j = markers.neg_count
         return ClassificationLabel(

@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .constructions import ekr_family, inductive_extend, split_family
-from .formulas import p_split
+from .constructions import best_split_family, ekr_family, inductive_extend
 # precedes is not used here; it is re-exported for callers of solver
 from .shifting import precedes
 # verify_family lives in vectors; it is re-exported here for callers of solver
@@ -607,8 +606,7 @@ def solve_extremal(
     if target == "g":
         seed_family = greedy_seed_g(profile)
     else:
-        best_x = p_split(profile.n, profile.k, profile.l).argmax
-        seed_family = split_family(profile, range(1, best_x + 1))
+        seed_family = best_split_family(profile)
     seed_mask = 0
     for v in seed_family:
         seed_mask |= 1 << index_of[v]

@@ -9,6 +9,9 @@ suite.  All numbers in reports are exact (integers or p/q rationals).
 A case that checks many items is a failure tally, added by
 VerificationReport.add_failures: it expects "0 <noun>", gets
 "<count> <noun>; first <description>", and passes when no item failed.
+A case that checks a construction's size against its closed form over a
+range of dimensions is a size sweep, added by _size_sweep: it stops at
+the first dimension where the two differ and reports it.
 render() is the one writer of reports: plain text, one JSON document, or
 CSV with a single header row.
 """
@@ -246,18 +249,17 @@ def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, list[str
     return eligible, failures
 
 
-def _suite_lemma1(n=None, k=None, l=None, profiles=None) -> VerificationReport:
+def _suite_lemma1(n=None, k=None, l=None) -> VerificationReport:
     """Exhaustive witness construction and validation over whole classes.
 
-    n, k and l together name a single profile in place of the list.
+    n, k and l together name a single profile in place of the default list.
     """
     report = VerificationReport("lemma1")
+    profiles = [(5, 2, 1), (6, 3, 2), (8, 3, 2)]
     if (n, k, l) != (None, None, None):
-        if None in (n, k, l) or profiles is not None:
-            raise ValueError("suite lemma1 takes either profiles or all of n, k, l")
+        if None in (n, k, l):
+            raise ValueError("suite lemma1 takes all of n, k, l or none of them")
         profiles = [(n, k, l)]
-    elif profiles is None:
-        profiles = [(5, 2, 1), (6, 3, 2), (8, 3, 2)]
     for n, k, l in profiles:
         profile = Profile(n, k, l)
         use_oracle = n <= 8
@@ -304,16 +306,15 @@ def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationRepor
     return report
 
 
-def _suite_ratios(max_dim: int = 12, pairs=None) -> VerificationReport:
+def _suite_ratios(max_dim: int = 12) -> VerificationReport:
     """Window-class cardinalities and their ratio against the closed forms."""
     report = VerificationReport("ratios")
-    if pairs is None:
-        pairs = [
-            (k, l)
-            for k in range(2, max_dim)
-            for l in range(1, k)
-            if k + l + 1 <= max_dim
-        ]
+    pairs = [
+        (k, l)
+        for k in range(2, max_dim)
+        for l in range(1, k)
+        if k + l + 1 <= max_dim
+    ]
     for k, l in pairs:
         for dim in range(k + l + 1, max_dim + 1):
             n = dim - 1
@@ -400,73 +401,56 @@ def _random_vector(rng: random.Random, n: int, k: int, l: int) -> SignedVector:
     return SignedVector.from_supports(n, plus, minus)
 
 
-def _suite_constructions(max_n: int = 30, pairs=((2, 1), (3, 1), (3, 2))) -> VerificationReport:
+def _size_sweep(report: VerificationReport, case: str, noun: str, dims, size, expected) -> None:
+    """One case comparing size(n) with expected(n) for n in dims, up to the first mismatch."""
+    count = 0
+    actual = "all match"
+    for n in dims:
+        count += 1
+        got, want = size(n), expected(n)
+        if got != want:
+            actual = f"n={n}: {got} != {want}"
+            break
+    report.add(
+        case,
+        f"{noun} match at {count} dimensions",
+        actual,
+        actual == "all match",
+        PROVENANCE_FORMULA,
+    )
+
+
+def _suite_constructions(max_n: int = 30) -> VerificationReport:
     """Construction families: validity at small scale, sizes at full scale."""
     report = VerificationReport("constructions")
+    pairs = ((2, 1), (3, 1), (3, 2))
 
     for k, l in pairs:
-        ok = True
-        first = ""
-        count = 0
-        for n in range(max(k + l, 2 * k), max_n + 1):
-            fam = constructions.ekr_family(Profile(n, k, l))
-            expected = formulas.g_ekr_value(n, k, l).value
-            count += 1
-            if len(fam) != expected:
-                ok = False
-                if not first:
-                    first = f"n={n}: {len(fam)} != {expected}"
-                break
-        report.add(
+        _size_sweep(
+            report,
             f"ekr-sizes(k={k},l={l},n<={max_n})",
-            f"sizes match at {count} dimensions",
-            "all match" if ok else first,
-            ok,
-            PROVENANCE_FORMULA,
+            "sizes",
+            range(max(k + l, 2 * k), max_n + 1),
+            lambda n: len(constructions.ekr_family(Profile(n, k, l))),
+            lambda n: formulas.g_ekr_value(n, k, l).value,
         )
-
     for k, l in pairs:
-        ok = True
-        first = ""
-        count = 0
-        for n in range(k + l, max_n):
-            grown = constructions.inductive_extend(
-                VectorFamily(Profile(n, k, l)), check=True
-            )
-            expected = formulas.increment_value(n, k, l).value
-            count += 1
-            if len(grown) != expected:
-                ok = False
-                if not first:
-                    first = f"n={n}: {len(grown)} != {expected}"
-                break
-        report.add(
+        _size_sweep(
+            report,
             f"increment-sizes(k={k},l={l},n<{max_n})",
-            f"growth counts match at {count} dimensions",
-            "all match" if ok else first,
-            ok,
-            PROVENANCE_FORMULA,
+            "growth counts",
+            range(k + l, max_n),
+            lambda n: len(constructions.inductive_extend(VectorFamily(Profile(n, k, l)))),
+            lambda n: formulas.increment_value(n, k, l).value,
         )
-
     for k, l in pairs:
-        ok = True
-        first = ""
-        count = 0
-        for n in range(k + l, max_n + 1):
-            value, x = formulas.p_split(n, k, l)
-            fam = constructions.split_family(Profile(n, k, l), range(1, x + 1))
-            count += 1
-            if len(fam) != value:
-                ok = False
-                if not first:
-                    first = f"n={n}: {len(fam)} != {value}"
-                break
-        report.add(
+        _size_sweep(
+            report,
             f"split-sizes(k={k},l={l},n<={max_n})",
-            f"sizes match at {count} dimensions",
-            "all match" if ok else first,
-            ok,
-            PROVENANCE_FORMULA,
+            "sizes",
+            range(k + l, max_n + 1),
+            lambda n: len(constructions.best_split_family(Profile(n, k, l))),
+            lambda n: formulas.p_split(n, k, l).value,
         )
 
     # validity of all three constructions under the pairwise scans, small scale
@@ -474,11 +458,10 @@ def _suite_constructions(max_n: int = 30, pairs=((2, 1), (3, 1), (3, 2))) -> Ver
         for n in range(max(k + l, 2 * k), 9):
             profile = Profile(n, k, l)
             floor_spec = solver.ForbiddenSpec.exact({-2 * l})
-            ekr_ok = solver.verify_family(constructions.ekr_family(profile), floor_spec).ok
-            grown = constructions.inductive_extend(constructions.ekr_family(profile))
-            grown_ok = solver.verify_family(grown, floor_spec).ok
-            x = formulas.p_split(n, k, l).argmax
-            split = constructions.split_family(profile, range(1, x + 1))
+            ekr = constructions.ekr_family(profile)
+            ekr_ok = solver.verify_family(ekr, floor_spec).ok
+            grown_ok = solver.verify_family(constructions.inductive_extend(ekr), floor_spec).ok
+            split = constructions.best_split_family(profile)
             split_ok = solver.verify_family(split, solver.ForbiddenSpec.all_below(0)).ok
             report.add(
                 f"validity(n={n},k={k},l={l})",

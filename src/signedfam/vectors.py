@@ -64,11 +64,6 @@ class Profile:
             raise ValueError(f"dimension {self.n} exceeds cap {_DIM_CAP}")
 
     @property
-    def weight(self) -> int:
-        """Support size k + l."""
-        return self.k + self.l
-
-    @property
     def is_g_profile(self) -> bool:
         """True when the minimum-product avoidance problem applies: k > l >= 1."""
         return self.k > self.l >= 1
@@ -402,13 +397,9 @@ def enumerate_all(profile: Profile) -> VectorFamily:
     """
     n, k, l = profile.n, profile.k, profile.l
     members = []
-    for support in combinations(range(n), k + l):
-        support_mask = 0
-        for i in support:
-            support_mask |= 1 << i
+    for support in combinations([1 << i for i in range(n)], k + l):
+        support_mask = sum(support)
         for plus in combinations(support, k):
-            pos = 0
-            for i in plus:
-                pos |= 1 << i
-            members.append(SignedVector(n, pos, support_mask & ~pos))
+            pos = sum(plus)
+            members.append(SignedVector(n, pos, support_mask ^ pos))
     return VectorFamily(profile, members)

@@ -107,6 +107,62 @@ class TestSplitFamily:
             constructions.split_family(Profile(4, 2, 1), [0, 1, 2])
 
 
+def _profiles(max_n):
+    return [
+        Profile(n, k, l)
+        for n in range(1, max_n + 1)
+        for k in range(1, n + 1)
+        for l in range(0, n - k + 1)
+    ]
+
+
+def _side_filter(profile, plus_side):
+    """The split family by its definition: plus support inside the side, minus outside."""
+    side = sum(1 << (i - 1) for i in plus_side)
+    return [w for w in enumerate_all(profile) if w.pos & ~side == 0 and w.neg & side == 0]
+
+
+class TestConstructionsMatchDefinitions:
+    """Each construction against its definition filtered from the whole class, n <= 7."""
+
+    def test_ekr_family_is_plus_at_coordinate_one(self):
+        for p in _profiles(7):
+            expected = [w for w in enumerate_all(p) if w.pos & 1]
+            assert constructions.ekr_family(p).members == tuple(expected), p
+
+    def test_split_family_on_prefix_and_non_prefix_sides(self):
+        for p in _profiles(7):
+            odd = range(1, p.n + 1, 2)
+            sides = [range(1, x + 1) for x in range(p.k, p.n - p.l + 1)]
+            if p.k <= len(odd) and p.l <= p.n - len(odd):
+                sides.append(odd)
+            for side in sides:
+                fam = constructions.split_family(p, side)
+                assert fam.members == tuple(_side_filter(p, side)), (p, list(side))
+
+    def test_extension_adds_every_vector_ending_in_minus(self):
+        for p in _profiles(7):
+            if p.l < 1:
+                continue
+            base = constructions.ekr_family(p)
+            lifted = [SignedVector(p.n + 1, w.pos, w.neg) for w in base]
+            bigger = Profile(p.n + 1, p.k, p.l)
+            added = [w for w in enumerate_all(bigger) if w.last == -1]
+            expected = VectorFamily(bigger, lifted + added)
+            assert constructions.inductive_extend(base).members == expected.members, p
+
+    def test_best_split_family_takes_the_best_prefix(self):
+        for p in _profiles(7):
+            value, x = formulas.p_split(p.n, p.k, p.l)
+            fam = constructions.best_split_family(p)
+            assert len(fam) == value, p
+            assert fam.members == tuple(_side_filter(p, range(1, x + 1))), p
+            plus_side = 0
+            for w in fam:
+                plus_side |= w.pos
+            assert plus_side == (1 << x) - 1, p
+
+
 class TestPartitionByLast:
     def test_full_class_split(self):
         p = Profile(3, 1, 1)

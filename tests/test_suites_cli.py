@@ -186,6 +186,24 @@ class TestRunSuite:
         assert case.actual == "4 mismatches among 12; first t=2, m=0: formula (4,9), enumerated (3,9)"
         assert not case.passed and case.provenance == "closed-form"
 
+    def test_size_sweep_names_first_mismatch(self, monkeypatch):
+        ekr_value = formulas.g_ekr_value
+
+        def bumped(n, k, l):
+            real = ekr_value(n, k, l)
+            return real._replace(value=real.value + 1) if (n, k, l) == (6, 2, 1) else real
+
+        monkeypatch.setattr(formulas, "g_ekr_value", bumped)
+        report = run_suite("constructions", max_n=8)
+        assert not report.ok
+        (case,) = [c for c in report.cases if not c.passed]
+        assert case.case == "ekr-sizes(k=2,l=1,n<=8)"
+        assert case.expected == "sizes match at 3 dimensions"
+        assert case.actual == "n=6: 20 != 21"
+        assert case.provenance == "closed-form"
+        (case,) = [c for c in report.cases if c.case == "ekr-sizes(k=3,l=1,n<=8)"]
+        assert (case.expected, case.actual) == ("sizes match at 3 dimensions", "all match")
+
     def test_p_increment_has_informational_cases(self):
         report = run_suite("p-increment", max_n=25, max_kl=3)
         assert report.ok
@@ -523,6 +541,15 @@ class TestCliOther:
             "theorem1": {"budget": 9.0},
             "ratios": {},
         }
+
+    def test_report_checks_every_name_before_running_any(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(suites, "run_suite", lambda name, **kwargs: calls.append(name))
+        assert main(["report", "--suites", "lemma3,nope"]) == 3
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown suite 'nope'" in captured.err
 
     def test_invalid_arguments(self):
         assert main(["solve", "--k", "2", "--l", "1"]) == 3  # missing --n
