@@ -3,10 +3,13 @@
 Keys are "n,k,l,target,pruning".  Each entry stores the best known value
 with its status and a timestamp.  Timed-out entries are lower bounds and
 may be upgraded by a later larger value or by an exact result; exact
-entries are never downgraded.  A corrupt cache file is moved aside to
-"<path>.corrupt" and rebuilt from scratch with a warning rather than
-failing.  Saves write a temporary file and rename it into place, so an
-interrupted save leaves the previous file intact.
+entries are never downgraded.  This is the program's only store of
+solve results.  A cache file is corrupt when it is not a JSON object or
+holds an entry whose value is not a non-negative integer or whose status
+is neither exact nor a timeout; it is moved aside to "<path>.corrupt"
+and rebuilt from scratch with a warning rather than failing.  Saves
+write a temporary file and rename it into place, so an interrupted save
+leaves the previous file intact.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 import warnings
 from typing import Optional
 
-from .solver import STATUS_EXACT
+from .solver import STATUS_EXACT, STATUS_TIMEOUT
 
 
 def cache_key(n: int, k: int, l: int, target: str, pruning: bool) -> str:
@@ -46,10 +49,11 @@ class ResultCache:
             if not isinstance(data, dict):
                 raise ValueError("cache root is not an object")
             for key, entry in data.items():
+                value = entry.get("value") if isinstance(entry, dict) else None
                 if (
-                    not isinstance(entry, dict)
-                    or not isinstance(entry.get("value"), int)
-                    or not isinstance(entry.get("status"), str)
+                    type(value) is not int
+                    or value < 0
+                    or entry.get("status") not in (STATUS_EXACT, STATUS_TIMEOUT)
                 ):
                     raise ValueError(f"malformed entry for {key!r}")
             self.entries = data

@@ -251,6 +251,10 @@ def _cmd_construct(args) -> int:
                     f"base family is over ({base.profile.n},{base.profile.k},{base.profile.l}), "
                     f"not ({args.n},{args.k},{args.l})"
                 )
+            check = solver.verify_family(base, solver.ForbiddenSpec.exact({-2 * args.l}))
+            if not check.ok:
+                a, b, _ = check.violation
+                raise ValueError(f"base family reaches the minimum product on pair {a}, {b}")
         else:
             base = constructions.ekr_family(profile)
         fam = constructions.inductive_extend(base)

@@ -17,7 +17,6 @@ from typing import Iterable, Literal, Optional
 
 from .formulas import p_split
 from .vectors import (
-    ForbiddenSpec,
     Profile,
     SignedVector,
     SuffixMarkers,
@@ -25,7 +24,6 @@ from .vectors import (
     enumerate_all,
     full_window,
     suffix_markers,
-    verify_family,
 )
 
 
@@ -45,7 +43,7 @@ def ekr_family(profile: Profile) -> VectorFamily:
     return VectorFamily(profile, members)
 
 
-def inductive_extend(fam: VectorFamily, check: bool = True) -> VectorFamily:
+def inductive_extend(fam: VectorFamily) -> VectorFamily:
     """Extend an avoiding family over n to one over n + 1.
 
     Appends a zero coordinate to each member and adds every (n+1)-vector
@@ -53,15 +51,12 @@ def inductive_extend(fam: VectorFamily, check: bool = True) -> VectorFamily:
     final -1s contribute +1 to the product) and safe against the lifted
     members (the final coordinate contributes 0), so the result again
     avoids -2l.  The growth count is C(n, k+l-1) * C(k+l-1, l-1).
+    The input is not re-verified: a family from outside the program is
+    checked by its caller.
     """
     p = fam.profile
     if p.l < 1:
         raise ValueError("extension requires l >= 1")
-    if check:
-        result = verify_family(fam, ForbiddenSpec.exact({-2 * p.l}))
-        if not result.ok:
-            a, b, _ = result.violation
-            raise ValueError(f"input family reaches the minimum product on pair {a}, {b}")
     new_profile = Profile(p.n + 1, p.k, p.l)
     members = [SignedVector(p.n + 1, v.pos, v.neg) for v in fam]
     last_bit = 1 << p.n
@@ -169,7 +164,6 @@ class ClassificationLabel:
     """
 
     kind: Literal["B1", "B2", "unclassified"]
-    last_class: Literal["+", "0", "-"]
     t: Optional[int] = None
     m: Optional[int] = None
     j: Optional[int] = None
@@ -192,7 +186,6 @@ def classify_vector(v: SignedVector) -> ClassificationLabel:
         m = (v.neg & prefix).bit_count()
         return ClassificationLabel(
             kind="B1",
-            last_class="+",
             t=t_found,
             m=m,
             markers=markers,
@@ -204,11 +197,10 @@ def classify_vector(v: SignedVector) -> ClassificationLabel:
         j = markers.neg_count
         return ClassificationLabel(
             kind="B2",
-            last_class="+",
             j=j,
             jprime=jprime,
             markers=markers,
             cond12=jprime - 1 >= 2 * (k - j + 1),
         )
 
-    return ClassificationLabel(kind="unclassified", last_class="+", markers=markers)
+    return ClassificationLabel(kind="unclassified", markers=markers)

@@ -169,15 +169,6 @@ class SolveResult:
         return self.status == STATUS_EXACT
 
 
-def _indices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _greedy_independent(adj: Sequence[int], pool: int) -> int:
     """Deterministic greedy independent set inside pool, lowest index first."""
     chosen = 0
@@ -335,7 +326,7 @@ def _search(
     finally:
         sys.setrecursionlimit(old_limit)
 
-    indices = tuple(sorted(labels[i] for i in _indices(state.best_mask)))
+    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(state.best_mask)))
     return _result(graph, indices, status, state.nodes, start)
 
 
@@ -409,7 +400,7 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
         raise ValueError("seed construction applies to profiles with k > l >= 1")
     fam = enumerate_all(Profile(k + l, k, l))
     for dim in range(k + l + 1, n + 1):
-        grown = inductive_extend(fam, check=False)
+        grown = inductive_extend(fam)
         fixed = ekr_family(Profile(dim, k, l))
         fam = grown if len(grown) >= len(fixed) else fixed
     return fam

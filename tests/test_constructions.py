@@ -67,14 +67,6 @@ class TestInductiveExtend:
         assert len(fam) == 22  # matches the closed form at (6, 2, 1)
         assert len(fam) == formulas.g_closed_l1(6, 2)
 
-    def test_rejects_violating_input(self):
-        p = Profile(4, 2, 1)
-        bad = VectorFamily(p, [v("++-0"), v("-0++")])
-        with pytest.raises(ValueError, match="minimum product"):
-            constructions.inductive_extend(bad)
-        # the check can be waived
-        constructions.inductive_extend(bad, check=False)
-
     def test_requires_a_minus(self):
         fam = VectorFamily(Profile(3, 2, 0), [v("++0")])
         with pytest.raises(ValueError):

@@ -64,6 +64,21 @@ class TestResultCache:
         with pytest.warns(UserWarning, match="corrupt"):
             assert ResultCache(str(path)).entries == {}
 
+    @pytest.mark.parametrize("value", ["true", "-1"])
+    def test_value_not_a_count_is_corrupt(self, tmp_path, value):
+        path = tmp_path / "cache.json"
+        text = f'{{"5,2,1,g,pruned": {{"value": {value}, "status": "exact"}}}}'
+        path.write_text(text)
+        with pytest.warns(UserWarning, match="malformed entry"):
+            assert ResultCache(str(path)).entries == {}
+        assert (tmp_path / "cache.json.corrupt").read_text() == text
+
+    def test_unknown_status_is_corrupt(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('{"5,2,1,g,pruned": {"value": 12, "status": "guessed"}}')
+        with pytest.warns(UserWarning, match="malformed entry"):
+            assert ResultCache(str(path)).entries == {}
+        assert (tmp_path / "cache.json.corrupt").exists()
 
     def test_interrupted_save_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.json"
@@ -221,6 +236,12 @@ class TestRunSuite:
         report = run_suite("theorem1", instances=[(4, 2)], budget=60.0)
         assert report.ok
         assert report.cases[0].expected == "6"
+
+    def test_timed_out_solve_reads_as_lower_bound(self):
+        small, large = run_suite("eq111", budget=0).cases
+        # (6,3,2) is settled before the first deadline check; (7,3,2) is not
+        assert (small.actual, small.passed) == ("30", True)
+        assert (large.actual, large.passed) == ("90 (lower bound)", False)
 
 
 class TestReportShapes:
@@ -401,6 +422,15 @@ class TestCliOther:
             ]
         )
         assert code == 3  # base family profile must match --n/--k/--l
+
+    def test_construct_extend_rejects_violating_base(self, tmp_path, capsys):
+        base = tmp_path / "base.txt"
+        base.write_text("4 2 1\n++-0\n-0++\n")
+        out = tmp_path / "x.txt"
+        code = main(["construct", "extend", *NKL, "--base", str(base), "--out", str(out)])
+        assert code == 3
+        assert "minimum product on pair ++-0, -0++" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_construct_xy(self, tmp_path):
         out = tmp_path / "fam.txt"
@@ -650,43 +680,6 @@ CONSTRUCT_OUTPUT = [
         "5 2 1\n0++0-\n0+0+-\n00++-\n",
     ),
 ]
-
-
-class TestSolveMemo:
-    @pytest.mark.parametrize("target, pruning", [("g", True), ("m", False)])
-    def test_default_and_explicit_pruning_share_an_entry(self, monkeypatch, target, pruning):
-        monkeypatch.setattr(suites, "_SOLVE_MEMO", {})
-        calls = []
-        real = solver.solve_extremal
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_extremal", counting)
-        first = suites.solve_memo(5, 2, 1, target)
-        assert suites.solve_memo(5, 2, 1, target, pruning=pruning) is first
-        assert len(calls) == 1
-        assert [key for key, _ in suites.solved_instances()] == [(5, 2, 1, target, pruning)]
-
-    def test_keeps_the_better_result(self, monkeypatch):
-        monkeypatch.setattr(suites, "_SOLVE_MEMO", {})
-        results = iter(
-            [(5, solver.STATUS_TIMEOUT), (3, solver.STATUS_TIMEOUT), (4, solver.STATUS_EXACT)]
-        )
-
-        def fake(profile, target, **kwargs):
-            value, status = next(results)
-            return solver.SolveResult(value, status, 0, 0.0, ())
-
-        monkeypatch.setattr(solver, "solve_extremal", fake)
-        assert suites.solve_memo(6, 3, 2, budget=10).value == 5
-        # a smaller lower bound from a shorter budget does not replace 5
-        assert suites.solve_memo(6, 3, 2, budget=1).value == 5
-        # an exact result replaces a lower bound, even a larger one, and is final
-        assert suites.solve_memo(6, 3, 2, budget=1).value == 4
-        assert suites.solve_memo(6, 3, 2, budget=1).is_exact
-        assert len(suites.solved_instances()) == 1
 
 
 # a count or budget out of range, on each command that takes it
