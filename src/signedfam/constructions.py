@@ -4,9 +4,12 @@ Constructions: the fixed-first-coordinate family, the one-dimension
 inductive extension, and one-cut split families, with best_split_family
 the one place that picks the optimal cut.  Each builds its members from
 index subsets the same way: combinations over bit values, summed into a
-mask.  Classification sorts the plus-final members of a family into the
-two structure classes that exhaust any shifted family avoiding the
-minimum product.
+mask.  xy_class is the one window-class rule: it puts a vector into its
+class (side, m) at window count t, so one pass over a class counts every
+window class of it, and family_xy_tm is the class filtered by that rule.
+Classification sorts the plus-final members of a family into the two
+structure classes that exhaust any shifted family avoiding the minimum
+product.
 """
 
 from __future__ import annotations
@@ -111,14 +114,29 @@ def partition_by_last(fam: VectorFamily) -> tuple[VectorFamily, VectorFamily, Ve
     )
 
 
-def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:
-    """Window-comparison class over the profile's own dimension.
+def xy_class(v: SignedVector, t: int) -> Optional[tuple[Literal["x", "y"], int]]:
+    """The window class (side, m) of v at window count t, or None.
 
-    The window is [1, 2t-1].  Side "y": final coordinate +1, m minus and
-    t plus coordinates in the window.  Side "x": final coordinate -1,
-    m plus and max(t - (k - l), 0) minus coordinates in the window.
+    The window is [1, 2t-1] and must stay clear of the final coordinate.
+    Side "y": final coordinate +1 and t plus coordinates in the window; m
+    counts its minus coordinates.  Side "x": final coordinate -1 and
+    max(t - (k - l), 0) minus coordinates in the window; m counts its
+    plus coordinates.
     """
-    n, k, l = profile.n, profile.k, profile.l
+    window = (1 << (2 * t - 1)) - 1
+    last = 1 << (v.dim - 1)
+    if v.pos & last:
+        if (v.pos & window).bit_count() == t:
+            return "y", (v.neg & window).bit_count()
+    elif v.neg & last:
+        if (v.neg & window).bit_count() == max(t - (v.k - v.l), 0):
+            return "x", (v.pos & window).bit_count()
+    return None
+
+
+def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:
+    """The members of the profile's class that xy_class puts in (side, m) at t."""
+    n, k = profile.n, profile.k
     if not 1 <= t <= k:
         raise ValueError(f"requires 1 <= t <= k, got t={t}")
     if m < 0:
@@ -126,27 +144,10 @@ def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> V
     # the window must avoid the fixed final coordinate
     if 2 * t - 1 > n - 1:
         raise ValueError(f"window [1, {2 * t - 1}] reaches the final coordinate {n}")
-    window = (1 << (2 * t - 1)) - 1
-    mu = max(t - (k - l), 0)
-    members = []
-    for v in enumerate_all(profile):
-        if side == "y":
-            if (
-                v.last == 1
-                and (v.neg & window).bit_count() == m
-                and (v.pos & window).bit_count() == t
-            ):
-                members.append(v)
-        elif side == "x":
-            if (
-                v.last == -1
-                and (v.pos & window).bit_count() == m
-                and (v.neg & window).bit_count() == mu
-            ):
-                members.append(v)
-        else:
-            raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    return VectorFamily(profile, members)
+    if side not in ("x", "y"):
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    wanted = (side, m)
+    return VectorFamily(profile, [v for v in enumerate_all(profile) if xy_class(v, t) == wanted])
 
 
 @dataclass(frozen=True)

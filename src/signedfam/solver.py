@@ -578,8 +578,10 @@ def solve_extremal(
     Without pruning the search takes vertex 0 at the root and explores
     only its non-neighbours: the class is one S_n-orbit and the spec
     depends only on the product, so some optimum contains vertex 0.
-    The search starts from a construction (greedy_seed_g for g, the best
-    split family for m); one with a conflicting pair raises ValueError.
+    A graph with no edges needs no search: the whole class is the
+    answer, exact at 0 nodes.  Otherwise the search starts from a
+    construction (greedy_seed_g for g, the best split family for m); one
+    with a conflicting pair raises ValueError.
     budget bounds the whole call: the search gets what the setup leaves
     of it, and elapsed is measured from entry.
     """
@@ -592,6 +594,9 @@ def solve_extremal(
 
     graph = build_conflict_graph(profile, spec, vertex_cap)
     assert graph.family is not None
+    if not any(graph.adj):
+        # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
+        return _result(graph, tuple(range(len(graph.adj))), STATUS_EXACT, 0, start)
     index_of = {v: i for i, v in enumerate(graph.family.members)}
 
     if target == "g":

@@ -207,6 +207,35 @@ class TestFamilyXYtm:
         got = set(constructions.family_xy_tm(p, t, m, "y"))
         assert got == want
 
+    def test_matches_window_count_definition(self):
+        # the literal window counts, written out per side, on every class with n <= 9
+        checked = 0
+        for p in _profiles(9):
+            members = enumerate_all(p).members
+            for t in range(1, min(p.k, p.n // 2) + 1):
+                window = (1 << (2 * t - 1)) - 1
+                mu = max(t - (p.k - p.l), 0)
+                for m in range(0, 2 * t):
+                    want_y = [
+                        u
+                        for u in members
+                        if u.last == 1
+                        and (u.neg & window).bit_count() == m
+                        and (u.pos & window).bit_count() == t
+                    ]
+                    want_x = [
+                        u
+                        for u in members
+                        if u.last == -1
+                        and (u.pos & window).bit_count() == m
+                        and (u.neg & window).bit_count() == mu
+                    ]
+                    for side, want in (("y", want_y), ("x", want_x)):
+                        got = constructions.family_xy_tm(p, t, m, side).members
+                        assert got == tuple(want), (p, t, m, side)
+                        checked += 1
+        assert checked == 3048
+
     def test_window_cannot_reach_last_coordinate(self):
         with pytest.raises(ValueError, match="final coordinate"):
             constructions.family_xy_tm(Profile(5, 3, 1), 3, 0, "x")

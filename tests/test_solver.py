@@ -326,6 +326,19 @@ class TestSolveExtremal:
         assert res.elapsed >= 0.9 * wall
         assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
 
+    @pytest.mark.parametrize("n, value", [(10, 840), (11, 2310)])
+    def test_edgeless_class_needs_no_search(self, n, value):
+        # n < 2k: no two members reach the product -2l, so g is the whole class
+        p = Profile(n, 6, 1)
+        res = solve_extremal(p, "g", budget=0.0)
+        assert (res.value, res.status, res.nodes_explored) == (value, "exact", 0)
+        assert value == p.family_size()
+        assert res.witness_indices == tuple(range(value))
+        assert res.witness.members == enumerate_all(p).members
+        assert verify_family(res.witness, ForbiddenSpec.exact({-2})).ok
+        with pytest.raises(VertexCapExceeded):
+            solve_extremal(p, "g", vertex_cap=value - 1)
+
     def test_vertex_cap_propagates(self):
         with pytest.raises(VertexCapExceeded):
             solve_extremal(Profile(6, 3, 2), "g", vertex_cap=10)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from signedfam import Profile, VectorFamily, formulas, solver, suites
+from signedfam import Profile, VectorFamily, constructions, formulas, solver, suites
 from signedfam.cache import ResultCache, cache_key
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
@@ -200,6 +200,24 @@ class TestRunSuite:
         assert case.expected == "0 mismatches among 12"
         assert case.actual == "4 mismatches among 12; first t=2, m=0: formula (4,9), enumerated (3,9)"
         assert not case.passed and case.provenance == "closed-form"
+
+    def test_ratios_catches_a_bad_enumeration(self, monkeypatch):
+        xy_class = constructions.xy_class
+
+        def drops_y_at_2(v, t):
+            found = xy_class(v, t)
+            return None if t == 2 and found is not None and found[0] == "y" else found
+
+        monkeypatch.setattr(constructions, "xy_class", drops_y_at_2)
+        report = run_suite("ratios", max_dim=7)
+        assert not report.ok
+        failed = [c for c in report.cases if not c.passed]
+        # every class with a window count 2 loses its y side there; k = 2 has none
+        assert len(failed) == 9
+        assert all(c.actual.startswith("2 mismatches") for c in failed)
+        assert all(", enumerated (" in c.actual and c.actual.endswith(",0)") for c in failed)
+        (case,) = [c for c in report.cases if c.case == "xy-sizes(dim=7,k=3,l=2)"]
+        assert case.actual == "2 mismatches among 12; first t=2, m=0: formula (3,9), enumerated (3,0)"
 
     def test_size_sweep_names_first_mismatch(self, monkeypatch):
         ekr_value = formulas.g_ekr_value
