@@ -5,25 +5,25 @@ directly from each vector's partners, O(V * degree); any other spec,
 and graph_from_family for an arbitrary family, scans every pair.
 Two search engines share one setup routine, _search, which checks the
 seed incumbent, bounds the run by the budget and assembles the witness.
-Both prune with a greedy clique cover, whose number of cliques bounds
-any independent set.  mis_exact branches on a vertex of maximum degree
-after cheap reductions and covers the pool of every node afresh; the
-shift-pruned search of the g target walks vertices in a linear
-extension of the shift order, keeping only shift-closed families,
-builds the closure of that order from the single-shift images of each
-vector, and reuses a cover rebuilt every 64 nodes.  mis_bruteforce is
-an exhaustive oracle for small graphs.
+Both are loops over an explicit stack of (pool, size, mask) nodes that
+take a vertex before they exclude it, and both prune with a greedy
+clique cover, whose number of cliques bounds any independent set.
+_bnb, behind mis_exact, branches on a vertex of maximum degree after
+cheap reductions and covers the pool of every node afresh.
+_bnb_shifted, the shift-pruned search of the g target, branches in a
+linear extension of the shift order, keeping only shift-closed
+families, builds the closure of that order from the single-shift
+images of each vector, and reuses a cover rebuilt every 64 nodes.
+mis_bruteforce is an exhaustive oracle for small graphs.
 solve_extremal wraps the engines for the two extremal targets: "g"
 (largest family avoiding the minimum product -2l) and "m" (largest
-family with no negative product).  Without shift pruning it runs the
-search of mis_exact below a root that takes vertex 0, which is exact
-because the graph of a whole class is vertex-transitive.  Both engines
-are deterministic.
+family with no negative product).  Without shift pruning it runs _bnb
+below a root that takes vertex 0, which is exact because the graph of
+a whole class is vertex-transitive.  Both engines are deterministic.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -68,13 +68,10 @@ class ConflictGraph:
             if mask & (1 << v):
                 raise ValueError(f"vertex {v} adjacent to itself")
         for v, mask in enumerate(self.adj):
-            rest = mask
-            while rest:
-                low = rest & -rest
+            for low in _bits(mask):
                 u = low.bit_length() - 1
                 if not self.adj[u] & (1 << v):
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
-                rest ^= low
 
     @property
     def n_vertices(self) -> int:
@@ -199,77 +196,65 @@ def _greedy_clique_cover(adj: Sequence[int], pool: int) -> list[int]:
     return cliques
 
 
-class _Timeout(Exception):
-    pass
+def _bnb(
+    adj: Sequence[int], root: tuple[int, int, int], best: int, deadline: float
+) -> tuple[int, int, bool]:
+    """Search below root, a (pool, size, mask) node; (best mask, nodes, finished).
 
+    Each node takes the vertices reductions force, is bounded by a fresh
+    greedy clique cover of its pool and branches on a vertex of maximum
+    degree, taking it first.  The loop stops unfinished when a 256th node
+    finds the deadline passed.
+    """
+    best_size = best.bit_count()
+    nodes = 0
+    stack = [root]
+    while stack:
+        pool, size, mask = stack.pop()
+        nodes += 1
+        if not nodes & 255 and time.monotonic() > deadline:
+            return best, nodes, False
 
-class _SearchState:
-    __slots__ = ("best_size", "best_mask", "nodes", "deadline")
+        # cheap reductions: a vertex with at most one neighbour is always
+        # at least as good as that neighbour, so it is taken
+        while pool:
+            applied = False
+            scan = pool
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                if pool & low:
+                    nbrs = adj[low.bit_length() - 1] & pool
+                    if not nbrs & (nbrs - 1):
+                        size += 1
+                        mask |= low
+                        pool &= ~(low | nbrs)
+                        applied = True
+            if not applied:
+                break
 
-    def __init__(self, best_size: int, best_mask: int, deadline: float):
-        self.best_size = best_size
-        self.best_mask = best_mask
-        self.nodes = 0
-        self.deadline = deadline
+        if not pool:
+            if size > best_size:
+                best_size, best = size, mask
+            continue
+        if size + len(_greedy_clique_cover(adj, pool)) <= best_size:
+            continue
 
-
-def _tick(state: _SearchState) -> None:
-    state.nodes += 1
-    if state.nodes % 256 == 0 and time.monotonic() > state.deadline:
-        raise _Timeout
-
-
-def _bnb(adj: Sequence[int], state: _SearchState, pool: int, size: int, mask: int) -> None:
-    _tick(state)
-
-    # cheap reductions: isolated vertices are always taken; a vertex with
-    # one neighbor is always at least as good as the neighbor
-    while pool:
-        applied = False
+        # branch on the densest remaining vertex, lowest index on ties
+        best_v = -1
+        best_deg = -1
         scan = pool
         while scan:
             low = scan & -scan
             scan ^= low
-            if not pool & low:
-                continue
-            v = low.bit_length() - 1
-            nbrs = adj[v] & pool
-            if nbrs == 0:
-                size += 1
-                mask |= low
-                pool ^= low
-                applied = True
-            elif nbrs & (nbrs - 1) == 0:
-                size += 1
-                mask |= low
-                pool &= ~(low | nbrs)
-                applied = True
-        if not applied:
-            break
-
-    if pool == 0:
-        if size > state.best_size:
-            state.best_size = size
-            state.best_mask = mask
-        return
-
-    if size + len(_greedy_clique_cover(adj, pool)) <= state.best_size:
-        return
-
-    # branch on the densest remaining vertex, lowest index on ties
-    best_v = -1
-    best_deg = -1
-    scan = pool
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        deg = (adj[low.bit_length() - 1] & pool).bit_count()
-        if deg > best_deg:
-            best_deg = deg
-            best_v = low.bit_length() - 1
-    bit = 1 << best_v
-    _bnb(adj, state, pool & ~(adj[best_v] | bit), size + 1, mask | bit)
-    _bnb(adj, state, pool & ~bit, size, mask)
+            deg = (adj[low.bit_length() - 1] & pool).bit_count()
+            if deg > best_deg:
+                best_deg = deg
+                best_v = low.bit_length() - 1
+        bit = 1 << best_v
+        stack.append((pool & ~bit, size, mask))
+        stack.append((pool & ~(adj[best_v] | bit), size + 1, mask | bit))
+    return best, nodes, True
 
 
 def _result(
@@ -296,48 +281,34 @@ def _search(
     seeds: Sequence[int],
     start: float,
     budget: float,
-    search: Callable[[_SearchState], None],
+    search: Callable[[int, float], tuple[int, int, bool]],
 ) -> SolveResult:
     """Run one engine's search loop inside the scaffolding both engines share.
 
     adj is the graph relabelled for the engine: its vertex i is vertex
     labels[i] of graph.  Every seed must be independent in adj; the
-    largest (the first on ties) is the starting incumbent.  search(state)
-    explores from there until done or until start + budget passes, when
-    the best set found so far is returned with a lower-bound status.
+    largest (the first on ties) is the starting incumbent.
+    search(incumbent, deadline) explores from there and returns the best
+    mask, its node count and whether it finished before start + budget
+    passed; if not, the best set found so far has a lower-bound status.
     """
     for seed in seeds:
-        rest = seed
-        while rest:
-            low = rest & -rest
+        for low in _bits(seed):
             if adj[low.bit_length() - 1] & seed:
                 raise ValueError("initial incumbent is not independent")
-            rest ^= low
-    best = max(seeds, key=int.bit_count)
-    state = _SearchState(best.bit_count(), best, start + budget)
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 2 * len(adj) + 100))
-    status = STATUS_EXACT
-    try:
-        search(state)
-    except _Timeout:
-        status = STATUS_TIMEOUT
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(state.best_mask)))
-    return _result(graph, indices, status, state.nodes, start)
+    best, nodes, finished = search(max(seeds, key=int.bit_count), start + budget)
+    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(best)))
+    return _result(graph, indices, STATUS_EXACT if finished else STATUS_TIMEOUT, nodes, start)
 
 
 def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     """Branch-and-bound maximum independent set of any graph.
 
     Every node is bounded by a greedy clique cover of its own pool.
-    Deterministic and sequential; a greedy independent set is the first
-    incumbent.  On budget exhaustion the best set found so far is returned
-    with a lower-bound status.  solve_extremal runs the same
-    search below a vertex-0 root, which holds only for the
+    Deterministic, sequential and iterative (_bnb); a greedy independent
+    set is the first incumbent.  On budget exhaustion the best set found
+    so far is returned with a lower-bound status.  solve_extremal runs
+    the same search below a vertex-0 root, which holds only for the
     vertex-transitive graph of a whole class.
     """
     n = graph.n_vertices
@@ -346,7 +317,8 @@ def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     full = (1 << n) - 1
     seeds = (_greedy_independent(adj, full),)
     return _search(
-        graph, adj, range(n), seeds, start, budget, lambda state: _bnb(adj, state, full, 0, 0)
+        graph, adj, range(n), seeds, start, budget,
+        lambda best, deadline: _bnb(adj, (full, 0, 0), best, deadline),
     )
 
 
@@ -459,88 +431,79 @@ def _shift_closure(
     return order, pred, succ
 
 
+def _bnb_shifted(
+    adj: Sequence[int], pred: Sequence[int], succ: Sequence[int], best: int, deadline: float
+) -> tuple[int, int, bool]:
+    """Search over shift-closed sets of the rank-labelled graph adj.
+
+    Nodes are (pool, size, mask) as in _bnb, but a node branches on the
+    lowest-ranked vertex of its pool, which may join a shift-closed set
+    only when all of pred is taken: otherwise it and its succ leave the
+    pool.  Every rank below the pool is taken or excluded, so pred & ~mask
+    is the excluded part of pred.  Taking a vertex removes its neighbours,
+    so the mask stays independent; excluding it removes its succ too.  The bound is a greedy clique cover of a superset of the
+    pool, rebuilt every 64 nodes: restricted to any pool it still covers
+    what it covers, and vertices it misses count as singletons.
+    """
+    full = (1 << len(adj)) - 1
+    best_size = best.bit_count()
+    nodes = 0
+    cover = _greedy_clique_cover(adj, full)
+    covered = full
+    stack = [(full, 0, 0)]
+    while stack:
+        pool, size, mask = stack.pop()
+        nodes += 1
+        if not nodes & 255 and time.monotonic() > deadline:
+            return best, nodes, False
+        if not nodes & 63:
+            cover = _greedy_clique_cover(adj, pool)
+            covered = pool
+
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            if not pred[v] & ~mask:
+                break
+            pool &= ~(low | succ[v])
+        if not pool:
+            if size > best_size:
+                best_size, best = size, mask
+            continue
+        bound = (pool & ~covered).bit_count()
+        for c in cover:
+            if c & pool:
+                bound += 1
+        if size + bound <= best_size:
+            continue
+
+        stack.append((pool & ~(low | succ[v]), size, mask))
+        stack.append((pool & ~(adj[v] | low), size + 1, mask | low))
+    return best, nodes, True
+
+
 def _solve_shifted(
     graph: ConflictGraph, budget: float, seed_mask: int
 ) -> SolveResult:
     """Optimum over shift-closed families only; valid for the g target."""
     family = graph.family
     assert family is not None
-    members = family.members
-    n = len(members)
+    n = len(family.members)
     start = time.monotonic()
 
-    order, pred, succ = _shift_closure(members)
+    order, pred, succ = _shift_closure(family.members)
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    adj = [0] * n
-    for r, i in enumerate(order):
-        mask = graph.adj[i]
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            adj[r] |= 1 << rank[low.bit_length() - 1]
 
-    seed_ranked = 0
-    rest = seed_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        seed_ranked |= 1 << rank[low.bit_length() - 1]
-    full = (1 << n) - 1
+    def ranked(mask: int) -> int:
+        return sum(1 << rank[low.bit_length() - 1] for low in _bits(mask))
 
-    def search(state: _SearchState) -> None:
-        # a greedy clique cover of a superset of the pool, rebuilt every 64
-        # nodes: restricted to any pool it still covers what it covers, and
-        # vertices it misses count as singletons
-        cover: list[int] = []
-        covered = 0
-
-        def refresh(pool: int) -> None:
-            nonlocal cover, covered
-            cover = _greedy_clique_cover(adj, pool)
-            covered = 0
-            for c in cover:
-                covered |= c
-
-        def rec(idx: int, chosen: int, dead: int, size: int) -> None:
-            _tick(state)
-            if state.nodes % 64 == 0:
-                refresh(full & ~dead & (full << idx) if idx < n else 0)
-            while idx < n:
-                bit = 1 << idx
-                if dead & bit:
-                    idx += 1
-                    continue
-                if pred[idx] & dead:
-                    dead |= bit | succ[idx]
-                    idx += 1
-                    continue
-                if adj[idx] & chosen:
-                    dead |= bit | succ[idx]
-                    idx += 1
-                    continue
-                break
-            if idx >= n:
-                if size > state.best_size:
-                    state.best_size = size
-                    state.best_mask = chosen
-                return
-            remaining = full & ~dead & (full << idx)
-            bound = (remaining & ~covered).bit_count()
-            for c in cover:
-                if c & remaining:
-                    bound += 1
-            if size + bound <= state.best_size:
-                return
-            bit = 1 << idx
-            rec(idx + 1, chosen | bit, dead | (adj[idx] & ~((1 << idx) - 1)), size + 1)
-            rec(idx + 1, chosen, dead | bit | succ[idx], size)
-
-        refresh(full)
-        rec(0, 0, 0, 0)
-
-    return _search(graph, adj, order, (seed_ranked,), start, budget, search)
+    adj = [ranked(graph.adj[i]) for i in order]
+    return _search(
+        graph, adj, order, (ranked(seed_mask),), start, budget,
+        lambda best, deadline: _bnb_shifted(adj, pred, succ, best, deadline),
+    )
 
 
 def shift_pruning(profile: Profile, target: str, requested: Optional[bool] = None) -> bool:
@@ -572,10 +535,11 @@ def solve_extremal(
     """Exact extremal family size for a profile.
 
     target "g": forbid the single product -2l (requires k > l >= 1);
-    shift-closure pruning defaults on and preserves the optimum.
+    shift-closure pruning (_bnb_shifted) defaults on and preserves the
+    optimum.
     target "m": forbid every negative product; pruning is refused since
     the optimum there is not attained on shift-closed families.
-    Without pruning the search takes vertex 0 at the root and explores
+    Without pruning _bnb takes vertex 0 at the root and explores
     only its non-neighbours: the class is one S_n-orbit and the spec
     depends only on the product, so some optimum contains vertex 0.
     A graph with no edges needs no search: the whole class is the
@@ -597,15 +561,12 @@ def solve_extremal(
     if not any(graph.adj):
         # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
         return _result(graph, tuple(range(len(graph.adj))), STATUS_EXACT, 0, start)
-    index_of = {v: i for i, v in enumerate(graph.family.members)}
 
     if target == "g":
         seed_family = greedy_seed_g(profile)
     else:
         seed_family = best_split_family(profile)
-    seed_mask = 0
-    for v in seed_family:
-        seed_mask |= 1 << index_of[v]
+    seed_mask = sum(1 << i for i, v in enumerate(graph.family.members) if v in seed_family)
 
     remaining = max(0.0, budget - (time.monotonic() - start))
     if shifted_pruning:
@@ -616,9 +577,8 @@ def solve_extremal(
         full = (1 << len(adj)) - 1
         root = full & ~(adj[0] | 1)
         seeds = (seed_mask, _greedy_independent(adj, full))
-
-        def search(state: _SearchState) -> None:
-            _bnb(adj, state, root, 1, 1)
-
-        result = _search(graph, adj, range(len(adj)), seeds, time.monotonic(), remaining, search)
+        result = _search(
+            graph, adj, range(len(adj)), seeds, time.monotonic(), remaining,
+            lambda best, deadline: _bnb(adj, (root, 1, 1), best, deadline),
+        )
     return replace(result, elapsed=time.monotonic() - start)

@@ -13,8 +13,9 @@ A case that checks a construction's size against its closed form over a
 range of dimensions is a size sweep, added by _size_sweep: it stops at
 the first dimension where the two differ and reports it.
 The theorem1, eq111 and bounds suites solve each of their instances
-afresh; the CLI's result cache is the only store of solve results.  A
-solve the budget cuts short reports "<value> (lower bound)" and fails.
+afresh through _add_g_case; the CLI's result cache is the only store of
+solve results.  A solve the budget cuts short reports
+"<value> (lower bound)" and fails.
 render() is the one writer of reports: plain text, one JSON document, or
 CSV with a single header row.
 """
@@ -153,9 +154,23 @@ def render(reports: list[VerificationReport], fmt: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solved_text(result: solver.SolveResult) -> str:
-    """A solve's value, marked when a timeout leaves it a lower bound."""
-    return str(result.value) if result.is_exact else f"{result.value} (lower bound)"
+def _add_g_case(
+    report: VerificationReport,
+    case: str,
+    profile: Profile,
+    budget: float,
+    expected,
+    holds: Callable[[int], bool],
+    required: bool = True,
+) -> None:
+    """Solve g on profile; the case passes when the solve is exact and holds(value).
+
+    A solve the budget cuts short shows "<value> (lower bound)".
+    """
+    result = solver.solve_extremal(profile, "g", budget=budget)
+    actual = str(result.value) if result.is_exact else f"{result.value} (lower bound)"
+    passed = result.is_exact and holds(result.value)
+    report.add(case, expected, actual, passed, PROVENANCE_FORMULA, required)
 
 
 def _suite_theorem1(
@@ -165,13 +180,9 @@ def _suite_theorem1(
     report = VerificationReport("theorem1")
     for n, k in instances:
         expected = formulas.g_closed_l1(n, k)
-        result = solver.solve_extremal(Profile(n, k, 1), "g", budget=budget)
-        report.add(
-            f"g({n},{k},1)",
-            expected,
-            _solved_text(result),
-            result.is_exact and result.value == expected,
-            PROVENANCE_FORMULA,
+        _add_g_case(
+            report, f"g({n},{k},1)", Profile(n, k, 1), budget, expected,
+            lambda value: value == expected,
         )
     return report
 
@@ -180,15 +191,10 @@ def _suite_eq111(budget: float = 600.0, instances=((6, 3, 2), (7, 3, 2))) -> Ver
     """Solver values against the fixed-first-coordinate count in its proven window."""
     report = VerificationReport("eq111")
     for n, k, l in instances:
-        value, in_range = formulas.g_ekr_value(n, k, l)
-        result = solver.solve_extremal(Profile(n, k, l), "g", budget=budget)
-        report.add(
-            f"g({n},{k},{l})",
-            value,
-            _solved_text(result),
-            result.is_exact and result.value == value,
-            PROVENANCE_FORMULA,
-            required=in_range,
+        expected, in_range = formulas.g_ekr_value(n, k, l)
+        _add_g_case(
+            report, f"g({n},{k},{l})", Profile(n, k, l), budget, expected,
+            lambda value: value == expected, required=in_range,
         )
     return report
 
@@ -201,13 +207,9 @@ def _suite_bounds(
     report = VerificationReport("bounds")
     for n, k, l in instances:
         lower, upper = formulas.g_bounds(n, k, l)
-        result = solver.solve_extremal(Profile(n, k, l), "g", budget=budget)
-        report.add(
-            f"bounds({n},{k},{l})",
-            f"{lower} <= value <= {upper}",
-            _solved_text(result),
-            result.is_exact and lower <= result.value <= upper,
-            PROVENANCE_FORMULA,
+        _add_g_case(
+            report, f"bounds({n},{k},{l})", Profile(n, k, l), budget,
+            f"{lower} <= value <= {upper}", lambda value: lower <= value <= upper,
         )
     return report
 

@@ -1,5 +1,6 @@
 """Conflict graphs and the exact maximum-independent-set machinery."""
 
+import inspect
 import random
 import sys
 import time
@@ -317,6 +318,12 @@ class TestSolveExtremal:
         assert is_shifted(res.witness)
         assert sys.getrecursionlimit() == limit
 
+    def test_unpruned_budget_exhaustion_keeps_lower_bound(self):
+        res = solve_extremal(Profile(7, 3, 1), "m", budget=0.0)
+        assert (res.value, res.status, res.nodes_explored) == (28, "lower_bound_timeout", 256)
+        assert len(res.witness) == res.value
+        assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
+
     def test_budget_covers_setup(self):
         start = time.monotonic()
         res = solve_extremal(Profile(11, 3, 2), "g", budget=0.5)
@@ -400,6 +407,43 @@ class TestSearchEffort:
     def test_pruned_g_932_node_count_unchanged(self):
         res = solve_extremal(Profile(9, 3, 2), "g")
         assert (res.value, res.status, res.nodes_explored) == (510, "exact", 8339)
+
+    @pytest.mark.parametrize(
+        "profile, target, pruning, value, nodes",
+        [
+            ((8, 3, 2), "g", True, 230, 1697),
+            ((11, 3, 1), "g", True, 372, 1377),
+            ((7, 3, 1), "g", False, 60, 2825),
+            ((8, 2, 1), "m", False, 30, 1435),
+            ((7, 3, 1), "m", False, 28, 2633),
+            ((7, 3, 2), "m", False, 33, 1005),
+        ],
+    )
+    def test_search_tree_pinned(self, profile, target, pruning, value, nodes):
+        res = solve_extremal(Profile(*profile), target, shifted_pruning=pruning)
+        assert (res.value, res.status, res.nodes_explored) == (value, "exact", nodes)
+
+    def test_mis_exact_search_tree_pinned(self):
+        res = mis_exact(random_graph(60, 0.15, random.Random(11)))
+        assert (res.value, res.status, res.nodes_explored) == (20, "exact", 427)
+
+    def test_engines_do_not_recurse(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError("the recursion limit was changed")
+
+        # 100 frames of headroom: a recursive search of the pruned g(9,3,2) tree needs more
+        depth = len(inspect.stack())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        try:
+            g = solve_extremal(Profile(9, 3, 2), "g")
+            m = solve_extremal(Profile(7, 3, 2), "m")
+        finally:
+            monkeypatch.undo()
+            sys.setrecursionlimit(limit)
+        assert (g.value, g.status, g.nodes_explored) == (510, "exact", 8339)
+        assert (m.value, m.status, m.nodes_explored) == (33, "exact", 1005)
 
 
 class TestGraphFromFamily:
