@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .constructions import family_xy_tm
+from .constructions import xy_families
 from .vectors import Profile, VectorFamily, enumerate_all, scalar_product
 
 # stub pairings random_biregular draws before it falls back to a cyclic layout
@@ -76,8 +76,7 @@ def build_g_tm(profile: Profile, t: int, m: int) -> BipartiteGraph:
 
     Both sides must be nonempty.
     """
-    x_fam = family_xy_tm(profile, t, m, "x")
-    y_fam = family_xy_tm(profile, t, m, "y")
+    x_fam, y_fam = xy_families(profile, t, m)
     if not x_fam or not y_fam:
         raise ValueError(
             f"degenerate window classes at t={t}, m={m}: "

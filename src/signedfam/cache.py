@@ -1,9 +1,14 @@
 """JSON-backed cache of solver results, keyed by instance and search mode.
 
 Keys are "n,k,l,target,pruning".  Each entry stores the best known value
-with its status and a timestamp.  Timed-out entries are lower bounds and
-may be upgraded by a later larger value or by an exact result; exact
-entries are never downgraded.  This is the program's only store of
+with its status and a timestamp.  A solve request reads the keys of
+cache_keys: its own, and for a pruned m request also "m,unpruned".  An
+exact m value does not depend on the search mode, and m results were
+stored only as unpruned until m solves were shift-pruned, so those
+entries keep serving.  An unpruned request, the independent route,
+reads only its own key, and so does every g request.  Timed-out entries
+are lower bounds and may be upgraded by a later larger value or by an
+exact result; exact entries are never downgraded.  This is the program's only store of
 solve results.  A cache file is corrupt when it is not a JSON object or
 holds an entry whose value is not a non-negative integer or whose status
 is neither exact nor a timeout; it is moved aside to "<path>.corrupt"
@@ -25,6 +30,14 @@ from .solver import STATUS_EXACT, STATUS_TIMEOUT
 
 def cache_key(n: int, k: int, l: int, target: str, pruning: bool) -> str:
     return f"{n},{k},{l},{target},{'pruned' if pruning else 'unpruned'}"
+
+
+def cache_keys(n: int, k: int, l: int, target: str, pruning: bool) -> tuple[str, ...]:
+    """Keys whose exact entry answers a solve request, its own key first."""
+    own = cache_key(n, k, l, target, pruning)
+    if target == "m" and pruning:
+        return own, cache_key(n, k, l, target, False)
+    return (own,)
 
 
 def improves(value: int, status: str, old_value: int, old_status: str) -> bool:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import constructions, formulas, solver, suites
-from .cache import ResultCache, cache_key
+from .cache import ResultCache, cache_keys
 from .vectors import Profile, SignedVector, VectorFamily, enumerate_all
 
 EXIT_OK = 0
@@ -191,10 +191,13 @@ def _cmd_solve(args) -> int:
     profile = Profile(args.n, args.k, args.l)
     pruning = solver.shift_pruning(profile, args.target, False if args.no_shift_pruning else None)
     cache = ResultCache(args.cache) if args.cache else None
-    key = cache_key(args.n, args.k, args.l, args.target, pruning)
-    cached = cache.get(key) if cache else None
+    keys = cache_keys(args.n, args.k, args.l, args.target, pruning)
+    cached = None
+    if cache:
+        found = (cache.get(key) for key in keys)
+        cached = next((e for e in found if e and e["status"] == solver.STATUS_EXACT), None)
     payload = {"n": args.n, "k": args.k, "l": args.l, "target": args.target}
-    if cached and cached["status"] == solver.STATUS_EXACT and not args.witness_out:
+    if cached and not args.witness_out:
         payload.update(value=cached["value"], status=cached["status"], cached=True)
         _emit(_payload_text(payload, args.fmt), args.out)
         return EXIT_OK
@@ -207,7 +210,7 @@ def _cmd_solve(args) -> int:
         vertex_cap=args.vertex_cap,
     )
     if cache:
-        cache.put(key, result.value, result.status)
+        cache.put(keys[0], result.value, result.status)
         cache.save()
     if args.witness_out and result.witness is not None:
         result.witness.save(args.witness_out)

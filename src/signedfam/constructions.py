@@ -6,7 +6,8 @@ the one place that picks the optimal cut.  Each builds its members from
 index subsets the same way: combinations over bit values, summed into a
 mask.  xy_class is the one window-class rule: it puts a vector into its
 class (side, m) at window count t, so one pass over a class counts every
-window class of it, and family_xy_tm is the class filtered by that rule.
+window class of it.  xy_families splits a class into the x and y classes
+at one (t, m) in one pass, and family_xy_tm picks one side of it.
 Classification sorts the plus-final members of a family into the two
 structure classes that exhaust any shifted family avoiding the minimum
 product.
@@ -134,8 +135,8 @@ def xy_class(v: SignedVector, t: int) -> Optional[tuple[Literal["x", "y"], int]]
     return None
 
 
-def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:
-    """The members of the profile's class that xy_class puts in (side, m) at t."""
+def xy_families(profile: Profile, t: int, m: int) -> tuple[VectorFamily, VectorFamily]:
+    """The x and y window classes (side, m) at t, split from one pass over the class."""
     n, k = profile.n, profile.k
     if not 1 <= t <= k:
         raise ValueError(f"requires 1 <= t <= k, got t={t}")
@@ -144,10 +145,19 @@ def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> V
     # the window must avoid the fixed final coordinate
     if 2 * t - 1 > n - 1:
         raise ValueError(f"window [1, {2 * t - 1}] reaches the final coordinate {n}")
+    sides: dict[str, list[SignedVector]] = {"x": [], "y": []}
+    for v in enumerate_all(profile):
+        found = xy_class(v, t)
+        if found is not None and found[1] == m:
+            sides[found[0]].append(v)
+    return VectorFamily(profile, sides["x"]), VectorFamily(profile, sides["y"])
+
+
+def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:
+    """The members of the profile's class that xy_class puts in (side, m) at t."""
     if side not in ("x", "y"):
         raise ValueError(f"side must be 'x' or 'y', got {side!r}")
-    wanted = (side, m)
-    return VectorFamily(profile, [v for v in enumerate_all(profile) if xy_class(v, t) == wanted])
+    return xy_families(profile, t, m)[side == "y"]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from . import bipartite, constructions, formulas, shifting, solver, witness
 from .vectors import Profile, SignedVector, VectorFamily, enumerate_all, scalar_product
@@ -476,13 +476,33 @@ def _random_graph(rng: random.Random, n: int, p: float) -> solver.ConflictGraph:
     return solver.ConflictGraph(adj)
 
 
+def _pairwise_adjacency(
+    members: Sequence[SignedVector], spec: solver.ForbiddenSpec
+) -> list[int]:
+    """The conflict graph by its definition: spec tested on every pair's product."""
+    adj = [0] * len(members)
+    for a, v in enumerate(members):
+        for b in range(a + 1, len(members)):
+            if spec.forbids(scalar_product(v, members[b])):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return adj
+
+
 def _setup_mismatch(profile: Profile) -> str:
-    """First difference of the generated g setup from its pairwise definition."""
-    spec = solver.ForbiddenSpec.exact({-2 * profile.l})
-    graph = solver.build_conflict_graph(profile, spec)
-    members = graph.family.members
-    if graph.adj != solver.graph_from_family(graph.family, spec).adj:
-        return "conflict graph"
+    """First difference of the solver's setup from its pairwise definition.
+
+    The g and m conflict graphs against _pairwise_adjacency, and the
+    shift closure against a pairwise precedes scan.
+    """
+    family = enumerate_all(profile)
+    members = family.members
+    for target, spec in (
+        ("g", solver.ForbiddenSpec.exact({-2 * profile.l})),
+        ("m", solver.ForbiddenSpec.all_below(0)),
+    ):
+        if list(solver.graph_from_family(family, spec).adj) != _pairwise_adjacency(members, spec):
+            return f"{target} conflict graph"
     order, pred, succ = solver._shift_closure(members)
     for b in range(len(order)):
         for a in range(b):
@@ -493,11 +513,11 @@ def _setup_mismatch(profile: Profile) -> str:
 
 
 def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> VerificationReport:
-    """Branch-and-bound against the exhaustive oracle; g setup against pairwise scans."""
+    """Branch-and-bound against the exhaustive oracle; setup against pairwise scans."""
     report = VerificationReport("solver-oracle")
 
-    # the g graph and shift closure are generated, not scanned pairwise;
-    # re-derive both from their pairwise definitions
+    # the g and m graphs are bit-sliced and the shift closure is generated;
+    # re-derive all three from their pairwise definitions
     setup_profiles = [
         Profile(n, k, l) for n in range(3, 8) for k in range(2, n) for l in range(1, k)
         if k + l <= n
@@ -507,7 +527,7 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
         where = _setup_mismatch(profile)
         if where:
             mismatches.append(f"profile ({profile.n},{profile.k},{profile.l}): {where}")
-    report.add_failures(f"g-setup-pairwise[{len(setup_profiles)}]", "mismatches", mismatches)
+    report.add_failures(f"setup-pairwise[{len(setup_profiles)}]", "mismatches", mismatches)
 
     profile_cases = []
     for n in range(2, 9):

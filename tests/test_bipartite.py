@@ -47,6 +47,27 @@ class TestBuildGtm:
         for a, b in g.edges:
             assert scalar_product(g.a_family.members[a], g.b_family.members[b]) == -2
 
+    def test_one_enumeration_serves_both_sides(self, monkeypatch):
+        from signedfam import constructions, scalar_product
+
+        p = Profile(10, 3, 2)
+        calls = []
+        enumerate_all = constructions.enumerate_all
+        monkeypatch.setattr(
+            constructions, "enumerate_all", lambda prof: calls.append(prof) or enumerate_all(prof)
+        )
+        g = build_g_tm(p, 2, 1)
+        assert calls == [p]
+        monkeypatch.undo()
+        # both sides are the window classes, and the edges are every pair at -2l
+        x = [v for v in enumerate_all(p) if constructions.xy_class(v, 2) == ("x", 1)]
+        y = [v for v in enumerate_all(p) if constructions.xy_class(v, 2) == ("y", 1)]
+        assert (g.a_family.members, g.b_family.members) == (tuple(x), tuple(y))
+        expected = [
+            (a, b) for a, u in enumerate(x) for b, w in enumerate(y) if scalar_product(u, w) == -4
+        ]
+        assert sorted(g.edges) == expected
+
 
 class TestBuildGPrime:
     # expected ratio deg_A / deg_B is (k - j + 1) / (l - j + 1)

@@ -17,9 +17,13 @@ from signedfam import (
     enumerate_all,
     is_shifted,
     precedes,
+    scalar_product,
     solver,
+    suites,
 )
+from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
+from signedfam.shifting import all_moves, shift_ij
 from signedfam.solver import (
     ConflictGraph,
     VertexCapExceeded,
@@ -107,8 +111,16 @@ def small_profiles(draw):
     return Profile(n, k, l)
 
 
+SPECS = [
+    ForbiddenSpec.all_below(0),
+    ForbiddenSpec.all_below(3),
+    ForbiddenSpec.exact({-4, -2}),
+    ForbiddenSpec.exact({-1, 0, 2}),
+]
+
+
 class TestGeneratedSetup:
-    """The generated min-product graph and shift closure against pairwise scans."""
+    """The bit-sliced conflict graph and the shift closure against pairwise scans."""
 
     @settings(max_examples=40, deadline=None)
     @given(small_profiles())
@@ -118,9 +130,22 @@ class TestGeneratedSetup:
     def test_min_product_graph_matches_pairwise(self, p):
         spec = ForbiddenSpec.exact({-2 * p.l})
         g = build_conflict_graph(p, spec)
-        assert g.adj == graph_from_family(enumerate_all(p), spec).adj
+        assert list(g.adj) == suites._pairwise_adjacency(enumerate_all(p).members, spec)
         degree = comb(p.k, p.l) * comb(p.n - p.k - p.l, p.k - p.l) if p.k >= p.l else 0
         assert all(g.degree(i) == degree for i in range(g.n_vertices))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_profiles(), st.sampled_from(SPECS), st.randoms(use_true_random=False))
+    @example(Profile(6, 3, 2), ForbiddenSpec.all_below(0), random.Random(0))
+    @example(Profile(6, 3, 3), ForbiddenSpec.exact({6}), random.Random(0))  # v.v is never an edge
+    def test_any_spec_on_any_subfamily_matches_pairwise(self, p, spec, rng):
+        family = VectorFamily(p, [v for v in enumerate_all(p).members if rng.random() < 0.5])
+        reference = suites._pairwise_adjacency(family.members, spec)
+        assert list(graph_from_family(family, spec).adj) == reference
+        # any member order, as the shift-pruned search builds its graph in rank order
+        shuffled = list(family.members)
+        rng.shuffle(shuffled)
+        assert solver._adjacency(shuffled, p, spec) == suites._pairwise_adjacency(shuffled, spec)
 
     @settings(max_examples=40, deadline=None)
     @given(small_profiles())
@@ -139,25 +164,25 @@ class TestGeneratedSetup:
             assert pred[b] >> b == 0
             assert succ[b] & ((2 << b) - 1) == 0
 
-    def test_other_specs_take_the_pairwise_path(self, monkeypatch):
-        calls = []
-        pairwise = solver.graph_from_family
+    def test_oracle_suite_catches_an_asymmetric_builder_graph(self, monkeypatch):
+        # a graph given with its family skips the symmetry check, so the
+        # solver-oracle suite's pairwise reference is what catches a one-way edge
+        built = solver.graph_from_family
 
-        def spy(family, spec):
-            calls.append(spec)
-            return pairwise(family, spec)
+        def one_way(family, spec):
+            adj = list(built(family, spec).adj)
+            if spec == ForbiddenSpec.all_below(0):
+                adj[0] |= 1 << (len(adj) - 1)
+                adj[-1] &= ~1
+            return ConflictGraph(adj, family)
 
-        monkeypatch.setattr(solver, "graph_from_family", spy)
-        p = Profile(6, 3, 2)
-        m_spec = ForbiddenSpec.all_below(0)
-        g = build_conflict_graph(p, m_spec)
-        assert calls == [m_spec]
-        assert g.n_edges > 0
-        build_conflict_graph(p, ForbiddenSpec.exact({-4}))
-        assert calls == [m_spec]
-        wider = ForbiddenSpec.exact({-4, -2})
-        build_conflict_graph(p, wider)
-        assert calls == [m_spec, wider]
+        monkeypatch.setattr(solver, "graph_from_family", one_way)
+        with pytest.raises(ValueError, match="asymmetric"):
+            ConflictGraph(one_way(enumerate_all(Profile(6, 3, 2)), ForbiddenSpec.all_below(0)).adj)
+        report = suites.run_suite("solver-oracle", random_graphs=0)
+        (case,) = [c for c in report.cases if c.case.startswith("setup-pairwise[")]
+        assert not case.passed
+        assert case.actual.startswith("22 mismatches; first profile (3,2,1): m conflict graph")
 
 
 class TestVerifyFamily:
@@ -294,9 +319,36 @@ class TestSolveExtremal:
         with pytest.raises(ValueError, match="k > l"):
             solve_extremal(Profile(4, 2, 2), "g")
 
-    def test_m_refuses_pruning(self):
-        with pytest.raises(ValueError, match="pruning"):
-            solve_extremal(Profile(4, 2, 1), "m", shifted_pruning=True)
+    def test_compression_keeps_every_product_floor(self):
+        # the lemma behind shift pruning for both targets, over all of
+        # {0,+1,-1}^n for n <= 5 and every shift S at i < j, for v that S moves
+        cases = 0
+        for n in range(2, 6):
+            vectors = [
+                SignedVector(n, pos, neg)
+                for pos in range(1 << n)
+                for neg in range(1 << n)
+                if not pos & neg
+            ]
+            index = {v: a for a, v in enumerate(vectors)}
+            prod = [[scalar_product(v, w) for w in vectors] for v in vectors]
+            for move in all_moves(n):
+                image = [index[shift_ij(v, move)] for v in vectors]
+                moved = [a for a in range(len(vectors)) if image[a] != a]
+                for a in moved:
+                    va = vectors[a]
+                    gain = va.value_at(move.j) - va.value_at(move.i)
+                    for b, wb in enumerate(vectors):
+                        if image[b] != b:
+                            # both move: S(v).S(w) = v.w and S(v).w = v.S(w)
+                            assert prod[image[a]][image[b]] == prod[a][b]
+                            assert prod[image[a]][b] == prod[a][image[b]]
+                        else:
+                            # only v moves: S(v).w - v.w = (v_j - v_i)(w_i - w_j) >= 0
+                            drop = wb.value_at(move.i) - wb.value_at(move.j)
+                            assert prod[image[a]][b] - prod[a][b] == gain * drop >= 0
+                        cases += 1
+        assert cases == 27 + 729 + 13122 + 196830  # C(n,2) * 3^(n-1) * 3^n
 
     def test_unknown_target(self):
         with pytest.raises(ValueError, match="target"):
@@ -309,17 +361,40 @@ class TestSolveExtremal:
 
     def test_shifted_budget_exhaustion_keeps_lower_bound(self):
         limit = sys.getrecursionlimit()
-        res = solve_extremal(Profile(8, 3, 2), "g", budget=0.0)
-        assert res.status == "lower_bound_timeout"
-        assert not res.is_exact
-        assert (res.value, res.nodes_explored) == (230, 256)
-        assert len(res.witness) == res.value
-        assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
-        assert is_shifted(res.witness)
+        p = Profile(8, 3, 2)
+        # the budget is spent before the shift closure starts: the seed comes back
+        solved = solve_extremal(p, "g", budget=0.0)
+        assert (solved.value, solved.status, solved.nodes_explored) == (230, "lower_bound_timeout", 0)
+        assert not solved.is_exact
+        assert solved.witness.members == greedy_seed_g(p).members
+        # the engine itself stops at its first deadline check, the 256th node
+        spec = ForbiddenSpec.exact({-4})
+        graph = build_conflict_graph(p, spec)
+        seed = sum(1 << i for i, v in enumerate(graph.family.members) if v in solved.witness)
+        engine = solver._solve_shifted(graph, spec, 0.0, seed)
+        assert (engine.value, engine.status, engine.nodes_explored) == (230, "lower_bound_timeout", 256)
+        for res in (solved, engine):
+            assert len(res.witness) == res.value
+            assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
+            assert is_shifted(res.witness)
         assert sys.getrecursionlimit() == limit
 
+    @pytest.mark.parametrize("target", ["g", "m"])
+    def test_budget_zero_stops_before_the_closure(self, target):
+        # the setup before the closure takes about 0.1 s here; the closure
+        # of g(11,3,2) alone took 0.6 s when no check came before it
+        p = Profile(11, 3, 2)
+        start = time.monotonic()
+        res = solve_extremal(p, target, budget=0.0)
+        wall = time.monotonic() - start
+        assert (res.status, res.nodes_explored) == ("lower_bound_timeout", 0)
+        assert wall < 0.5
+        seed = greedy_seed_g(p) if target == "g" else best_split_family(p)
+        assert res.witness.members == seed.members
+        assert verify_family(res.witness, target_spec(p, target)).ok
+
     def test_unpruned_budget_exhaustion_keeps_lower_bound(self):
-        res = solve_extremal(Profile(7, 3, 1), "m", budget=0.0)
+        res = solve_extremal(Profile(7, 3, 1), "m", budget=0.0, shifted_pruning=False)
         assert (res.value, res.status, res.nodes_explored) == (28, "lower_bound_timeout", 256)
         assert len(res.witness) == res.value
         assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
@@ -388,10 +463,30 @@ class TestUnprunedRoot:
         assert plain.value == pruned.value == g_closed_l1(7, 3) == 60
         assert verify_family(plain.witness, ForbiddenSpec.exact({-2})).ok
 
+    def test_pruned_m_matches_unpruned_on_every_class_up_to_200(self):
+        profiles = [
+            Profile(n, k, l)
+            for n in range(2, 12)
+            for k in range(1, n + 1)
+            for l in range(n - k + 1)
+            if comb(n, k) * comb(n - k, l) <= 200
+        ]
+        assert len(profiles) == 156
+        spec = ForbiddenSpec.all_below(0)
+        for p in profiles:
+            pruned = solve_extremal(p, "m")
+            plain = solve_extremal(p, "m", shifted_pruning=False)
+            assert pruned.is_exact and plain.is_exact
+            assert pruned.value == plain.value, p
+            assert len(pruned.witness) == pruned.value
+            assert verify_family(pruned.witness, spec).ok
+            assert verify_family(plain.witness, spec).ok
+            assert is_shifted(pruned.witness)
+
     def test_plain_engine_agrees_on_m_732(self):
         p = Profile(7, 3, 2)
         plain = mis_exact(build_conflict_graph(p, ForbiddenSpec.all_below(0)))
-        rooted = solve_extremal(p, "m")
+        rooted = solve_extremal(p, "m", shifted_pruning=False)
         assert plain.is_exact and rooted.is_exact
         assert plain.value == rooted.value == 33
 
@@ -417,6 +512,11 @@ class TestSearchEffort:
             ((8, 2, 1), "m", False, 30, 1435),
             ((7, 3, 1), "m", False, 28, 2633),
             ((7, 3, 2), "m", False, 33, 1005),
+            # m is shift-pruned by default
+            ((7, 3, 2), "m", None, 33, 293),
+            ((8, 2, 1), "m", None, 30, 31),
+            ((7, 3, 1), "m", None, 28, 175),
+            ((7, 2, 2), "m", None, 25, 241),
         ],
     )
     def test_search_tree_pinned(self, profile, target, pruning, value, nodes):
@@ -438,7 +538,7 @@ class TestSearchEffort:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         try:
             g = solve_extremal(Profile(9, 3, 2), "g")
-            m = solve_extremal(Profile(7, 3, 2), "m")
+            m = solve_extremal(Profile(7, 3, 2), "m", shifted_pruning=False)
         finally:
             monkeypatch.undo()
             sys.setrecursionlimit(limit)

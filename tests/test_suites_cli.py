@@ -5,7 +5,7 @@ import json
 import pytest
 
 from signedfam import Profile, VectorFamily, constructions, formulas, solver, suites
-from signedfam.cache import ResultCache, cache_key
+from signedfam.cache import ResultCache, cache_key, cache_keys
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
     VerificationReport,
@@ -20,6 +20,12 @@ class TestCacheKey:
     def test_format(self):
         assert cache_key(6, 3, 2, "g", True) == "6,3,2,g,pruned"
         assert cache_key(5, 2, 1, "m", False) == "5,2,1,m,unpruned"
+
+    def test_pruned_m_also_reads_unpruned(self):
+        assert cache_keys(5, 2, 1, "m", True) == ("5,2,1,m,pruned", "5,2,1,m,unpruned")
+        assert cache_keys(5, 2, 1, "m", False) == ("5,2,1,m,unpruned",)
+        assert cache_keys(5, 2, 1, "g", True) == ("5,2,1,g,pruned",)
+        assert cache_keys(5, 2, 1, "g", False) == ("5,2,1,g,unpruned",)
 
 
 class TestResultCache:
@@ -115,7 +121,7 @@ class TestResultCache:
 class TestRunSuite:
     def test_solver_oracle_rederives_the_g_setup(self, monkeypatch):
         def setup_case(report):
-            (case,) = [c for c in report.cases if c.case.startswith("g-setup-pairwise[")]
+            (case,) = [c for c in report.cases if c.case.startswith("setup-pairwise[")]
             return case
 
         assert setup_case(run_suite("solver-oracle", random_graphs=0)).passed
@@ -129,9 +135,17 @@ class TestRunSuite:
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
         assert not case.passed and "closure" in case.actual
         monkeypatch.undo()
-        monkeypatch.setattr(solver, "_min_product_adjacency", lambda family: [0] * len(family))
+        # a builder that loses the edges of the g graph
+        built = solver.graph_from_family
+
+        def no_g_edges(family, spec):
+            if spec == solver.ForbiddenSpec.exact({-2 * family.profile.l}):
+                return solver.ConflictGraph([0] * len(family), family)
+            return built(family, spec)
+
+        monkeypatch.setattr(solver, "graph_from_family", no_g_edges)
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
-        assert not case.passed and "conflict graph" in case.actual
+        assert not case.passed and "g conflict graph" in case.actual
 
     def test_names_sorted_and_complete(self):
         names = suite_names()
@@ -256,10 +270,13 @@ class TestRunSuite:
         assert report.cases[0].expected == "6"
 
     def test_timed_out_solve_reads_as_lower_bound(self):
+        # at budget 0 each solve stops before the shift closure, with its seed
         small, large = run_suite("eq111", budget=0).cases
-        # (6,3,2) is settled before the first deadline check; (7,3,2) is not
-        assert (small.actual, small.passed) == ("30", True)
+        assert (small.actual, small.passed) == ("30 (lower bound)", False)
         assert (large.actual, large.passed) == ("90 (lower bound)", False)
+        small, large = run_suite("eq111").cases
+        assert (small.actual, small.passed) == ("30", True)
+        assert (large.actual, large.passed) == ("90", True)
 
 
 class TestReportShapes:
@@ -354,6 +371,47 @@ class TestCliSolve:
         assert json.loads(out.read_text())["cached"] is False
         assert main(args) == 0
         assert json.loads(out.read_text())["cached"] is True
+
+    def _solve_cached(self, tmp_path, entries, *flags):
+        """Solve (4,2,1) through a new cache holding entries; (payload, cache after)."""
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({key: {"value": v, "status": st} for key, v, st in entries}))
+        out = tmp_path / "out.json"
+        argv = ["solve", "--n", "4", "--k", "2", "--l", "1", *flags]
+        assert main(argv + ["--cache", str(path), "--format", "json", "--out", str(out)]) == 0
+        return json.loads(out.read_text()), ResultCache(str(path)).entries
+
+    def test_pruned_m_is_served_by_an_unpruned_entry(self, tmp_path):
+        payload, entries = self._solve_cached(
+            tmp_path, [("4,2,1,m,unpruned", 4, "exact")], "--target", "m"
+        )
+        assert (payload["value"], payload["cached"]) == (4, True)
+        assert set(entries) == {"4,2,1,m,unpruned"}
+        # a lower bound there is not an answer: the pruned solve runs and is stored
+        payload, entries = self._solve_cached(
+            tmp_path, [("4,2,1,m,unpruned", 3, "lower_bound_timeout")], "--target", "m"
+        )
+        assert (payload["value"], payload["cached"]) == (4, False)
+        assert entries["4,2,1,m,pruned"]["value"] == 4
+
+    def test_unpruned_m_never_reads_a_pruned_entry(self, tmp_path, monkeypatch):
+        reads = []
+        get = ResultCache.get
+        monkeypatch.setattr(ResultCache, "get", lambda self, key: reads.append(key) or get(self, key))
+        payload, entries = self._solve_cached(
+            tmp_path, [("4,2,1,m,pruned", 99, "exact")], "--target", "m", "--no-shift-pruning"
+        )
+        assert (payload["value"], payload["cached"]) == (4, False)
+        assert reads == ["4,2,1,m,unpruned"]
+        assert entries["4,2,1,m,unpruned"]["value"] == 4
+        assert entries["4,2,1,m,pruned"]["value"] == 99
+
+    def test_g_reads_only_its_own_mode(self, tmp_path):
+        for stored, flags in (("g,unpruned", ()), ("g,pruned", ("--no-shift-pruning",))):
+            payload, _ = self._solve_cached(
+                tmp_path, [(f"4,2,1,{stored}", 99, "exact")], "--target", "g", *flags
+            )
+            assert (payload["value"], payload["cached"]) == (6, False)
 
     def test_budget_exhaustion_exit_code(self, tmp_path):
         out = tmp_path / "out.json"
