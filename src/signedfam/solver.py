@@ -4,9 +4,9 @@ _adjacency, behind graph_from_family, is the one conflict-graph builder,
 for every spec, every family and any member order: it counts v.w for all
 members w at once in a bit-sliced counter, O(k + l) big-integer
 operations per vector.  build_conflict_graph applies it to a whole
-class, and the shift-pruned search to a class in its own order.
+class, and solve_extremal to a class in the order its search walks.
 Two search engines share one setup routine, _search, which bounds the
-run by the budget and assembles the witness.
+run by the budget; _result maps vertices to class indices and a witness.
 Both are loops over an explicit stack of (pool, size, mask) nodes that
 take a vertex before they exclude it, and both prune with a greedy
 clique cover, whose number of cliques bounds any independent set.
@@ -103,13 +103,18 @@ def build_conflict_graph(
     vertex_cap: int = DEFAULT_VERTEX_CAP,
 ) -> ConflictGraph:
     """Conflict graph of the full vector class under a forbidden-product spec."""
+    return graph_from_family(_capped_class(profile, vertex_cap), spec)
+
+
+def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
+    """The whole class of profile, refused when it has more than vertex_cap vectors."""
     size = profile.family_size()
     if size > vertex_cap:
         raise VertexCapExceeded(
             f"class of profile (n={profile.n}, k={profile.k}, l={profile.l}) "
             f"has {size} vectors, above the cap of {vertex_cap}"
         )
-    return graph_from_family(enumerate_all(profile), spec)
+    return enumerate_all(profile)
 
 
 def _bits(mask: int) -> list[int]:
@@ -279,12 +284,18 @@ def _bnb(
 
 
 def _result(
-    graph: ConflictGraph, indices: tuple[int, ...], status: str, nodes: int, start: float
+    family: Optional[VectorFamily], labels: Sequence[int], mask: int,
+    status: str, nodes: int, start: float,
 ) -> SolveResult:
-    """SolveResult for a vertex set of graph, its members as the witness."""
+    """SolveResult for the vertex set mask of a graph whose vertex i is member labels[i].
+
+    witness_indices are those members' indices in family, ascending, and
+    the witness lists the members in that order (None without a family).
+    """
+    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(mask)))
     witness = None
-    if graph.family is not None:
-        witness = VectorFamily(graph.family.profile, [graph.family.members[i] for i in indices])
+    if family is not None:
+        witness = VectorFamily(family.profile, [family.members[i] for i in indices])
     return SolveResult(
         value=len(indices),
         status=status,
@@ -296,8 +307,7 @@ def _result(
 
 
 def _search(
-    graph: ConflictGraph,
-    adj: Sequence[int],
+    family: Optional[VectorFamily],
     labels: Sequence[int],
     seeds: Sequence[int],
     start: float,
@@ -306,17 +316,16 @@ def _search(
 ) -> SolveResult:
     """Run one engine's search loop inside the scaffolding both engines share.
 
-    adj is the graph relabelled for the engine: its vertex i is vertex
-    labels[i] of graph.  Every seed is independent in adj (greedy sets
-    by construction, solve_extremal's seed family by its check); the
-    largest (the first on ties) is the starting incumbent.
+    The engine searches a graph whose vertex i is member labels[i] of
+    family, as for _result.  Every seed is independent in that graph
+    (greedy sets by construction, solve_extremal's seed family by its
+    check); the largest (the first on ties) is the starting incumbent.
     search(incumbent, deadline) explores from there and returns the best
     mask, its node count and whether it finished before start + budget
     passed; if not, the best set found so far has a lower-bound status.
     """
     best, nodes, finished = search(max(seeds, key=int.bit_count), start + budget)
-    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(best)))
-    return _result(graph, indices, STATUS_EXACT if finished else STATUS_TIMEOUT, nodes, start)
+    return _result(family, labels, best, STATUS_EXACT if finished else STATUS_TIMEOUT, nodes, start)
 
 
 def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
@@ -335,7 +344,7 @@ def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     full = (1 << n) - 1
     seeds = (_greedy_independent(adj, full),)
     return _search(
-        graph, adj, range(n), seeds, start, budget,
+        graph.family, range(n), seeds, start, budget,
         lambda best, deadline: _bnb(adj, (full, 0, 0), best, deadline),
     )
 
@@ -365,7 +374,7 @@ def mis_bruteforce(graph: ConflictGraph) -> SolveResult:
         cand = tuple(sorted(clique))
         if (len(cand), [-i for i in cand]) > (len(best), [-i for i in best]):
             best = cand
-    return _result(graph, best, STATUS_EXACT, count, start)
+    return _result(graph.family, range(n), sum(1 << i for i in best), STATUS_EXACT, count, start)
 
 
 def _potential(v: SignedVector) -> int:
@@ -413,26 +422,28 @@ def _shift_images(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
     return out
 
 
-def _shift_closure(
-    members: Sequence[SignedVector],
-) -> tuple[list[int], list[int], list[int]]:
-    """Linear extension of the shift order on a full class, and its closure.
+def _shift_order(members: Sequence[SignedVector]) -> list[int]:
+    """Indices by ascending _potential, index on ties: a linear extension of the shift order.
 
-    order lists member indices by ascending _potential, index on ties.
-    Over ranks in that order, pred[r] has bit s when members[order[s]] is
-    reachable from members[order[r]] by shifts, s != r; succ is its
-    transpose.  Each nontrivial shift lowers _potential by (j-i)(b-a) > 0,
-    so every image ranks below its source: pred is filled in rank order
-    from the single-shift images, succ in reverse rank order from the
-    preimages, which are the negated images of the negated vector.
+    Each nontrivial shift lowers _potential by (j-i)(b-a) > 0.
+    """
+    return sorted(range(len(members)), key=lambda i: _potential(members[i]))
+
+
+def _shift_closure(members: Sequence[SignedVector]) -> tuple[list[int], list[int]]:
+    """Closure of the shift order on a full class given in _shift_order's order.
+
+    pred[r] has bit s when members[s] is reachable from members[r] by
+    shifts, s != r; succ is its transpose.  Every image ranks below its
+    source, so pred is filled in rank order from the single-shift images,
+    succ in reverse rank order from the preimages, which are the negated
+    images of the negated vector.
     """
     n = len(members)
-    order = sorted(range(n), key=lambda i: (_potential(members[i]), i))
-    rank = {(members[i].pos, members[i].neg): r for r, i in enumerate(order)}
+    rank = {(v.pos, v.neg): r for r, v in enumerate(members)}
     full = (1 << members[0].dim) - 1
     pred = [0] * n
-    for r, i in enumerate(order):
-        v = members[i]
+    for r, v in enumerate(members):
         mask = 0
         for key in _shift_images(v.pos, v.neg, full):
             s = rank[key]
@@ -440,13 +451,13 @@ def _shift_closure(
         pred[r] = mask
     succ = [0] * n
     for r in range(n - 1, -1, -1):
-        v = members[order[r]]
+        v = members[r]
         mask = 0
         for neg, pos in _shift_images(v.neg, v.pos, full):
             s = rank[(pos, neg)]
             mask |= succ[s] | (1 << s)
         succ[r] = mask
-    return order, pred, succ
+    return pred, succ
 
 
 def _bnb_shifted(
@@ -459,9 +470,10 @@ def _bnb_shifted(
     only when all of pred is taken: otherwise it and its succ leave the
     pool.  Every rank below the pool is taken or excluded, so pred & ~mask
     is the excluded part of pred.  Taking a vertex removes its neighbours,
-    so the mask stays independent; excluding it removes its succ too.  The bound is a greedy clique cover of a superset of the
-    pool, rebuilt every 64 nodes: restricted to any pool it still covers
-    what it covers, and vertices it misses count as singletons.
+    so the mask stays independent; excluding it removes its succ too.
+    The bound is a greedy clique cover of a superset of the pool, rebuilt
+    every 64 nodes: restricted to any pool it still covers what it
+    covers, and vertices it misses count as singletons.
     """
     full = (1 << len(adj)) - 1
     best_size = best.bit_count()
@@ -501,26 +513,17 @@ def _bnb_shifted(
 
 
 def _solve_shifted(
-    graph: ConflictGraph, spec: ForbiddenSpec, budget: float, seed_mask: int
+    family: VectorFamily, labels: Sequence[int], adj: Sequence[int], budget: float, seed: int
 ) -> SolveResult:
     """Optimum over shift-closed families only; see shift_pruning for why it is exact.
 
-    The engine's graph is spec's graph built again over the members in
-    rank order: on a dense m graph that is far cheaper than moving every
-    edge to its new labels (0.015 s against 0.22 s at m(9,3,2)).
+    labels is _shift_order of the whole class family, adj the conflict
+    graph of its members in that order and seed an independent set of adj.
     """
-    family = graph.family
-    assert family is not None
     start = time.monotonic()
-
-    order, pred, succ = _shift_closure(family.members)
-    rank = [0] * len(order)
-    for r, i in enumerate(order):
-        rank[i] = r
-    adj = _adjacency([family.members[i] for i in order], family.profile, spec)
-    seed = sum(1 << rank[low.bit_length() - 1] for low in _bits(seed_mask))
+    pred, succ = _shift_closure([family.members[i] for i in labels])
     return _search(
-        graph, adj, order, (seed,), start, budget,
+        family, labels, (seed,), start, budget,
         lambda best, deadline: _bnb_shifted(adj, pred, succ, best, deadline),
     )
 
@@ -563,6 +566,8 @@ def solve_extremal(
     route.  Without pruning _bnb takes vertex 0 at the root and explores
     only its non-neighbours: the class is one S_n-orbit and the spec
     depends only on the product, so some optimum contains vertex 0.
+    One conflict graph serves the whole call, its vertices in the order
+    the search walks: _shift_order's when pruning, class order otherwise.
     A graph with no edges needs no search: the whole class is the
     answer, exact at 0 nodes.  Otherwise the search starts from a
     construction (greedy_seed_g for g, the best split family for m); one
@@ -574,41 +579,34 @@ def solve_extremal(
     """
     start = time.monotonic()
     shifted_pruning = shift_pruning(profile, target, shifted_pruning)
-    if target == "g":
-        spec = ForbiddenSpec.exact({-2 * profile.l})
-    else:
-        spec = ForbiddenSpec.all_below(0)
-
-    graph = build_conflict_graph(profile, spec, vertex_cap)
-    assert graph.family is not None
-    if not any(graph.adj):
+    spec = ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
+    family = _capped_class(profile, vertex_cap)
+    labels = _shift_order(family.members) if shifted_pruning else range(len(family))
+    members = [family.members[i] for i in labels]
+    adj = _adjacency(members, profile, spec)
+    full = (1 << len(adj)) - 1
+    if not any(adj):
         # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
-        return _result(graph, tuple(range(len(graph.adj))), STATUS_EXACT, 0, start)
+        return _result(family, labels, full, STATUS_EXACT, 0, start)
 
-    if target == "g":
-        seed_family = greedy_seed_g(profile)
-    else:
-        seed_family = best_split_family(profile)
-    seed_mask = sum(1 << i for i, v in enumerate(graph.family.members) if v in seed_family)
-    for low in _bits(seed_mask):
-        if graph.adj[low.bit_length() - 1] & seed_mask:
+    seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
+    seed = sum(1 << i for i, v in enumerate(members) if v in seed_family)
+    for low in _bits(seed):
+        if adj[low.bit_length() - 1] & seed:
             raise ValueError("initial incumbent is not independent")
 
     remaining = max(0.0, budget - (time.monotonic() - start))
     if shifted_pruning:
         if not remaining:
             # the budget is spent: return the seed rather than start the closure
-            indices = tuple(low.bit_length() - 1 for low in _bits(seed_mask))
-            return _result(graph, indices, STATUS_TIMEOUT, 0, start)
-        result = _solve_shifted(graph, spec, remaining, seed_mask)
+            return _result(family, labels, seed, STATUS_TIMEOUT, 0, start)
+        result = _solve_shifted(family, labels, adj, remaining, seed)
     else:
         # vertex-transitive graph (see above): take vertex 0, no exclude branch
-        adj = graph.adj
-        full = (1 << len(adj)) - 1
         root = full & ~(adj[0] | 1)
-        seeds = (seed_mask, _greedy_independent(adj, full))
+        seeds = (seed, _greedy_independent(adj, full))
         result = _search(
-            graph, adj, range(len(adj)), seeds, time.monotonic(), remaining,
+            family, labels, seeds, time.monotonic(), remaining,
             lambda best, deadline: _bnb(adj, (root, 1, 1), best, deadline),
         )
     return replace(result, elapsed=time.monotonic() - start)

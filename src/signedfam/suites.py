@@ -503,10 +503,11 @@ def _setup_mismatch(profile: Profile) -> str:
     ):
         if list(solver.graph_from_family(family, spec).adj) != _pairwise_adjacency(members, spec):
             return f"{target} conflict graph"
-    order, pred, succ = solver._shift_closure(members)
-    for b in range(len(order)):
+    ranked = [members[i] for i in solver._shift_order(members)]
+    pred, succ = solver._shift_closure(ranked)
+    for b in range(len(ranked)):
         for a in range(b):
-            related = shifting.precedes(members[order[a]], members[order[b]])
+            related = shifting.precedes(ranked[a], ranked[b])
             if related != bool(pred[b] >> a & 1) or related != bool(succ[a] >> b & 1):
                 return f"closure at ranks {a} < {b}"
     return ""

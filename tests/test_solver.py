@@ -153,12 +153,14 @@ class TestGeneratedSetup:
     @example(Profile(7, 4, 3))
     def test_shift_closure_matches_pairwise_precedes(self, p):
         members = enumerate_all(p).members
-        order, pred, succ = solver._shift_closure(members)
+        order = solver._shift_order(members)
+        ranked = [members[i] for i in order]
+        pred, succ = solver._shift_closure(ranked)
         assert sorted(order) == list(range(len(members)))
-        for b in range(len(order)):
-            wb = members[order[b]]
+        for b in range(len(ranked)):
+            wb = ranked[b]
             for a in range(b):
-                expected = precedes(members[order[a]], wb)
+                expected = precedes(ranked[a], wb)
                 assert bool(pred[b] >> a & 1) == expected
                 assert bool(succ[a] >> b & 1) == expected
             assert pred[b] >> b == 0
@@ -301,12 +303,14 @@ class TestSolveExtremal:
     def test_g_witness_shifted_and_valid(self):
         res = solve_extremal(Profile(5, 2, 1), "g")
         assert len(res.witness) == res.value
+        assert_class_witness(res, Profile(5, 2, 1))
         assert is_shifted(res.witness)
         assert verify_family(res.witness, ForbiddenSpec.exact({-2})).ok
 
     def test_m_witness_valid(self):
         res = solve_extremal(Profile(4, 2, 1), "m", budget=60.0)
         assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
+        assert_class_witness(res, Profile(4, 2, 1))
 
     def test_pruning_agrees_with_plain_search(self):
         for n, k, l in [(4, 2, 1), (5, 2, 1), (5, 3, 1), (5, 3, 2)]:
@@ -369,12 +373,16 @@ class TestSolveExtremal:
         assert solved.witness.members == greedy_seed_g(p).members
         # the engine itself stops at its first deadline check, the 256th node
         spec = ForbiddenSpec.exact({-4})
-        graph = build_conflict_graph(p, spec)
-        seed = sum(1 << i for i, v in enumerate(graph.family.members) if v in solved.witness)
-        engine = solver._solve_shifted(graph, spec, 0.0, seed)
+        family = enumerate_all(p)
+        labels = solver._shift_order(family.members)
+        ranked = [family.members[i] for i in labels]
+        adj = solver._adjacency(ranked, p, spec)
+        seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
+        engine = solver._solve_shifted(family, labels, adj, 0.0, seed)
         assert (engine.value, engine.status, engine.nodes_explored) == (230, "lower_bound_timeout", 256)
         for res in (solved, engine):
             assert len(res.witness) == res.value
+            assert_class_witness(res, p)
             assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
             assert is_shifted(res.witness)
         assert sys.getrecursionlimit() == limit
@@ -391,12 +399,14 @@ class TestSolveExtremal:
         assert wall < 0.5
         seed = greedy_seed_g(p) if target == "g" else best_split_family(p)
         assert res.witness.members == seed.members
+        assert_class_witness(res, p)
         assert verify_family(res.witness, target_spec(p, target)).ok
 
     def test_unpruned_budget_exhaustion_keeps_lower_bound(self):
         res = solve_extremal(Profile(7, 3, 1), "m", budget=0.0, shifted_pruning=False)
         assert (res.value, res.status, res.nodes_explored) == (28, "lower_bound_timeout", 256)
         assert len(res.witness) == res.value
+        assert_class_witness(res, Profile(7, 3, 1))
         assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
 
     def test_budget_covers_setup(self):
@@ -418,6 +428,7 @@ class TestSolveExtremal:
         assert res.witness_indices == tuple(range(value))
         assert res.witness.members == enumerate_all(p).members
         assert verify_family(res.witness, ForbiddenSpec.exact({-2})).ok
+        assert_class_witness(res, p)
         with pytest.raises(VertexCapExceeded):
             solve_extremal(p, "g", vertex_cap=value - 1)
 
@@ -425,9 +436,40 @@ class TestSolveExtremal:
         with pytest.raises(VertexCapExceeded):
             solve_extremal(Profile(6, 3, 2), "g", vertex_cap=10)
 
+    @pytest.mark.parametrize(
+        "nkl, target, pruning, budget",
+        [
+            ((8, 3, 2), "g", True, 60.0),
+            ((7, 3, 2), "m", True, 60.0),
+            ((7, 3, 1), "m", False, 60.0),
+            ((10, 6, 1), "g", True, 60.0),  # edgeless
+            ((8, 3, 2), "g", True, 0.0),  # the seed comes back
+        ],
+    )
+    def test_one_graph_build_per_solve(self, nkl, target, pruning, budget, monkeypatch):
+        built = solver._adjacency
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(solver, "_adjacency", counted)
+        res = solve_extremal(Profile(*nkl), target, budget=budget, shifted_pruning=pruning)
+        assert len(calls) == 1
+        assert res.is_exact == (budget > 0)
+
 
 def target_spec(profile, target):
     return ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
+
+
+def assert_class_witness(res, profile):
+    """witness_indices ascend, and index the class to give the witness."""
+    indices = list(res.witness_indices)
+    assert indices == sorted(set(indices))
+    members = enumerate_all(profile).members
+    assert [members[i] for i in indices] == list(res.witness.members)
 
 
 # every class the exhaustive oracle can take
@@ -452,6 +494,7 @@ class TestUnprunedRoot:
             res = solve_extremal(p, target, shifted_pruning=False)
             assert res.is_exact
             assert res.value == mis_bruteforce(build_conflict_graph(p, spec)).value, p
+            assert_class_witness(res, p)
             assert verify_family(res.witness, spec).ok
 
     def test_unpruned_g_731_matches_pruning_and_closed_form(self):

@@ -128,8 +128,8 @@ class TestRunSuite:
         closure = solver._shift_closure
 
         def no_pred(members):
-            order, pred, succ = closure(members)
-            return order, [0] * len(pred), succ
+            pred, succ = closure(members)
+            return [0] * len(pred), succ
 
         monkeypatch.setattr(solver, "_shift_closure", no_pred)
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
@@ -767,6 +767,8 @@ OUT_OF_RANGE = [
     ["solve", *NKL, "--budget", "-1"],
     ["verify", "theorem1", "--budget", "-1"],
     ["report", "--suites", "bounds", "--budget", "nan"],
+    ["solve", *NKL, "--vertex-cap", "0"],
+    ["solve", *NKL, "--vertex-cap", "-1"],
 ]
 
 
