@@ -49,11 +49,10 @@ def improves(value: int, status: str, old_value: int, old_status: str) -> bool:
 class ResultCache:
     """Load-modify-save mapping of solve results."""
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
         self.entries: dict[str, dict] = {}
-        if path is not None:
-            self._load()
+        self._load()
 
     def _load(self) -> None:
         try:
@@ -97,8 +96,6 @@ class ResultCache:
         return True
 
     def save(self) -> None:
-        if self.path is None:
-            return
         # a sibling file, so the rename stays on one file system
         tmp = f"{self.path}.{os.getpid()}.tmp"
         try:

@@ -5,11 +5,12 @@ for every spec, every family and any member order: it counts v.w for all
 members w at once in a bit-sliced counter, O(k + l) big-integer
 operations per vector.  build_conflict_graph applies it to a whole
 class, and solve_extremal to a class in the order its search walks.
-Two search engines share one setup routine, _search, which bounds the
-run by the budget; _result maps vertices to class indices and a witness.
-Both are loops over an explicit stack of (pool, size, mask) nodes that
-take a vertex before they exclude it, and both prune with a greedy
-clique cover, whose number of cliques bounds any independent set.
+Two search engines, called directly, return (best mask, nodes,
+finished) and stop at an absolute deadline; _result maps their mask to
+class indices, a witness and a status.  Both are loops over an explicit
+stack of (pool, size, mask) nodes that take a vertex before they
+exclude it, and both prune with a greedy clique cover, whose number of
+cliques bounds any independent set.
 _bnb, behind mis_exact, branches on a vertex of maximum degree after
 cheap reductions and covers the pool of every node afresh.
 _bnb_shifted, the shift-pruned search, branches in a linear extension
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .constructions import best_split_family, ekr_family, inductive_extend
 # precedes and scalar_product are not used here; with verify_family they
-# are re-exported for callers of solver
+# are re-exported on solver, where perfbench's tracer reads them
 from .shifting import precedes
 from .vectors import (
     ForbiddenSpec,
@@ -88,13 +89,6 @@ class ConflictGraph:
     @property
     def n_vertices(self) -> int:
         return len(self.adj)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(mask.bit_count() for mask in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
 
 def build_conflict_graph(
@@ -285,12 +279,14 @@ def _bnb(
 
 def _result(
     family: Optional[VectorFamily], labels: Sequence[int], mask: int,
-    status: str, nodes: int, start: float,
+    finished: bool, nodes: int, start: float,
 ) -> SolveResult:
     """SolveResult for the vertex set mask of a graph whose vertex i is member labels[i].
 
     witness_indices are those members' indices in family, ascending, and
     the witness lists the members in that order (None without a family).
+    A search that did not finish gives a lower-bound status; elapsed is
+    measured from start.
     """
     indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(mask)))
     witness = None
@@ -298,7 +294,7 @@ def _result(
         witness = VectorFamily(family.profile, [family.members[i] for i in indices])
     return SolveResult(
         value=len(indices),
-        status=status,
+        status=STATUS_EXACT if finished else STATUS_TIMEOUT,
         nodes_explored=nodes,
         elapsed=time.monotonic() - start,
         witness_indices=indices,
@@ -306,47 +302,22 @@ def _result(
     )
 
 
-def _search(
-    family: Optional[VectorFamily],
-    labels: Sequence[int],
-    seeds: Sequence[int],
-    start: float,
-    budget: float,
-    search: Callable[[int, float], tuple[int, int, bool]],
-) -> SolveResult:
-    """Run one engine's search loop inside the scaffolding both engines share.
-
-    The engine searches a graph whose vertex i is member labels[i] of
-    family, as for _result.  Every seed is independent in that graph
-    (greedy sets by construction, solve_extremal's seed family by its
-    check); the largest (the first on ties) is the starting incumbent.
-    search(incumbent, deadline) explores from there and returns the best
-    mask, its node count and whether it finished before start + budget
-    passed; if not, the best set found so far has a lower-bound status.
-    """
-    best, nodes, finished = search(max(seeds, key=int.bit_count), start + budget)
-    return _result(family, labels, best, STATUS_EXACT if finished else STATUS_TIMEOUT, nodes, start)
-
-
 def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     """Branch-and-bound maximum independent set of any graph.
 
     Every node is bounded by a greedy clique cover of its own pool.
     Deterministic, sequential and iterative (_bnb); a greedy independent
-    set is the first incumbent.  On budget exhaustion the best set found
-    so far is returned with a lower-bound status.  solve_extremal runs
-    the same search below a vertex-0 root, which holds only for the
-    vertex-transitive graph of a whole class.
+    set is the first incumbent.  When budget seconds pass before the
+    search finishes, the best set found so far is returned with a
+    lower-bound status.  solve_extremal runs the same search below a
+    vertex-0 root, which holds only for the vertex-transitive graph of a
+    whole class.
     """
-    n = graph.n_vertices
     adj = graph.adj
     start = time.monotonic()
-    full = (1 << n) - 1
-    seeds = (_greedy_independent(adj, full),)
-    return _search(
-        graph.family, range(n), seeds, start, budget,
-        lambda best, deadline: _bnb(adj, (full, 0, 0), best, deadline),
-    )
+    full = (1 << len(adj)) - 1
+    best, nodes, finished = _bnb(adj, (full, 0, 0), _greedy_independent(adj, full), start + budget)
+    return _result(graph.family, range(len(adj)), best, finished, nodes, start)
 
 
 def mis_bruteforce(graph: ConflictGraph) -> SolveResult:
@@ -374,7 +345,7 @@ def mis_bruteforce(graph: ConflictGraph) -> SolveResult:
         cand = tuple(sorted(clique))
         if (len(cand), [-i for i in cand]) > (len(best), [-i for i in best]):
             best = cand
-    return _result(graph.family, range(n), sum(1 << i for i in best), STATUS_EXACT, count, start)
+    return _result(graph.family, range(n), sum(1 << i for i in best), True, count, start)
 
 
 def _potential(v: SignedVector) -> int:
@@ -513,19 +484,19 @@ def _bnb_shifted(
 
 
 def _solve_shifted(
-    family: VectorFamily, labels: Sequence[int], adj: Sequence[int], budget: float, seed: int
+    family: VectorFamily, labels: Sequence[int], adj: Sequence[int], deadline: float, seed: int
 ) -> SolveResult:
     """Optimum over shift-closed families only; see shift_pruning for why it is exact.
 
     labels is _shift_order of the whole class family, adj the conflict
-    graph of its members in that order and seed an independent set of adj.
+    graph of its members in that order and seed an independent set of adj,
+    the first incumbent.  The search stops unfinished at the absolute
+    deadline (time.monotonic()); elapsed covers the closure and search.
     """
     start = time.monotonic()
     pred, succ = _shift_closure([family.members[i] for i in labels])
-    return _search(
-        family, labels, (seed,), start, budget,
-        lambda best, deadline: _bnb_shifted(adj, pred, succ, best, deadline),
-    )
+    best, nodes, finished = _bnb_shifted(adj, pred, succ, seed, deadline)
+    return _result(family, labels, best, finished, nodes, start)
 
 
 def shift_pruning(profile: Profile, target: str, requested: Optional[bool] = None) -> bool:
@@ -572,9 +543,10 @@ def solve_extremal(
     answer, exact at 0 nodes.  Otherwise the search starts from a
     construction (greedy_seed_g for g, the best split family for m); one
     with a conflicting pair raises ValueError.
-    budget bounds the whole call: the search gets what the setup leaves
-    of it, and elapsed is measured from entry.  A pruned solve whose
-    budget is spent once the graph and seed are built does not start
+    budget bounds the whole call: it sets one deadline, budget seconds
+    after entry (at entry for a NaN or negative budget), that the search
+    stops at, and elapsed is measured from entry.  A pruned solve whose
+    deadline has passed once the graph and seed are built does not start
     the shift closure; it returns the seed with a lower-bound status.
     """
     start = time.monotonic()
@@ -587,7 +559,7 @@ def solve_extremal(
     full = (1 << len(adj)) - 1
     if not any(adj):
         # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
-        return _result(family, labels, full, STATUS_EXACT, 0, start)
+        return _result(family, labels, full, True, 0, start)
 
     seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
     seed = sum(1 << i for i, v in enumerate(members) if v in seed_family)
@@ -595,18 +567,15 @@ def solve_extremal(
         if adj[low.bit_length() - 1] & seed:
             raise ValueError("initial incumbent is not independent")
 
-    remaining = max(0.0, budget - (time.monotonic() - start))
-    if shifted_pruning:
-        if not remaining:
-            # the budget is spent: return the seed rather than start the closure
-            return _result(family, labels, seed, STATUS_TIMEOUT, 0, start)
-        result = _solve_shifted(family, labels, adj, remaining, seed)
-    else:
+    # NaN and negative budgets count as spent
+    deadline = start + max(0.0, budget)
+    if not shifted_pruning:
         # vertex-transitive graph (see above): take vertex 0, no exclude branch
-        root = full & ~(adj[0] | 1)
-        seeds = (seed, _greedy_independent(adj, full))
-        result = _search(
-            family, labels, seeds, time.monotonic(), remaining,
-            lambda best, deadline: _bnb(adj, (root, 1, 1), best, deadline),
-        )
+        best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
+        best, nodes, finished = _bnb(adj, (full & ~(adj[0] | 1), 1, 1), best, deadline)
+        return _result(family, labels, best, finished, nodes, start)
+    if time.monotonic() >= deadline:
+        # the budget is spent: return the seed rather than start the closure
+        return _result(family, labels, seed, False, 0, start)
+    result = _solve_shifted(family, labels, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

@@ -12,9 +12,9 @@ VerificationReport.add_failures: it expects "0 <noun>", gets
 A case that checks a construction's size against its closed form over a
 range of dimensions is a size sweep, added by _size_sweep: it stops at
 the first dimension where the two differ and reports it.
-The theorem1, eq111 and bounds suites solve each of their instances
-afresh through _add_g_case; the CLI's result cache is the only store of
-solve results.  A solve the budget cuts short reports
+The theorem1, eq111 and bounds suites solve each of their fixed
+instances afresh through _add_g_case; the CLI's result cache is the
+only store of solve results.  A solve the budget cuts short reports
 "<value> (lower bound)" and fails.
 render() is the one writer of reports: plain text, one JSON document, or
 CSV with a single header row.
@@ -173,12 +173,10 @@ def _add_g_case(
     report.add(case, expected, actual, passed, PROVENANCE_FORMULA, required)
 
 
-def _suite_theorem1(
-    budget: float = 60.0, instances=((4, 2), (5, 2), (6, 2), (6, 3))
-) -> VerificationReport:
+def _suite_theorem1(budget: float = 60.0) -> VerificationReport:
     """Solver values against the exact closed form for l = 1."""
     report = VerificationReport("theorem1")
-    for n, k in instances:
+    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3)):
         expected = formulas.g_closed_l1(n, k)
         _add_g_case(
             report, f"g({n},{k},1)", Profile(n, k, 1), budget, expected,
@@ -187,10 +185,10 @@ def _suite_theorem1(
     return report
 
 
-def _suite_eq111(budget: float = 600.0, instances=((6, 3, 2), (7, 3, 2))) -> VerificationReport:
+def _suite_eq111(budget: float = 600.0) -> VerificationReport:
     """Solver values against the fixed-first-coordinate count in its proven window."""
     report = VerificationReport("eq111")
-    for n, k, l in instances:
+    for n, k, l in ((6, 3, 2), (7, 3, 2)):
         expected, in_range = formulas.g_ekr_value(n, k, l)
         _add_g_case(
             report, f"g({n},{k},{l})", Profile(n, k, l), budget, expected,
@@ -199,13 +197,10 @@ def _suite_eq111(budget: float = 600.0, instances=((6, 3, 2), (7, 3, 2))) -> Ver
     return report
 
 
-def _suite_bounds(
-    budget: float = 60.0,
-    instances=((4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2)),
-) -> VerificationReport:
+def _suite_bounds(budget: float = 60.0) -> VerificationReport:
     """Lower/upper sandwich holds at each listed instance."""
     report = VerificationReport("bounds")
-    for n, k, l in instances:
+    for n, k, l in ((4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2)):
         lower, upper = formulas.g_bounds(n, k, l)
         _add_g_case(
             report, f"bounds({n},{k},{l})", Profile(n, k, l), budget,
@@ -568,8 +563,8 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
     return report
 
 
-def _suite_p_increment(max_n: int = 60, max_kl: int = 5) -> VerificationReport:
-    """Split-count increment versus the claimed recursion: informational."""
+def _suite_p_increment() -> VerificationReport:
+    """Split-count increment versus the claimed recursion, k, l <= 5 and n <= 60: informational."""
     report = VerificationReport("p-increment")
 
     r = formulas.p_increment_report(10, 2, 1)
@@ -587,9 +582,9 @@ def _suite_p_increment(max_n: int = 60, max_kl: int = 5) -> VerificationReport:
     eq_fail = 0
     avg_fail = 0
     min_fail = 0
-    for k in range(1, max_kl + 1):
-        for l in range(1, max_kl + 1):
-            for n in range(k + l + 1, max_n + 1):
+    for k in range(1, 6):
+        for l in range(1, 6):
+            for n in range(k + l + 1, 61):
                 rep = formulas.p_increment_report(n, k, l)
                 total += 1
                 if not rep.equality_holds:
@@ -599,7 +594,7 @@ def _suite_p_increment(max_n: int = 60, max_kl: int = 5) -> VerificationReport:
                 if not rep.le_min_holds:
                     min_fail += 1
     report.add(
-        f"sweep(n<={max_n},k,l<={max_kl})",
+        "sweep(n<=60,k,l<=5)",
         f"{total} instances examined",
         f"equality fails {eq_fail}, >=average fails {avg_fail}, <=min fails {min_fail}",
         True,
@@ -607,7 +602,7 @@ def _suite_p_increment(max_n: int = 60, max_kl: int = 5) -> VerificationReport:
         required=False,
     )
     report.add(
-        f"le-min-bound(n<={max_n},k,l<={max_kl})",
+        "le-min-bound(n<=60,k,l<=5)",
         "0 violations",
         f"{min_fail} violations",
         min_fail == 0,

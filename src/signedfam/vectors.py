@@ -17,11 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 _DIM_CAP = 128
 
 
-def dimension_cap() -> int:
-    """Maximum allowed vector dimension."""
-    return _DIM_CAP
-
-
 def _mask_of(indices: Iterable[int], dim: int) -> int:
     mask = 0
     for i in indices:
@@ -147,10 +142,6 @@ class SignedVector:
         """Ascending 1-indexed positions of -1 coordinates."""
         return _indices_of(self.neg)
 
-    def support(self) -> tuple[int, ...]:
-        """Ascending 1-indexed positions of nonzero coordinates."""
-        return _indices_of(self.pos | self.neg)
-
     def format(self) -> str:
         chars = []
         for i in range(self.dim):
@@ -160,18 +151,6 @@ class SignedVector:
 
     def __str__(self) -> str:
         return self.format()
-
-    def restrict(self, a: int, b: int) -> "SignedVector":
-        """Restriction to the window [a, b], reindexed to [1, b-a+1]."""
-        if not (1 <= a <= b <= self.dim):
-            raise ValueError(f"invalid window [{a}, {b}] for dimension {self.dim}")
-        width = b - a + 1
-        window = ((1 << width) - 1) << (a - 1)
-        return SignedVector(width, (self.pos & window) >> (a - 1), (self.neg & window) >> (a - 1))
-
-    def negate(self) -> "SignedVector":
-        """Swap the roles of +1 and -1."""
-        return SignedVector(self.dim, self.neg, self.pos)
 
     @property
     def last(self) -> int:

@@ -62,12 +62,6 @@ class ClaimReport:
     def all_pass(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def first_failure(self) -> ClaimCheck | None:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
-
 
 def check_conditions(w: SignedVector) -> tuple[bool, bool]:
     """Evaluate conditions (i) and (ii) for a vector; total on any input.

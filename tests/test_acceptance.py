@@ -96,7 +96,8 @@ def test_criterion_04_witness_construction_exhaustive():
                 assert scalar_product(v, w) == -2 * l, f"product off for {w}"
                 assert precedes_oracle(v, w), f"{v} does not reach {w}"
                 report = witness.verify_trace_claims(trace, w)
-                assert report.all_pass, f"{w}: {report.first_failure()}"
+                failed = [c.name for c in report.checks if not c.ok]
+                assert report.all_pass, f"{w}: {failed}"
             assert eligible == count, f"eligible count drifted at ({n},{k},{l})"
 
 

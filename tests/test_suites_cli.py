@@ -29,22 +29,23 @@ class TestCacheKey:
 
 
 class TestResultCache:
-    def test_in_memory(self):
-        cache = ResultCache()
+    def test_in_memory(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = ResultCache(str(path))
         assert cache.get("x") is None
         assert cache.put("x", 10, "exact")
         assert cache.get("x")["value"] == 10
-        cache.save()  # no path: a no-op
+        assert not path.exists()  # nothing is written before save
 
-    def test_exact_is_final(self):
-        cache = ResultCache()
+    def test_exact_is_final(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache.json"))
         cache.put("x", 10, "exact")
         assert not cache.put("x", 99, "lower_bound_timeout")
         assert not cache.put("x", 99, "exact")
         assert cache.get("x")["value"] == 10
 
-    def test_lower_bound_upgrades(self):
-        cache = ResultCache()
+    def test_lower_bound_upgrades(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache.json"))
         cache.put("x", 5, "lower_bound_timeout")
         assert not cache.put("x", 4, "lower_bound_timeout")
         assert cache.put("x", 7, "lower_bound_timeout")
@@ -252,7 +253,7 @@ class TestRunSuite:
         assert (case.expected, case.actual) == ("sizes match at 3 dimensions", "all match")
 
     def test_p_increment_has_informational_cases(self):
-        report = run_suite("p-increment", max_n=25, max_kl=3)
+        report = run_suite("p-increment")
         assert report.ok
         _, _, info = report.counts
         assert info >= 1
@@ -265,9 +266,9 @@ class TestRunSuite:
         assert any("(5,2,1)" in c.case for c in report.cases)
 
     def test_theorem1_custom_instance(self):
-        report = run_suite("theorem1", instances=[(4, 2)], budget=60.0)
+        report = run_suite("theorem1", budget=60.0)
         assert report.ok
-        assert report.cases[0].expected == "6"
+        assert (report.cases[0].case, report.cases[0].expected) == ("g(4,2,1)", "6")
 
     def test_timed_out_solve_reads_as_lower_bound(self):
         # at budget 0 each solve stops before the shift closure, with its seed
