@@ -189,7 +189,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_solve(args) -> int:
     profile = Profile(args.n, args.k, args.l)
-    pruning = solver.shift_pruning(profile, args.target, False if args.no_shift_pruning else None)
+    solver.target_spec(profile, args.target)  # refuse a bad target before reading the cache
+    pruning = not args.no_shift_pruning
     cache = ResultCache(args.cache) if args.cache else None
     keys = cache_keys(args.n, args.k, args.l, args.target, pruning)
     cached = None

@@ -13,18 +13,17 @@ exclude it, and both prune with a greedy clique cover, whose number of
 cliques bounds any independent set.
 _bnb, behind mis_exact, branches on a vertex of maximum degree after
 cheap reductions and covers the pool of every node afresh.
-_bnb_shifted, the shift-pruned search, branches in a linear extension
-of the shift order, keeping only shift-closed families, builds the
-closure of that order from the single-shift images of each vector, and
-reuses a cover rebuilt every 64 nodes.
+_bnb_shifted, the shift-pruned search, branches in shifting.shift_order,
+keeping only shift-closed families, takes the closure of that order
+from shifting.shift_closure, and reuses a cover rebuilt every 64 nodes.
 mis_bruteforce is an exhaustive oracle for small graphs.
-solve_extremal wraps the engines for the two extremal targets: "g"
-(largest family avoiding the minimum product -2l) and "m" (largest
-family with no negative product).  Both are shift-pruned by default,
-which keeps the optimum (shift_pruning says why).  Without pruning it
-runs _bnb below a root that takes vertex 0, which is exact because the
-graph of a whole class is vertex-transitive.  Both engines are
-deterministic.
+target_spec defines the two extremal targets: "g" (largest family
+avoiding the minimum product -2l) and "m" (largest family with no
+negative product).  solve_extremal solves them, shift-pruned by
+default, which keeps the optimum (shifting.compress says why).  Without
+pruning it runs _bnb below a root that takes vertex 0, which is exact
+because the graph of a whole class is vertex-transitive.  Both engines
+are deterministic.
 """
 
 from __future__ import annotations
@@ -36,12 +35,13 @@ from typing import Optional, Sequence
 from .constructions import best_split_family, ekr_family, inductive_extend
 # precedes and scalar_product are not used here; with verify_family they
 # are re-exported on solver, where perfbench's tracer reads them
-from .shifting import precedes
+from .shifting import precedes, shift_closure, shift_order
 from .vectors import (
     ForbiddenSpec,
     Profile,
     SignedVector,
     VectorFamily,
+    bits,
     enumerate_all,
     scalar_product,
     verify_family,
@@ -81,7 +81,7 @@ class ConflictGraph:
         if family is not None:
             return
         for v, mask in enumerate(self.adj):
-            for low in _bits(mask):
+            for low in bits(mask):
                 u = low.bit_length() - 1
                 if not self.adj[u] & (1 << v):
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
@@ -91,13 +91,12 @@ class ConflictGraph:
         return len(self.adj)
 
 
-def build_conflict_graph(
-    profile: Profile,
-    spec: ForbiddenSpec,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> ConflictGraph:
-    """Conflict graph of the full vector class under a forbidden-product spec."""
-    return graph_from_family(_capped_class(profile, vertex_cap), spec)
+def build_conflict_graph(profile: Profile, spec: ForbiddenSpec) -> ConflictGraph:
+    """Conflict graph of the full vector class under a forbidden-product spec.
+
+    A class above DEFAULT_VERTEX_CAP vectors raises VertexCapExceeded.
+    """
+    return graph_from_family(_capped_class(profile, DEFAULT_VERTEX_CAP), spec)
 
 
 def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
@@ -109,15 +108,6 @@ def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
             f"has {size} vectors, above the cap of {vertex_cap}"
         )
     return enumerate_all(profile)
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low)
-        mask ^= low
-    return out
 
 
 def graph_from_family(family: VectorFamily, spec: ForbiddenSpec) -> ConflictGraph:
@@ -144,9 +134,9 @@ def _adjacency(
     plus = [0] * profile.n
     minus = [0] * profile.n
     for a, w in enumerate(members):
-        for low in _bits(w.pos):
+        for low in bits(w.pos):
             plus[low.bit_length() - 1] |= 1 << a
-        for low in _bits(w.neg):
+        for low in bits(w.neg):
             minus[low.bit_length() - 1] |= 1 << a
     zero = [full & ~(pos | neg) for pos, neg in zip(plus, minus)]
     forbidden = [c for c in range(2 * size + 1) if spec.forbids(c - size)]
@@ -154,7 +144,7 @@ def _adjacency(
     adj = []
     for a, v in enumerate(members):
         digits = [0] * width
-        for low in _bits(v.pos | v.neg):
+        for low in bits(v.pos | v.neg):
             i = low.bit_length() - 1
             # the carry out of digit 0 lies in zero[i], so it and the
             # agreeing members are disjoint and enter digit 1 as one mask
@@ -288,7 +278,7 @@ def _result(
     A search that did not finish gives a lower-bound status; elapsed is
     measured from start.
     """
-    indices = tuple(sorted(labels[low.bit_length() - 1] for low in _bits(mask)))
+    indices = tuple(sorted(labels[low.bit_length() - 1] for low in bits(mask)))
     witness = None
     if family is not None:
         witness = VectorFamily(family.profile, [family.members[i] for i in indices])
@@ -302,21 +292,28 @@ def _result(
     )
 
 
+def _deadline(start: float, budget: float) -> float:
+    """The absolute deadline budget seconds after start; NaN and negative budgets count as spent."""
+    return start + max(0.0, budget)
+
+
 def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     """Branch-and-bound maximum independent set of any graph.
 
     Every node is bounded by a greedy clique cover of its own pool.
     Deterministic, sequential and iterative (_bnb); a greedy independent
     set is the first incumbent.  When budget seconds pass before the
-    search finishes, the best set found so far is returned with a
-    lower-bound status.  solve_extremal runs the same search below a
-    vertex-0 root, which holds only for the vertex-transitive graph of a
-    whole class.
+    search finishes (at once for a NaN or negative budget, see
+    _deadline), the best set found so far is returned with a lower-bound
+    status.  solve_extremal runs the same search below a vertex-0 root,
+    which holds only for the vertex-transitive graph of a whole class.
     """
     adj = graph.adj
     start = time.monotonic()
     full = (1 << len(adj)) - 1
-    best, nodes, finished = _bnb(adj, (full, 0, 0), _greedy_independent(adj, full), start + budget)
+    best, nodes, finished = _bnb(
+        adj, (full, 0, 0), _greedy_independent(adj, full), _deadline(start, budget)
+    )
     return _result(graph.family, range(len(adj)), best, finished, nodes, start)
 
 
@@ -348,15 +345,6 @@ def mis_bruteforce(graph: ConflictGraph) -> SolveResult:
     return _result(graph.family, range(n), sum(1 << i for i in best), True, count, start)
 
 
-def _potential(v: SignedVector) -> int:
-    total = 0
-    for i in v.pos_support():
-        total += i
-    for i in v.neg_support():
-        total -= i
-    return total
-
-
 def greedy_seed_g(profile: Profile) -> VectorFamily:
     """Strong avoiding family assembled from the known constructions.
 
@@ -374,61 +362,6 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
         fixed = ekr_family(Profile(dim, k, l))
         fam = grown if len(grown) >= len(fixed) else fixed
     return fam
-
-
-def _shift_images(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
-    """(pos, neg) masks of every single-shift image of a vector other than itself.
-
-    A shift at i < j changes the vector exactly when v_i < v_j: a +1 at j
-    swaps with a 0 or -1 at i, or a 0 at j swaps with a -1 at i.
-    """
-    out = []
-    for bj in _bits(pos):
-        for bi in _bits(~pos & (bj - 1)):
-            swap = bi | bj
-            out.append((pos ^ swap, neg ^ swap if neg & bi else neg))
-    for bj in _bits(full & ~(pos | neg)):
-        for bi in _bits(neg & (bj - 1)):
-            out.append((pos, neg ^ bi ^ bj))
-    return out
-
-
-def _shift_order(members: Sequence[SignedVector]) -> list[int]:
-    """Indices by ascending _potential, index on ties: a linear extension of the shift order.
-
-    Each nontrivial shift lowers _potential by (j-i)(b-a) > 0.
-    """
-    return sorted(range(len(members)), key=lambda i: _potential(members[i]))
-
-
-def _shift_closure(members: Sequence[SignedVector]) -> tuple[list[int], list[int]]:
-    """Closure of the shift order on a full class given in _shift_order's order.
-
-    pred[r] has bit s when members[s] is reachable from members[r] by
-    shifts, s != r; succ is its transpose.  Every image ranks below its
-    source, so pred is filled in rank order from the single-shift images,
-    succ in reverse rank order from the preimages, which are the negated
-    images of the negated vector.
-    """
-    n = len(members)
-    rank = {(v.pos, v.neg): r for r, v in enumerate(members)}
-    full = (1 << members[0].dim) - 1
-    pred = [0] * n
-    for r, v in enumerate(members):
-        mask = 0
-        for key in _shift_images(v.pos, v.neg, full):
-            s = rank[key]
-            mask |= pred[s] | (1 << s)
-        pred[r] = mask
-    succ = [0] * n
-    for r in range(n - 1, -1, -1):
-        v = members[r]
-        mask = 0
-        for neg, pos in _shift_images(v.neg, v.pos, full):
-            s = rank[(pos, neg)]
-            mask |= succ[s] | (1 << s)
-        succ[r] = mask
-    return pred, succ
 
 
 def _bnb_shifted(
@@ -486,39 +419,31 @@ def _bnb_shifted(
 def _solve_shifted(
     family: VectorFamily, labels: Sequence[int], adj: Sequence[int], deadline: float, seed: int
 ) -> SolveResult:
-    """Optimum over shift-closed families only; see shift_pruning for why it is exact.
+    """Optimum over shift-closed families only; see shifting.compress for why it is exact.
 
-    labels is _shift_order of the whole class family, adj the conflict
+    labels is shift_order of the whole class family, adj the conflict
     graph of its members in that order and seed an independent set of adj,
     the first incumbent.  The search stops unfinished at the absolute
     deadline (time.monotonic()); elapsed covers the closure and search.
     """
     start = time.monotonic()
-    pred, succ = _shift_closure([family.members[i] for i in labels])
+    pred, succ = shift_closure([family.members[i] for i in labels])
     best, nodes, finished = _bnb_shifted(adj, pred, succ, seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
 
-def shift_pruning(profile: Profile, target: str, requested: Optional[bool] = None) -> bool:
-    """Whether a solve of target on profile searches shifted families only.
+def target_spec(profile: Profile, target: str) -> ForbiddenSpec:
+    """The forbidden products of target on profile: the one definition of g and m.
 
-    Pruning is on by default for both targets, and sound for both.  Each
-    asks every product in the family to be at least a floor s: 0 for m,
-    and 1 - 2l for g, since -2l is the least product in a class.  Take
-    the shift S at i < j, which moves v when v_i < v_j, and compress a
-    family F by replacing each v with S(v) unless S(v) is in F already.
-    If v and w both move, S(v).S(w) = v.w; if w does not move,
-    S(v).w - v.w = (v_j - v_i)(w_i - w_j) >= 0; and if w stays because
-    S(w) is in F, S(v).w = v.S(w).  So compression keeps the floor and
-    the size (Frankl's compression argument), and repeating it ends at a
-    shift-closed family: some optimum is shift-closed.  A target the
+    "g" forbids the single product -2l, the least in a class, and needs
+    k > l >= 1; "m" forbids every negative product.  A target the
     profile does not admit raises ValueError.
     """
     if target == "g" and not profile.is_g_profile:
         raise ValueError(f"target g requires k > l >= 1, got k={profile.k}, l={profile.l}")
     if target not in ("g", "m"):
         raise ValueError(f"unknown target {target!r}; expected 'g' or 'm'")
-    return True if requested is None else requested
+    return ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
 
 
 def solve_extremal(
@@ -530,30 +455,30 @@ def solve_extremal(
 ) -> SolveResult:
     """Exact extremal family size for a profile.
 
-    target "g" forbids the single product -2l (requires k > l >= 1);
-    target "m" forbids every negative product.  Shift-closure pruning
-    (_solve_shifted) defaults on for both and keeps the optimum, as
-    shift_pruning explains; shifted_pruning=False is the independent
-    route.  Without pruning _bnb takes vertex 0 at the root and explores
-    only its non-neighbours: the class is one S_n-orbit and the spec
-    depends only on the product, so some optimum contains vertex 0.
+    target is "g" or "m", as target_spec defines them.  Shift-closure
+    pruning (_solve_shifted) is on for both unless shifted_pruning is
+    False, and keeps the optimum, as shifting.compress explains; the
+    unpruned search is the independent route.  Without pruning _bnb
+    takes vertex 0 at the root and explores only its non-neighbours:
+    the class is one S_n-orbit and the spec depends only on the product,
+    so some optimum contains vertex 0.
     One conflict graph serves the whole call, its vertices in the order
-    the search walks: _shift_order's when pruning, class order otherwise.
+    the search walks: shift_order's when pruning, class order otherwise.
     A graph with no edges needs no search: the whole class is the
     answer, exact at 0 nodes.  Otherwise the search starts from a
     construction (greedy_seed_g for g, the best split family for m); one
     with a conflicting pair raises ValueError.
-    budget bounds the whole call: it sets one deadline, budget seconds
-    after entry (at entry for a NaN or negative budget), that the search
-    stops at, and elapsed is measured from entry.  A pruned solve whose
-    deadline has passed once the graph and seed are built does not start
-    the shift closure; it returns the seed with a lower-bound status.
+    budget bounds the whole call: it sets one deadline (_deadline from
+    entry) that the search stops at, and elapsed is measured from entry.
+    A pruned solve whose deadline has passed once the graph and seed are
+    built does not start the shift closure; it returns the seed with a
+    lower-bound status.
     """
     start = time.monotonic()
-    shifted_pruning = shift_pruning(profile, target, shifted_pruning)
-    spec = ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
+    spec = target_spec(profile, target)
+    pruned = shifted_pruning is None or shifted_pruning
     family = _capped_class(profile, vertex_cap)
-    labels = _shift_order(family.members) if shifted_pruning else range(len(family))
+    labels = shift_order(family.members) if pruned else range(len(family))
     members = [family.members[i] for i in labels]
     adj = _adjacency(members, profile, spec)
     full = (1 << len(adj)) - 1
@@ -563,13 +488,12 @@ def solve_extremal(
 
     seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
     seed = sum(1 << i for i, v in enumerate(members) if v in seed_family)
-    for low in _bits(seed):
+    for low in bits(seed):
         if adj[low.bit_length() - 1] & seed:
             raise ValueError("initial incumbent is not independent")
 
-    # NaN and negative budgets count as spent
-    deadline = start + max(0.0, budget)
-    if not shifted_pruning:
+    deadline = _deadline(start, budget)
+    if not pruned:
         # vertex-transitive graph (see above): take vertex 0, no exclude branch
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
         best, nodes, finished = _bnb(adj, (full & ~(adj[0] | 1), 1, 1), best, deadline)

@@ -445,12 +445,12 @@ def _suite_constructions(max_n: int = 30) -> VerificationReport:
     for k, l in pairs:
         for n in range(max(k + l, 2 * k), 9):
             profile = Profile(n, k, l)
-            floor_spec = solver.ForbiddenSpec.exact({-2 * l})
+            floor_spec = solver.target_spec(profile, "g")
             ekr = constructions.ekr_family(profile)
             ekr_ok = solver.verify_family(ekr, floor_spec).ok
             grown_ok = solver.verify_family(constructions.inductive_extend(ekr), floor_spec).ok
             split = constructions.best_split_family(profile)
-            split_ok = solver.verify_family(split, solver.ForbiddenSpec.all_below(0)).ok
+            split_ok = solver.verify_family(split, solver.target_spec(profile, "m")).ok
             report.add(
                 f"validity(n={n},k={k},l={l})",
                 "ekr, inductive, split all valid",
@@ -492,14 +492,12 @@ def _setup_mismatch(profile: Profile) -> str:
     """
     family = enumerate_all(profile)
     members = family.members
-    for target, spec in (
-        ("g", solver.ForbiddenSpec.exact({-2 * profile.l})),
-        ("m", solver.ForbiddenSpec.all_below(0)),
-    ):
+    for target in ("g", "m"):
+        spec = solver.target_spec(profile, target)
         if list(solver.graph_from_family(family, spec).adj) != _pairwise_adjacency(members, spec):
             return f"{target} conflict graph"
-    ranked = [members[i] for i in solver._shift_order(members)]
-    pred, succ = solver._shift_closure(ranked)
+    ranked = [members[i] for i in shifting.shift_order(members)]
+    pred, succ = shifting.shift_closure(ranked)
     for b in range(len(ranked)):
         for a in range(b):
             related = shifting.precedes(ranked[a], ranked[b])
@@ -532,9 +530,8 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
                 profile = Profile(n, k, l)
                 if profile.family_size() > solver.BRUTEFORCE_VERTEX_CAP:
                     continue
-                specs = [solver.ForbiddenSpec.all_below(0)]
-                if profile.is_g_profile:
-                    specs.append(solver.ForbiddenSpec.exact({-2 * l}))
+                targets = ["m", "g"] if profile.is_g_profile else ["m"]
+                specs = [solver.target_spec(profile, target) for target in targets]
                 for spec in specs:
                     profile_cases.append((profile, spec))
     mismatches = []

@@ -26,13 +26,18 @@ def _mask_of(indices: Iterable[int], dim: int) -> int:
     return mask
 
 
-def _indices_of(mask: int) -> tuple[int, ...]:
+def bits(mask: int) -> list[int]:
+    """The set bits of mask, each as a one-bit mask, lowest first."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        out.append(low)
         mask ^= low
-    return tuple(out)
+    return out
+
+
+def _indices_of(mask: int) -> tuple[int, ...]:
+    return tuple(low.bit_length() for low in bits(mask))
 
 
 @dataclass(frozen=True)

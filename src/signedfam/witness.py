@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .shifting import ShiftMove, shift_ij
+from .shifting import shift_ij
 from .vectors import SignedVector, full_window, min_suffix_sum, scalar_product
 
 
@@ -103,7 +103,7 @@ def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:
         p = min(candidates)
         used.add(p)
         pairing.append((q, p))
-        cur = shift_ij(cur, ShiftMove(q, p))
+        cur = shift_ij(cur, q, p)
     mid = cur
 
     zeros_asc = tuple(i for i in range(1, w.dim + 1) if w.value_at(i) == 0)[: k - l]
@@ -114,7 +114,7 @@ def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:
     assert len(kept_plus_asc) == k - l
 
     for a, b in zip(zeros_asc, kept_plus_asc):
-        cur = shift_ij(cur, ShiftMove(a, b))
+        cur = shift_ij(cur, a, b)
     result = cur
 
     trace = WitnessTrace(
@@ -187,12 +187,12 @@ def verify_trace_claims(trace: WitnessTrace, w: SignedVector) -> ClaimReport:
     replay_ok = True
     try:
         for q, p in trace.pairing:
-            replay = shift_ij(replay, ShiftMove(q, p))
+            replay = shift_ij(replay, q, p)
         if replay != trace.mid:
             replay_ok = False
         else:
             for a, b in zip(trace.zeros_asc, trace.kept_plus_asc):
-                replay = shift_ij(replay, ShiftMove(a, b))
+                replay = shift_ij(replay, a, b)
             replay_ok = replay == trace.result
     except ValueError:
         replay_ok = False

@@ -1,18 +1,19 @@
 """Shift moves, the dominance order, and family compression."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedfam.shifting import (
-    ShiftMove,
-    all_moves,
+    _potential,
     compress,
     is_shifted,
     precedes,
     precedes_oracle,
     shift_ij,
+    shift_images,
 )
 from signedfam.solver import ForbiddenSpec, verify_family
 from signedfam.vectors import Profile, SignedVector, VectorFamily, enumerate_all
@@ -24,34 +25,47 @@ def v(s: str) -> SignedVector:
 
 class TestShiftMove:
     def test_basic_swap(self):
-        assert shift_ij(v("-+"), ShiftMove(1, 2)) == v("+-")
-        assert shift_ij(v("0+-"), ShiftMove(1, 2)) == v("+0-")
-        assert shift_ij(v("0+-"), ShiftMove(2, 3)) == v("0+-")  # already sorted
+        assert shift_ij(v("-+"), 1, 2) == v("+-")
+        assert shift_ij(v("0+-"), 1, 2) == v("+0-")
+        assert shift_ij(v("0+-"), 2, 3) == v("0+-")  # already sorted
 
     def test_fixed_when_ordered(self):
         # a >= b leaves the vector alone
-        assert shift_ij(v("+-"), ShiftMove(1, 2)) == v("+-")
-        assert shift_ij(v("00"), ShiftMove(1, 2)) == v("00")
+        assert shift_ij(v("+-"), 1, 2) == v("+-")
+        assert shift_ij(v("00"), 1, 2) == v("00")
 
     def test_invalid_moves(self):
         with pytest.raises(ValueError):
-            shift_ij(v("+-"), ShiftMove(2, 1))
+            shift_ij(v("+-"), 2, 1)
         with pytest.raises(ValueError):
-            shift_ij(v("+-"), ShiftMove(1, 3))
+            shift_ij(v("+-"), 1, 3)
         with pytest.raises(ValueError):
-            shift_ij(v("+-"), ShiftMove(0, 2))
-
-    def test_all_moves(self):
-        moves = all_moves(4)
-        assert len(moves) == 6
-        assert moves[0] == ShiftMove(1, 2)
-        assert list(moves) == sorted(moves)
+            shift_ij(v("+-"), 0, 2)
 
     def test_profile_preserved(self):
         for w in enumerate_all(Profile(5, 2, 2)):
-            for move in all_moves(5):
-                img = shift_ij(w, move)
+            for i, j in combinations(range(1, 6), 2):
+                img = shift_ij(w, i, j)
                 assert (img.k, img.l) == (w.k, w.l)
+
+    def test_mask_images_match_shift_ij(self):
+        # shift_images, the rule the solver's closure uses, against the
+        # reference over all of {0,+1,-1}^n for n <= 6
+        vectors = 0
+        for n in range(1, 7):
+            full = (1 << n) - 1
+            for pos in range(1 << n):
+                for neg in range(1 << n):
+                    if pos & neg:
+                        continue
+                    w = SignedVector(n, pos, neg)
+                    moves = combinations(range(1, n + 1), 2)
+                    images = {shift_ij(w, i, j) for i, j in moves} - {w}
+                    expected = sorted((u.pos, u.neg) for u in images)
+                    assert sorted(shift_images(pos, neg, full)) == expected, w
+                    assert all(_potential(u) < _potential(w) for u in images), w
+                    vectors += 1
+        assert vectors == 3 + 9 + 27 + 81 + 243 + 729
 
 
 class TestPrecedes:
@@ -87,8 +101,8 @@ class TestPrecedes:
 
     def test_single_shift_precedes(self):
         for w in enumerate_all(Profile(5, 3, 1)):
-            for move in all_moves(5):
-                assert precedes(shift_ij(w, move), w)
+            for i, j in combinations(range(1, 6), 2):
+                assert precedes(shift_ij(w, i, j), w)
 
     @settings(max_examples=200)
     @given(st.randoms(use_true_random=False))

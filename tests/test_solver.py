@@ -4,6 +4,7 @@ import inspect
 import random
 import sys
 import time
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from signedfam import (
 )
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
-from signedfam.shifting import all_moves, shift_ij
+from signedfam.shifting import shift_closure, shift_ij, shift_order
 from signedfam.solver import (
     ConflictGraph,
     VertexCapExceeded,
@@ -33,6 +34,7 @@ from signedfam.solver import (
     mis_bruteforce,
     mis_exact,
     solve_extremal,
+    target_spec,
     verify_family,
 )
 
@@ -92,11 +94,12 @@ class TestConflictGraph:
     def test_vertex_cap(self):
         with pytest.raises(VertexCapExceeded):
             build_conflict_graph(Profile(12, 3, 2), ForbiddenSpec.exact({-4}))
-        # raising the cap unblocks the same call
-        g = build_conflict_graph(
-            Profile(12, 3, 2), ForbiddenSpec.exact({-4}), vertex_cap=8000
-        )
-        assert g.n_vertices == 7920
+        # raising the cap unblocks a solve of the same class
+        p = Profile(12, 3, 2)
+        res = solve_extremal(p, "g", budget=0.0, vertex_cap=8000)
+        assert (res.status, res.nodes_explored) == ("lower_bound_timeout", 0)
+        assert p.family_size() == 7920
+        assert res.witness.members == greedy_seed_g(p).members
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="itself"):
@@ -162,9 +165,9 @@ class TestGeneratedSetup:
     @example(Profile(7, 4, 3))
     def test_shift_closure_matches_pairwise_precedes(self, p):
         members = enumerate_all(p).members
-        order = solver._shift_order(members)
+        order = shift_order(members)
         ranked = [members[i] for i in order]
-        pred, succ = solver._shift_closure(ranked)
+        pred, succ = shift_closure(ranked)
         assert sorted(order) == list(range(len(members)))
         for b in range(len(ranked)):
             wb = ranked[b]
@@ -261,6 +264,12 @@ class TestMisExact:
         for i in res.witness_indices:
             assert not g.adj[i] & sum(1 << j for j in res.witness_indices if j != i)
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_nan_and_negative_budgets_count_as_spent(self, budget):
+        # the greedy incumbent at the first deadline check; 60 s gives 20 at 427 nodes
+        res = mis_exact(random_graph(60, 0.15, random.Random(11)), budget=budget)
+        assert (res.value, res.status, res.nodes_explored) == (19, "lower_bound_timeout", 256)
+
 
 class TestMisBruteforce:
     def test_cap(self):
@@ -345,12 +354,12 @@ class TestSolveExtremal:
             ]
             index = {v: a for a, v in enumerate(vectors)}
             prod = [[scalar_product(v, w) for w in vectors] for v in vectors]
-            for move in all_moves(n):
-                image = [index[shift_ij(v, move)] for v in vectors]
+            for i, j in combinations(range(1, n + 1), 2):
+                image = [index[shift_ij(v, i, j)] for v in vectors]
                 moved = [a for a in range(len(vectors)) if image[a] != a]
                 for a in moved:
                     va = vectors[a]
-                    gain = va.value_at(move.j) - va.value_at(move.i)
+                    gain = va.value_at(j) - va.value_at(i)
                     for b, wb in enumerate(vectors):
                         if image[b] != b:
                             # both move: S(v).S(w) = v.w and S(v).w = v.S(w)
@@ -358,7 +367,7 @@ class TestSolveExtremal:
                             assert prod[image[a]][b] == prod[a][image[b]]
                         else:
                             # only v moves: S(v).w - v.w = (v_j - v_i)(w_i - w_j) >= 0
-                            drop = wb.value_at(move.i) - wb.value_at(move.j)
+                            drop = wb.value_at(i) - wb.value_at(j)
                             assert prod[image[a]][b] - prod[a][b] == gain * drop >= 0
                         cases += 1
         assert cases == 27 + 729 + 13122 + 196830  # C(n,2) * 3^(n-1) * 3^n
@@ -383,7 +392,7 @@ class TestSolveExtremal:
         # the engine itself stops at its first deadline check, the 256th node
         spec = ForbiddenSpec.exact({-4})
         family = enumerate_all(p)
-        labels = solver._shift_order(family.members)
+        labels = shift_order(family.members)
         ranked = [family.members[i] for i in labels]
         adj = solver._adjacency(ranked, p, spec)
         seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
@@ -483,10 +492,6 @@ class TestSolveExtremal:
         res = solve_extremal(Profile(*nkl), target, budget=budget, shifted_pruning=pruning)
         assert len(calls) == 1
         assert res.is_exact == (budget > 0)
-
-
-def target_spec(profile, target):
-    return ForbiddenSpec.exact({-2 * profile.l}) if target == "g" else ForbiddenSpec.all_below(0)
 
 
 def assert_class_witness(res, profile):

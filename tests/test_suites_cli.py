@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from signedfam import Profile, VectorFamily, constructions, formulas, solver, suites
+from signedfam import Profile, VectorFamily, constructions, formulas, shifting, solver, suites
 from signedfam.cache import ResultCache, cache_key, cache_keys
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
@@ -126,13 +126,13 @@ class TestRunSuite:
             return case
 
         assert setup_case(run_suite("solver-oracle", random_graphs=0)).passed
-        closure = solver._shift_closure
+        closure = shifting.shift_closure
 
         def no_pred(members):
             pred, succ = closure(members)
             return [0] * len(pred), succ
 
-        monkeypatch.setattr(solver, "_shift_closure", no_pred)
+        monkeypatch.setattr(shifting, "shift_closure", no_pred)
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
         assert not case.passed and "closure" in case.actual
         monkeypatch.undo()
