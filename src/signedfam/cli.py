@@ -248,6 +248,8 @@ def _cmd_construct(args) -> int:
         else:
             fam = constructions.split_family(profile, range(1, args.plus_prefix + 1))
     elif args.kind == "extend":
+        # the extension keeps g's floor, so it takes g's profiles only
+        spec = solver.target_spec(profile, "g")
         if args.base:
             base = VectorFamily.load(args.base)
             if (base.profile.n, base.profile.k, base.profile.l) != (args.n, args.k, args.l):
@@ -255,7 +257,7 @@ def _cmd_construct(args) -> int:
                     f"base family is over ({base.profile.n},{base.profile.k},{base.profile.l}), "
                     f"not ({args.n},{args.k},{args.l})"
                 )
-            check = solver.verify_family(base, solver.ForbiddenSpec.exact({-2 * args.l}))
+            check = solver.verify_family(base, spec)
             if not check.ok:
                 a, b, _ = check.violation
                 raise ValueError(f"base family reaches the minimum product on pair {a}, {b}")

@@ -15,7 +15,10 @@ _bnb, behind mis_exact, branches on a vertex of maximum degree after
 cheap reductions and covers the pool of every node afresh.
 _bnb_shifted, the shift-pruned search, branches in shifting.shift_order,
 keeping only shift-closed families, takes the closure of that order
-from shifting.shift_closure, and reuses a cover rebuilt every 64 nodes.
+from shifting.shift_closure, and bounds each node by how many cliques
+of a cover still meet its pool.  The cover is built on the pool of an
+ancestor: the root, or a node that found a smaller cover of its own
+pool.  Each node updates the count from the vertices it removed.
 mis_bruteforce is an exhaustive oracle for small graphs.
 target_spec defines the two extremal targets: "g" (largest family
 avoiding the minimum product -2l) and "m" (largest family with no
@@ -375,24 +378,30 @@ def _bnb_shifted(
     pool.  Every rank below the pool is taken or excluded, so pred & ~mask
     is the excluded part of pred.  Taking a vertex removes its neighbours,
     so the mask stays independent; excluding it removes its succ too.
-    The bound is a greedy clique cover of a superset of the pool, rebuilt
-    every 64 nodes: restricted to any pool it still covers what it
-    covers, and vertices it misses count as singletons.
+
+    The bound is the number of cliques of a greedy clique cover that
+    still meet the pool, as an independent set has at most one vertex
+    in each.  The cover was built on the pool of the node itself or of
+    an ancestor, a superset of its pool, so it covers the whole pool.
+    Each stack entry also carries the cover as clique_of (the clique of
+    every vertex, one list shared by all entries that use it), counted,
+    the pool its count was taken on, and age, the branching levels since
+    the cover was built or last challenged.  A node updates the count
+    from the vertices it removed, counted & ~pool, looking at each of
+    their cliques once.  A branching node of age 8 or more counts a
+    greedy cover of its own pool, keeping none of its cliques, and builds
+    that cover for its children only when it has fewer cliques.
     """
     full = (1 << len(adj)) - 1
     best_size = best.bit_count()
     nodes = 0
-    cover = _greedy_clique_cover(adj, full)
-    covered = full
-    stack = [(full, 0, 0)]
+    clique_of, count = _clique_of(adj, full)
+    stack = [(full, 0, 0, clique_of, full, count, 0)]
     while stack:
-        pool, size, mask = stack.pop()
+        pool, size, mask, clique_of, counted, count, age = stack.pop()
         nodes += 1
         if not nodes & 255 and time.monotonic() > deadline:
             return best, nodes, False
-        if not nodes & 63:
-            cover = _greedy_clique_cover(adj, pool)
-            covered = pool
 
         while pool:
             low = pool & -pool
@@ -404,16 +413,52 @@ def _bnb_shifted(
             if size > best_size:
                 best_size, best = size, mask
             continue
-        bound = (pool & ~covered).bit_count()
-        for c in cover:
-            if c & pool:
-                bound += 1
-        if size + bound <= best_size:
+        gone = counted & ~pool
+        while gone:
+            c = clique_of[(gone & -gone).bit_length() - 1]
+            gone &= ~c
+            if not c & pool:
+                count -= 1
+        if size + count <= best_size:
             continue
 
-        stack.append((pool & ~(low | succ[v]), size, mask))
-        stack.append((pool & ~(adj[v] | low), size + 1, mask | low))
+        if age >= 8:
+            age = 0
+            if _greedy_cover_size(adj, pool, count) < count:
+                clique_of, count = _clique_of(adj, pool)
+        stack.append((pool & ~(low | succ[v]), size, mask, clique_of, pool, count, age + 1))
+        stack.append((pool & ~(adj[v] | low), size + 1, mask | low, clique_of, pool, count, age + 1))
     return best, nodes, True
+
+
+def _clique_of(adj: Sequence[int], pool: int) -> tuple[list[int], int]:
+    """A greedy clique cover of pool as (clique of each vertex, 0 outside pool; clique count)."""
+    cover = _greedy_clique_cover(adj, pool)
+    clique_of = [0] * len(adj)
+    for c in cover:
+        for low in bits(c):
+            clique_of[low.bit_length() - 1] = c
+    return clique_of, len(cover)
+
+
+def _greedy_cover_size(adj: Sequence[int], pool: int, limit: int) -> int:
+    """The number of cliques of _greedy_clique_cover(adj, pool), counted up to limit.
+
+    No clique is kept, so a node can test a fresh cover without holding
+    one; holding each one raised the peak memory of large g solves by 2%.
+    """
+    count = 0
+    while pool and count < limit:
+        low = pool & -pool
+        clique = low
+        cands = pool & adj[low.bit_length() - 1] & ~low
+        while cands:
+            ulow = cands & -cands
+            clique |= ulow
+            cands &= adj[ulow.bit_length() - 1] & ~ulow
+        pool &= ~clique
+        count += 1
+    return count
 
 
 def _solve_shifted(

@@ -1,5 +1,6 @@
 """Conflict graphs and the exact maximum-independent-set machinery."""
 
+import hashlib
 import inspect
 import random
 import sys
@@ -25,6 +26,7 @@ from signedfam import (
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
 from signedfam.shifting import shift_closure, shift_ij, shift_order
+from signedfam.vectors import bits
 from signedfam.solver import (
     ConflictGraph,
     VertexCapExceeded,
@@ -439,7 +441,7 @@ class TestSolveExtremal:
 
     def test_infinite_budget_is_exact(self):
         pruned = solve_extremal(Profile(8, 3, 2), "g", budget=float("inf"))
-        assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 1697)
+        assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 599)
         unpruned = solve_extremal(Profile(7, 3, 1), "m", budget=float("inf"), shifted_pruning=False)
         assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 2633)
 
@@ -572,24 +574,26 @@ class TestSearchEffort:
         assert res.is_exact and res.value == 33
         assert res.nodes_explored <= 5000
 
-    def test_pruned_g_932_node_count_unchanged(self):
+    def test_pruned_g_932_node_count(self):
         res = solve_extremal(Profile(9, 3, 2), "g")
-        assert (res.value, res.status, res.nodes_explored) == (510, "exact", 8339)
+        assert (res.value, res.status, res.nodes_explored) == (510, "exact", 1737)
 
     @pytest.mark.parametrize(
         "profile, target, pruning, value, nodes",
         [
-            ((8, 3, 2), "g", True, 230, 1697),
-            ((11, 3, 1), "g", True, 372, 1377),
+            ((8, 3, 2), "g", True, 230, 599),
+            ((11, 3, 1), "g", True, 372, 315),
             ((7, 3, 1), "g", False, 60, 2825),
             ((8, 2, 1), "m", False, 30, 1435),
             ((7, 3, 1), "m", False, 28, 2633),
             ((7, 3, 2), "m", False, 33, 1005),
             # m is shift-pruned by default
-            ((7, 3, 2), "m", None, 33, 293),
-            ((8, 2, 1), "m", None, 30, 31),
-            ((7, 3, 1), "m", None, 28, 175),
-            ((7, 2, 2), "m", None, 25, 241),
+            ((7, 3, 2), "m", None, 33, 193),
+            ((8, 2, 1), "m", None, 30, 23),
+            ((7, 3, 1), "m", None, 28, 101),
+            ((7, 2, 2), "m", None, 25, 157),
+            # deep enough that rebuilt covers are adopted
+            ((9, 3, 2), "m", None, 105, 3451),
         ],
     )
     def test_search_tree_pinned(self, profile, target, pruning, value, nodes):
@@ -615,8 +619,94 @@ class TestSearchEffort:
         finally:
             monkeypatch.undo()
             sys.setrecursionlimit(limit)
-        assert (g.value, g.status, g.nodes_explored) == (510, "exact", 8339)
+        assert (g.value, g.status, g.nodes_explored) == (510, "exact", 1737)
         assert (m.value, m.status, m.nodes_explored) == (33, "exact", 1005)
+
+
+class TestShiftedEngine:
+    """_bnb_shifted against exhaustive search and against its earlier witnesses."""
+
+    @pytest.mark.parametrize(
+        "profile, target, value, digest",
+        [
+            ((8, 3, 2), "g", 230, "4d7d76f995077ba2be9c21e5707ed0e1b0593cbeef411cf85478fea164533332"),
+            ((9, 3, 2), "g", 510, "86a112604247daa09b16c65927b7ae21275afc672187a20e08e387d5c0df1847"),
+            ((7, 3, 2), "m", 33, "62bfb32a09745077398c2467476c193e7d695d716361d7de5fd2c4a0dc191ca2"),
+            ((9, 3, 2), "m", 105, "e98627222a6d804bf132281692ca738e2561ee081291dc0a5a4cff9f20ad6768"),
+        ],
+        ids=["g-8-3-2", "g-9-3-2", "m-7-3-2", "m-9-3-2"],
+    )
+    def test_witnesses_do_not_depend_on_the_bound(self, profile, target, value, digest):
+        """Pinned sha256 of witness_indices, as an earlier, weaker bound found them.
+
+        That bound was one cover shared by all nodes and rebuilt every 64
+        nodes.  The search walks a fixed depth-first order, and the incumbent
+        changes exactly at the leaves that beat every earlier leaf.  A
+        valid bound never prunes an ancestor of such a leaf, since that
+        leaf beats the incumbent there, so any valid bound finds the same
+        witness; a stronger one only visits fewer nodes.
+        """
+        res = solve_extremal(Profile(*profile), target)
+        assert (res.value, res.status) == (value, "exact")
+        assert hashlib.sha256(repr(res.witness_indices).encode()).hexdigest() == digest
+
+    def test_matches_exhaustive_search_on_random_orders(self, monkeypatch):
+        """Random graphs of at most 16 vertices under random transitive orders.
+
+        pred[v] is a random down-closed set of lower ranks, as shift_closure
+        gives; the optimum is the largest independent set that holds the
+        pred of each of its members.  Each graph is searched from an empty
+        incumbent and from an optimum less its top-ranked member, which
+        leaves no slack in the bound.  Sparse orders leave trees deeper
+        than the 8 branching levels after which a node counts a fresh
+        cover, and _clique_of, counted here, builds every cover a node
+        adopts.  _greedy_cover_size, which decides on adoption, must count
+        what _greedy_clique_cover builds, up to its limit.
+        """
+        built = []
+
+        def counted(adj, pool):
+            built.append(pool)
+            return clique_of(adj, pool)
+
+        clique_of = solver._clique_of
+        monkeypatch.setattr(solver, "_clique_of", counted)
+        rng = random.Random(15)
+        adopted = 0
+        for _ in range(400):
+            n = rng.randint(10, 16)
+            adj = random_graph(n, rng.uniform(0.3, 0.8), rng).adj
+            order_density = rng.uniform(0.0, 0.05)
+            pred = [0] * n
+            for v in range(n):
+                for u in range(v):
+                    if rng.random() < order_density:
+                        pred[v] |= pred[u] | 1 << u
+            succ = [sum(1 << w for w in range(n) if pred[w] >> v & 1) for v in range(n)]
+            pool = rng.getrandbits(n)
+            size = len(solver._greedy_clique_cover(adj, pool))
+            assert solver._greedy_cover_size(adj, pool, n) == size
+            assert solver._greedy_cover_size(adj, pool, size - 1) == max(size - 1, 0)
+
+            def largest(v, chosen):
+                if v == n:
+                    return chosen
+                out = largest(v + 1, chosen)
+                if not pred[v] & ~chosen and not adj[v] & chosen:
+                    out = max(out, largest(v + 1, chosen | 1 << v), key=int.bit_count)
+                return out
+
+            optimum = largest(0, 0)
+            for seed in (0, optimum & ~(1 << optimum.bit_length() - 1)):
+                del built[:]
+                best, _, finished = solver._bnb_shifted(adj, pred, succ, seed, float("inf"))
+                assert finished
+                assert best.bit_count() == optimum.bit_count()
+                for low in bits(best):
+                    v = low.bit_length() - 1
+                    assert not adj[v] & best and not pred[v] & ~best
+                adopted += len(built) - 1
+        assert adopted > 0
 
 
 class TestGraphFromFamily:

@@ -509,6 +509,19 @@ class TestCliOther:
         assert "minimum product on pair ++-0, -0++" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("with_base", [False, True])
+    def test_construct_extend_refuses_non_g_profiles(self, tmp_path, capsys, with_base):
+        # extend keeps g's floor, so it refuses k <= l as solve --target g does
+        args = ["construct", "extend", "--n", "4", "--k", "1", "--l", "1"]
+        if with_base:
+            base = tmp_path / "base.txt"
+            base.write_text("4 1 1\n+-00\n")
+            args += ["--base", str(base)]
+        out = tmp_path / "x.txt"
+        assert main([*args, "--out", str(out)]) == 3
+        assert "target g requires k > l >= 1, got k=1, l=1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_construct_xy(self, tmp_path):
         out = tmp_path / "fam.txt"
         code = main(
