@@ -10,16 +10,17 @@ full reachability order.
 shift_ij applies one shift to a vector; is_shifted, compress and
 precedes_oracle are built on it, and the tests take them as the
 reference.  shift_images is the same rule on (pos, neg) masks, every
-image at once; shift_order and shift_closure are built on it and give
-the solver a linear extension of the shift order and that order's
-closure on a whole class.  compress says why searching shift-closed
-families only keeps the optimum.
+image at once; shift_order, shift_closure and closure_graph are built
+on it and give a linear extension of the shift order, that order's
+closure on a whole class, and a class's conflict graph lifted to the
+closure, where the solver searches.  compress says why searching
+shift-closed families only keeps the optimum.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .vectors import SignedVector, VectorFamily, bits
 
@@ -71,30 +72,86 @@ def shift_closure(members: Sequence[SignedVector]) -> tuple[list[int], list[int]
     """Closure of the shift order on a full class given in shift_order's order.
 
     pred[r] has bit s when members[s] is reachable from members[r] by
-    shifts, s != r; succ is its transpose.  Every image ranks below its
-    source, so pred is filled in rank order from the single-shift images,
-    succ in reverse rank order from the preimages, which are the negated
-    images of the negated vector.
+    shifts, s != r; succ is its transpose.
     """
-    n = len(members)
-    rank = {(v.pos, v.neg): r for r, v in enumerate(members)}
-    full = (1 << members[0].dim) - 1
-    pred = [0] * n
-    for r, v in enumerate(members):
-        mask = 0
-        for key in shift_images(v.pos, v.neg, full):
-            s = rank[key]
-            mask |= pred[s] | (1 << s)
-        pred[r] = mask
-    succ = [0] * n
-    for r in range(n - 1, -1, -1):
-        v = members[r]
-        mask = 0
-        for neg, pos in shift_images(v.neg, v.pos, full):
-            s = rank[(pos, neg)]
-            mask |= succ[s] | (1 << s)
-        succ[r] = mask
+    pred = _closed(members, lambda r: 1 << r)
+    succ = _closed(members, lambda r: 1 << r, upward=True)
+    for r in range(len(members)):
+        pred[r] ^= 1 << r
+        succ[r] ^= 1 << r
     return pred, succ
+
+
+def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[int, list[int]]:
+    """(live, H): the conflict graph adj of a class in shift_order's order, lifted to the closure.
+
+    With down(u) for u and every member below it in the shift order and
+    up(u) for u and every member above it: u is live when down(u) is
+    independent in adj, and H joins live u and v when some a in down(u)
+    and b in down(v) are adjacent.  A shift-closed independent set of
+    adj lies in live and is independent in H; for S independent in H,
+    down(S) is shift-closed, independent in H and in adj, and holds S.
+    So a maximum independent set of H[live] is a largest shift-closed
+    independent set of adj; and as H holds every edge of adj between
+    live vertices, every independent set of H is one of adj.
+
+    A[u], the neighbours of down(u), is adj[u] with A[s] for every image
+    s of u; u is dead when it lies in up(A[u]), and H[u] is up(A[u]) on
+    live vertices, empty at dead ones.  A sparse graph (summed degree at
+    most V^2/8) builds up(A[u]) in one pass, as up(adj[u]) with up(A[s]),
+    and needs up only.  A denser one, where up(adj[u]) is costly, holds
+    A and down and joins each live pair once, when A[v] meets down(u).
+    """
+    n = len(adj)
+    if sum(mask.bit_count() for mask in adj) <= n * n // 8:
+        up = _closed(members, lambda r: 1 << r, upward=True)
+        graph = _closed(members, lambda r: _union(up, adj[r]))
+        del up
+        live = sum(1 << r for r in range(n) if not graph[r] >> r & 1)
+        for r in range(n):
+            graph[r] = graph[r] & live if live >> r & 1 else 0
+        return live, graph
+    down = _closed(members, lambda r: 1 << r)
+    nbrs = _closed(members, lambda r: adj[r])
+    ranks = [r for r in range(n) if not nbrs[r] & down[r]]
+    graph = [0] * n
+    for i, u in enumerate(ranks):
+        for v in ranks[i + 1:]:
+            if nbrs[v] & down[u]:
+                graph[u] |= 1 << v
+                graph[v] |= 1 << u
+    return sum(1 << r for r in ranks), graph
+
+
+def _union(masks: Sequence[int], chosen: int) -> int:
+    """The OR of masks[r] over the bits r of chosen."""
+    out = 0
+    for low in bits(chosen):
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+def _closed(
+    members: Sequence[SignedVector], base: Callable[[int], int], upward: bool = False
+) -> list[int]:
+    """out[r] = base(r) with out[s] for every s one shift below r (above r when upward).
+
+    members is a full class in shift_order's order.  Every image ranks
+    below its source, so one pass in rank order fills every out[r] from
+    finished masks.  Upward the pass runs in reverse rank order over the
+    preimages, the images of the negated vector, negated back: keyed by
+    (neg, pos), they come straight from shift_images.
+    """
+    key = (lambda v: (v.neg, v.pos)) if upward else (lambda v: (v.pos, v.neg))
+    rank = {key(v): r for r, v in enumerate(members)}
+    full = (1 << members[0].dim) - 1
+    out = [0] * len(members)
+    for r in range(len(members) - 1, -1, -1) if upward else range(len(members)):
+        mask = base(r)
+        for image in shift_images(*key(members[r]), full):
+            mask |= out[rank[image]]
+        out[r] = mask
+    return out
 
 
 def precedes(v: SignedVector, w: SignedVector) -> bool:

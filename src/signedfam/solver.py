@@ -4,29 +4,26 @@ _adjacency, behind graph_from_family, is the one conflict-graph builder,
 for every spec, every family and any member order: it counts v.w for all
 members w at once in a bit-sliced counter, O(k + l) big-integer
 operations per vector.  build_conflict_graph applies it to a whole
-class, and solve_extremal to a class in the order its search walks.
-Two search engines, called directly, return (best mask, nodes,
-finished) and stop at an absolute deadline; _result maps their mask to
-class indices, a witness and a status.  Both are loops over an explicit
-stack of (pool, size, mask) nodes that take a vertex before they
-exclude it, and both prune with a greedy clique cover, whose number of
-cliques bounds any independent set.
-_bnb, behind mis_exact, branches on a vertex of maximum degree after
-cheap reductions and covers the pool of every node afresh.
-_bnb_shifted, the shift-pruned search, branches in shifting.shift_order,
-keeping only shift-closed families, takes the closure of that order
-from shifting.shift_closure, and bounds each node by how many cliques
-of a cover still meet its pool.  The cover is built on the pool of an
-ancestor: the root, or a node that found a smaller cover of its own
-pool.  Each node updates the count from the vertices it removed.
+class, and solve_extremal to a class in shift_order's order when it
+prunes.
+One search engine, _bnb, called directly, returns (best mask, nodes,
+finished) and stops at an absolute deadline; _result maps its mask to
+class indices, a witness and a status.  It is a loop over an explicit
+stack of (pool, size, mask) nodes that takes cheap reductions, bounds
+each node by a greedy clique cover of its pool, whose number of cliques
+bounds any independent set, and branches on a vertex of maximum
+degree, taking it before it excludes it.  mis_exact runs it on any
+graph; the unpruned solve on a class's conflict graph; the shift-pruned
+solve (_solve_shifted) on shifting.closure_graph's lift of that graph,
+whose maximum independent sets are the largest shift-closed families.
 mis_bruteforce is an exhaustive oracle for small graphs.
 target_spec defines the two extremal targets: "g" (largest family
 avoiding the minimum product -2l) and "m" (largest family with no
 negative product).  solve_extremal solves them, shift-pruned by
 default, which keeps the optimum (shifting.compress says why).  Without
 pruning it runs _bnb below a root that takes vertex 0, which is exact
-because the graph of a whole class is vertex-transitive.  Both engines
-are deterministic.
+because the graph of a whole class is vertex-transitive.  The search is
+deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import Optional, Sequence
 from .constructions import best_split_family, ekr_family, inductive_extend
 # precedes and scalar_product are not used here; with verify_family they
 # are re-exported on solver, where perfbench's tracer reads them
-from .shifting import precedes, shift_closure, shift_order
+from .shifting import closure_graph, precedes, shift_order
 from .vectors import (
     ForbiddenSpec,
     Profile,
@@ -367,100 +364,6 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
     return fam
 
 
-def _bnb_shifted(
-    adj: Sequence[int], pred: Sequence[int], succ: Sequence[int], best: int, deadline: float
-) -> tuple[int, int, bool]:
-    """Search over shift-closed sets of the rank-labelled graph adj.
-
-    Nodes are (pool, size, mask) as in _bnb, but a node branches on the
-    lowest-ranked vertex of its pool, which may join a shift-closed set
-    only when all of pred is taken: otherwise it and its succ leave the
-    pool.  Every rank below the pool is taken or excluded, so pred & ~mask
-    is the excluded part of pred.  Taking a vertex removes its neighbours,
-    so the mask stays independent; excluding it removes its succ too.
-
-    The bound is the number of cliques of a greedy clique cover that
-    still meet the pool, as an independent set has at most one vertex
-    in each.  The cover was built on the pool of the node itself or of
-    an ancestor, a superset of its pool, so it covers the whole pool.
-    Each stack entry also carries the cover as clique_of (the clique of
-    every vertex, one list shared by all entries that use it), counted,
-    the pool its count was taken on, and age, the branching levels since
-    the cover was built or last challenged.  A node updates the count
-    from the vertices it removed, counted & ~pool, looking at each of
-    their cliques once.  A branching node of age 8 or more counts a
-    greedy cover of its own pool, keeping none of its cliques, and builds
-    that cover for its children only when it has fewer cliques.
-    """
-    full = (1 << len(adj)) - 1
-    best_size = best.bit_count()
-    nodes = 0
-    clique_of, count = _clique_of(adj, full)
-    stack = [(full, 0, 0, clique_of, full, count, 0)]
-    while stack:
-        pool, size, mask, clique_of, counted, count, age = stack.pop()
-        nodes += 1
-        if not nodes & 255 and time.monotonic() > deadline:
-            return best, nodes, False
-
-        while pool:
-            low = pool & -pool
-            v = low.bit_length() - 1
-            if not pred[v] & ~mask:
-                break
-            pool &= ~(low | succ[v])
-        if not pool:
-            if size > best_size:
-                best_size, best = size, mask
-            continue
-        gone = counted & ~pool
-        while gone:
-            c = clique_of[(gone & -gone).bit_length() - 1]
-            gone &= ~c
-            if not c & pool:
-                count -= 1
-        if size + count <= best_size:
-            continue
-
-        if age >= 8:
-            age = 0
-            if _greedy_cover_size(adj, pool, count) < count:
-                clique_of, count = _clique_of(adj, pool)
-        stack.append((pool & ~(low | succ[v]), size, mask, clique_of, pool, count, age + 1))
-        stack.append((pool & ~(adj[v] | low), size + 1, mask | low, clique_of, pool, count, age + 1))
-    return best, nodes, True
-
-
-def _clique_of(adj: Sequence[int], pool: int) -> tuple[list[int], int]:
-    """A greedy clique cover of pool as (clique of each vertex, 0 outside pool; clique count)."""
-    cover = _greedy_clique_cover(adj, pool)
-    clique_of = [0] * len(adj)
-    for c in cover:
-        for low in bits(c):
-            clique_of[low.bit_length() - 1] = c
-    return clique_of, len(cover)
-
-
-def _greedy_cover_size(adj: Sequence[int], pool: int, limit: int) -> int:
-    """The number of cliques of _greedy_clique_cover(adj, pool), counted up to limit.
-
-    No clique is kept, so a node can test a fresh cover without holding
-    one; holding each one raised the peak memory of large g solves by 2%.
-    """
-    count = 0
-    while pool and count < limit:
-        low = pool & -pool
-        clique = low
-        cands = pool & adj[low.bit_length() - 1] & ~low
-        while cands:
-            ulow = cands & -cands
-            clique |= ulow
-            cands &= adj[ulow.bit_length() - 1] & ~ulow
-        pool &= ~clique
-        count += 1
-    return count
-
-
 def _solve_shifted(
     family: VectorFamily, labels: Sequence[int], adj: Sequence[int], deadline: float, seed: int
 ) -> SolveResult:
@@ -468,12 +371,19 @@ def _solve_shifted(
 
     labels is shift_order of the whole class family, adj the conflict
     graph of its members in that order and seed an independent set of adj,
-    the first incumbent.  The search stops unfinished at the absolute
-    deadline (time.monotonic()); elapsed covers the closure and search.
+    the first incumbent.  _bnb searches shifting.closure_graph's H from
+    its live vertices: a maximum independent set of H[live] is a largest
+    shift-closed family, and every set of H is independent in adj, so a
+    search cut short still holds a valid family.  A deadline
+    (time.monotonic()) passed once H is built returns the seed at 0
+    nodes; otherwise the search stops unfinished at it.  elapsed covers
+    the H build and search.
     """
     start = time.monotonic()
-    pred, succ = shift_closure([family.members[i] for i in labels])
-    best, nodes, finished = _bnb_shifted(adj, pred, succ, seed, deadline)
+    live, closed = closure_graph([family.members[i] for i in labels], adj)
+    if time.monotonic() >= deadline:
+        return _result(family, labels, seed, False, 0, start)
+    best, nodes, finished = _bnb(closed, (live, 0, 0), seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
 
@@ -507,8 +417,8 @@ def solve_extremal(
     takes vertex 0 at the root and explores only its non-neighbours:
     the class is one S_n-orbit and the spec depends only on the product,
     so some optimum contains vertex 0.
-    One conflict graph serves the whole call, its vertices in the order
-    the search walks: shift_order's when pruning, class order otherwise.
+    One conflict graph is built per call, its vertices in shift_order's
+    order when pruning, in class order otherwise.
     A graph with no edges needs no search: the whole class is the
     answer, exact at 0 nodes.  Otherwise the search starts from a
     construction (greedy_seed_g for g, the best split family for m); one
@@ -516,7 +426,7 @@ def solve_extremal(
     budget bounds the whole call: it sets one deadline (_deadline from
     entry) that the search stops at, and elapsed is measured from entry.
     A pruned solve whose deadline has passed once the graph and seed are
-    built does not start the shift closure; it returns the seed with a
+    built does not start the closure graph; it returns the seed with a
     lower-bound status.
     """
     start = time.monotonic()
@@ -544,7 +454,7 @@ def solve_extremal(
         best, nodes, finished = _bnb(adj, (full & ~(adj[0] | 1), 1, 1), best, deadline)
         return _result(family, labels, best, finished, nodes, start)
     if time.monotonic() >= deadline:
-        # the budget is spent: return the seed rather than start the closure
+        # the budget is spent: return the seed rather than build the closure graph
         return _result(family, labels, seed, False, 0, start)
     result = _solve_shifted(family, labels, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

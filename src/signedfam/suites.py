@@ -484,11 +484,34 @@ def _pairwise_adjacency(
     return adj
 
 
+def _closure_graph_by_definition(down: Sequence[int], adj: Sequence[int]) -> tuple[int, list[int]]:
+    """(live, H) of shifting.closure_graph by its definition, given down(u) as a mask per u.
+
+    reach[u] holds every vertex adjacent to a member of down(u): u is
+    live when reach[u] misses down(u), and H joins live u to each live
+    v != u whose down(v) meets reach[u], tested for each ordered pair.
+    """
+    n = len(adj)
+    reach = [0] * n
+    for u, below in enumerate(down):
+        for a in range(n):
+            if below >> a & 1:
+                reach[u] |= adj[a]
+    live = [u for u in range(n) if not reach[u] & down[u]]
+    graph = [0] * n
+    for u in live:
+        for v in live:
+            if v != u and reach[u] & down[v]:
+                graph[u] |= 1 << v
+    return sum(1 << u for u in live), graph
+
+
 def _setup_mismatch(profile: Profile) -> str:
     """First difference of the solver's setup from its pairwise definition.
 
-    The g and m conflict graphs against _pairwise_adjacency, and the
-    shift closure against a pairwise precedes scan.
+    The g and m conflict graphs against _pairwise_adjacency, the shift
+    closure against a pairwise precedes scan, and the g and m closure
+    graphs against _closure_graph_by_definition on that scan.
     """
     family = enumerate_all(profile)
     members = family.members
@@ -498,11 +521,17 @@ def _setup_mismatch(profile: Profile) -> str:
             return f"{target} conflict graph"
     ranked = [members[i] for i in shifting.shift_order(members)]
     pred, succ = shifting.shift_closure(ranked)
+    down = [1 << b for b in range(len(ranked))]
     for b in range(len(ranked)):
         for a in range(b):
             related = shifting.precedes(ranked[a], ranked[b])
             if related != bool(pred[b] >> a & 1) or related != bool(succ[a] >> b & 1):
                 return f"closure at ranks {a} < {b}"
+            down[b] |= related << a
+    for target in ("g", "m"):
+        adj = _pairwise_adjacency(ranked, solver.target_spec(profile, target))
+        if shifting.closure_graph(ranked, adj) != _closure_graph_by_definition(down, adj):
+            return f"{target} closure graph"
     return ""
 
 
@@ -510,8 +539,8 @@ def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> Veri
     """Branch-and-bound against the exhaustive oracle; setup against pairwise scans."""
     report = VerificationReport("solver-oracle")
 
-    # the g and m graphs are bit-sliced and the shift closure is generated;
-    # re-derive all three from their pairwise definitions
+    # the g and m graphs are bit-sliced, and the shift closure and closure
+    # graphs are generated; re-derive all five from their pairwise definitions
     setup_profiles = [
         Profile(n, k, l) for n in range(3, 8) for k in range(2, n) for l in range(1, k)
         if k + l <= n

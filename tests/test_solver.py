@@ -25,7 +25,7 @@ from signedfam import (
 )
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
-from signedfam.shifting import shift_closure, shift_ij, shift_order
+from signedfam.shifting import closure_graph, shift_closure, shift_ij, shift_order
 from signedfam.vectors import bits
 from signedfam.solver import (
     ConflictGraph,
@@ -391,7 +391,8 @@ class TestSolveExtremal:
         assert (solved.value, solved.status, solved.nodes_explored) == (230, "lower_bound_timeout", 0)
         assert not solved.is_exact
         assert solved.witness.members == greedy_seed_g(p).members
-        # the engine itself stops at its first deadline check, the 256th node
+        # the engine checks the deadline once its closure graph is built,
+        # before the first node; _bnb's own 256-node stop is pinned unpruned
         spec = ForbiddenSpec.exact({-4})
         family = enumerate_all(p)
         labels = shift_order(family.members)
@@ -399,7 +400,7 @@ class TestSolveExtremal:
         adj = solver._adjacency(ranked, p, spec)
         seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
         engine = solver._solve_shifted(family, labels, adj, time.monotonic(), seed)
-        assert (engine.value, engine.status, engine.nodes_explored) == (230, "lower_bound_timeout", 256)
+        assert (engine.value, engine.status, engine.nodes_explored) == (230, "lower_bound_timeout", 0)
         for res in (solved, engine):
             assert len(res.witness) == res.value
             assert_class_witness(res, p)
@@ -441,18 +442,20 @@ class TestSolveExtremal:
 
     def test_infinite_budget_is_exact(self):
         pruned = solve_extremal(Profile(8, 3, 2), "g", budget=float("inf"))
-        assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 599)
+        assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 1)
         unpruned = solve_extremal(Profile(7, 3, 1), "m", budget=float("inf"), shifted_pruning=False)
         assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 2633)
 
     def test_budget_covers_setup(self):
+        # m(11,3,2) takes about 0.2 s to its graph and seed, 0.3 s more to
+        # its closure graph and 1.2 s in all; g(11,3,2) now solves in 0.5 s
         start = time.monotonic()
-        res = solve_extremal(Profile(11, 3, 2), "g", budget=0.5)
+        res = solve_extremal(Profile(11, 3, 2), "m", budget=0.25)
         wall = time.monotonic() - start
         assert res.status == "lower_bound_timeout"
         assert wall < 5.0
         assert res.elapsed >= 0.9 * wall
-        assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
+        assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
 
     @pytest.mark.parametrize("n, value", [(10, 840), (11, 2310)])
     def test_edgeless_class_needs_no_search(self, n, value):
@@ -576,24 +579,23 @@ class TestSearchEffort:
 
     def test_pruned_g_932_node_count(self):
         res = solve_extremal(Profile(9, 3, 2), "g")
-        assert (res.value, res.status, res.nodes_explored) == (510, "exact", 1737)
+        assert (res.value, res.status, res.nodes_explored) == (510, "exact", 1)
 
     @pytest.mark.parametrize(
         "profile, target, pruning, value, nodes",
         [
-            ((8, 3, 2), "g", True, 230, 599),
-            ((11, 3, 1), "g", True, 372, 315),
+            ((8, 3, 2), "g", True, 230, 1),
+            ((11, 3, 1), "g", True, 372, 1),
             ((7, 3, 1), "g", False, 60, 2825),
             ((8, 2, 1), "m", False, 30, 1435),
             ((7, 3, 1), "m", False, 28, 2633),
             ((7, 3, 2), "m", False, 33, 1005),
             # m is shift-pruned by default
-            ((7, 3, 2), "m", None, 33, 193),
-            ((8, 2, 1), "m", None, 30, 23),
-            ((7, 3, 1), "m", None, 28, 101),
-            ((7, 2, 2), "m", None, 25, 157),
-            # deep enough that rebuilt covers are adopted
-            ((9, 3, 2), "m", None, 105, 3451),
+            ((7, 3, 2), "m", None, 33, 49),
+            ((8, 2, 1), "m", None, 30, 1),
+            ((7, 3, 1), "m", None, 28, 9),
+            ((7, 2, 2), "m", None, 25, 11),
+            ((9, 3, 2), "m", None, 105, 159),
         ],
     )
     def test_search_tree_pinned(self, profile, target, pruning, value, nodes):
@@ -608,7 +610,8 @@ class TestSearchEffort:
         def refuse(limit):
             raise AssertionError("the recursion limit was changed")
 
-        # 100 frames of headroom: a recursive search of the pruned g(9,3,2) tree needs more
+        # 100 frames of headroom: a recursive search of the pruned m(9,4,2)
+        # tree, 142 branchings deep, needs more
         depth = len(inspect.stack())
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
@@ -616,15 +619,43 @@ class TestSearchEffort:
         try:
             g = solve_extremal(Profile(9, 3, 2), "g")
             m = solve_extremal(Profile(7, 3, 2), "m", shifted_pruning=False)
+            deep = solve_extremal(Profile(9, 4, 2), "m")
         finally:
             monkeypatch.undo()
             sys.setrecursionlimit(limit)
-        assert (g.value, g.status, g.nodes_explored) == (510, "exact", 1737)
+        assert (g.value, g.status, g.nodes_explored) == (510, "exact", 1)
         assert (m.value, m.status, m.nodes_explored) == (33, "exact", 1005)
+        assert (deep.value, deep.status, deep.nodes_explored) == (155, "exact", 305)
+
+
+def closure_graph_mismatches(build):
+    """(profile, target) of every class with n <= 7 on which build differs from the definition.
+
+    build(members, adj) is checked against suites._closure_graph_by_definition,
+    with each down(u) found through precedes, for g and m.  Also returns
+    whether each class took closure_graph's sparse branch (at most V^2/8
+    summed degree).
+    """
+    mismatches, sparse = [], set()
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for l in range(n - k + 1):
+                p = Profile(n, k, l)
+                members = enumerate_all(p).members
+                ranked = [members[i] for i in shift_order(members)]
+                down = [
+                    sum(1 << a for a, va in enumerate(ranked) if precedes(va, vb)) for vb in ranked
+                ]
+                for target in ("g", "m") if p.is_g_profile else ("m",):
+                    adj = solver._adjacency(ranked, p, target_spec(p, target))
+                    sparse.add(sum(mask.bit_count() for mask in adj) <= len(adj) ** 2 // 8)
+                    if build(ranked, adj) != suites._closure_graph_by_definition(down, adj):
+                        mismatches.append(((n, k, l), target))
+    return mismatches, sparse
 
 
 class TestShiftedEngine:
-    """_bnb_shifted against exhaustive search and against its earlier witnesses."""
+    """The shift-pruned search against exhaustive search and against its earlier witnesses."""
 
     @pytest.mark.parametrize(
         "profile, target, value, digest",
@@ -637,42 +668,30 @@ class TestShiftedEngine:
         ids=["g-8-3-2", "g-9-3-2", "m-7-3-2", "m-9-3-2"],
     )
     def test_witnesses_do_not_depend_on_the_bound(self, profile, target, value, digest):
-        """Pinned sha256 of witness_indices, as an earlier, weaker bound found them.
+        """Pinned sha256 of witness_indices, as earlier searches found them.
 
-        That bound was one cover shared by all nodes and rebuilt every 64
-        nodes.  The search walks a fixed depth-first order, and the incumbent
-        changes exactly at the leaves that beat every earlier leaf.  A
-        valid bound never prunes an ancestor of such a leaf, since that
-        leaf beats the incumbent there, so any valid bound finds the same
-        witness; a stronger one only visits fewer nodes.
+        A regression pin: these four witnesses have held through every
+        bound and through the move from a rank-order search of the
+        conflict graph to _bnb on its closure graph.  The move changed
+        some other m witnesses, which is allowed: a solve promises a
+        largest shift-closed family, not a particular one.
         """
         res = solve_extremal(Profile(*profile), target)
         assert (res.value, res.status) == (value, "exact")
         assert hashlib.sha256(repr(res.witness_indices).encode()).hexdigest() == digest
 
-    def test_matches_exhaustive_search_on_random_orders(self, monkeypatch):
+    def test_matches_exhaustive_search_on_random_orders(self):
         """Random graphs of at most 16 vertices under random transitive orders.
 
         pred[v] is a random down-closed set of lower ranks, as shift_closure
         gives; the optimum is the largest independent set that holds the
-        pred of each of its members.  Each graph is searched from an empty
-        incumbent and from an optimum less its top-ranked member, which
-        leaves no slack in the bound.  Sparse orders leave trees deeper
-        than the 8 branching levels after which a node counts a fresh
-        cover, and _clique_of, counted here, builds every cover a node
-        adopts.  _greedy_cover_size, which decides on adoption, must count
-        what _greedy_clique_cover builds, up to its limit.
+        pred of each of its members.  live and H come from their
+        definition, and _bnb on H[live] must reach the optimum with a set
+        that is down-closed and independent, from an empty incumbent and
+        from an optimum less its top-ranked member, which leaves no slack
+        in the bound.
         """
-        built = []
-
-        def counted(adj, pool):
-            built.append(pool)
-            return clique_of(adj, pool)
-
-        clique_of = solver._clique_of
-        monkeypatch.setattr(solver, "_clique_of", counted)
         rng = random.Random(15)
-        adopted = 0
         for _ in range(400):
             n = rng.randint(10, 16)
             adj = random_graph(n, rng.uniform(0.3, 0.8), rng).adj
@@ -682,11 +701,6 @@ class TestShiftedEngine:
                 for u in range(v):
                     if rng.random() < order_density:
                         pred[v] |= pred[u] | 1 << u
-            succ = [sum(1 << w for w in range(n) if pred[w] >> v & 1) for v in range(n)]
-            pool = rng.getrandbits(n)
-            size = len(solver._greedy_clique_cover(adj, pool))
-            assert solver._greedy_cover_size(adj, pool, n) == size
-            assert solver._greedy_cover_size(adj, pool, size - 1) == max(size - 1, 0)
 
             def largest(v, chosen):
                 if v == n:
@@ -697,16 +711,39 @@ class TestShiftedEngine:
                 return out
 
             optimum = largest(0, 0)
+            live, closed = suites._closure_graph_by_definition(
+                [mask | 1 << v for v, mask in enumerate(pred)], adj
+            )
             for seed in (0, optimum & ~(1 << optimum.bit_length() - 1)):
-                del built[:]
-                best, _, finished = solver._bnb_shifted(adj, pred, succ, seed, float("inf"))
+                best, _, finished = solver._bnb(closed, (live, 0, 0), seed, float("inf"))
                 assert finished
                 assert best.bit_count() == optimum.bit_count()
                 for low in bits(best):
                     v = low.bit_length() - 1
                     assert not adj[v] & best and not pred[v] & ~best
-                adopted += len(built) - 1
-        assert adopted > 0
+
+    def test_closure_graph_matches_its_definition(self):
+        mismatches, sparse = closure_graph_mismatches(closure_graph)
+        assert mismatches == []
+        assert sparse == {True, False}  # both of closure_graph's branches ran
+
+    @pytest.mark.parametrize("fault", ["drop an edge", "revive a dead vertex"])
+    def test_closure_graph_check_catches_a_planted_fault(self, fault):
+        def faulty(members, adj):
+            live, graph = closure_graph(members, adj)
+            if fault == "revive a dead vertex":
+                dead = ~live & (1 << len(graph)) - 1
+                return live | (dead & -dead), graph
+            for u, mask in enumerate(graph):
+                if mask:
+                    v = (mask & -mask).bit_length() - 1
+                    graph[u] ^= 1 << v
+                    graph[v] ^= 1 << u
+                    break
+            return live, graph
+
+        mismatches, _ = closure_graph_mismatches(faulty)
+        assert mismatches
 
 
 class TestGraphFromFamily:

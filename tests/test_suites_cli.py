@@ -136,6 +136,23 @@ class TestRunSuite:
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
         assert not case.passed and "closure" in case.actual
         monkeypatch.undo()
+        # a closure graph that loses the edge at its lowest live vertex
+        lifted = shifting.closure_graph
+
+        def drop_an_edge(members, adj):
+            live, graph = lifted(members, adj)
+            for u in range(len(graph)):
+                if graph[u]:
+                    v = (graph[u] & -graph[u]).bit_length() - 1
+                    graph[u] ^= 1 << v
+                    graph[v] ^= 1 << u
+                    break
+            return live, graph
+
+        monkeypatch.setattr(shifting, "closure_graph", drop_an_edge)
+        case = setup_case(run_suite("solver-oracle", random_graphs=0))
+        assert not case.passed and "g closure graph" in case.actual
+        monkeypatch.undo()
         # a builder that loses the edges of the g graph
         built = solver.graph_from_family
 
