@@ -515,11 +515,17 @@ def _setup_mismatch(profile: Profile) -> str:
     """
     family = enumerate_all(profile)
     members = family.members
+    order = shifting.shift_order(members)
+    ranked = [members[i] for i in order]
+    ranked_graphs = {}
     for target in ("g", "m"):
         spec = solver.target_spec(profile, target)
-        if list(solver.graph_from_family(family, spec).adj) != _pairwise_adjacency(members, spec):
+        pairwise = _pairwise_adjacency(members, spec)
+        if list(solver.graph_from_family(family, spec).adj) != pairwise:
             return f"{target} conflict graph"
-    ranked = [members[i] for i in shifting.shift_order(members)]
+        ranked_graphs[target] = [
+            sum((pairwise[i] >> j & 1) << r for r, j in enumerate(order)) for i in order
+        ]
     pred, succ = shifting.shift_closure(ranked)
     down = [1 << b for b in range(len(ranked))]
     for b in range(len(ranked)):
@@ -528,8 +534,7 @@ def _setup_mismatch(profile: Profile) -> str:
             if related != bool(pred[b] >> a & 1) or related != bool(succ[a] >> b & 1):
                 return f"closure at ranks {a} < {b}"
             down[b] |= related << a
-    for target in ("g", "m"):
-        adj = _pairwise_adjacency(ranked, solver.target_spec(profile, target))
+    for target, adj in ranked_graphs.items():
         if shifting.closure_graph(ranked, adj) != _closure_graph_by_definition(down, adj):
             return f"{target} closure graph"
     return ""

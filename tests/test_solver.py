@@ -448,7 +448,7 @@ class TestSolveExtremal:
 
     def test_budget_covers_setup(self):
         # m(11,3,2) takes about 0.2 s to its graph and seed, 0.3 s more to
-        # its closure graph and 1.2 s in all; g(11,3,2) now solves in 0.5 s
+        # its closure graph and 1.2 s in all, on 2 cores
         start = time.monotonic()
         res = solve_extremal(Profile(11, 3, 2), "m", budget=0.25)
         wall = time.monotonic() - start
@@ -633,8 +633,8 @@ def closure_graph_mismatches(build):
 
     build(members, adj) is checked against suites._closure_graph_by_definition,
     with each down(u) found through precedes, for g and m.  Also returns
-    whether each class took closure_graph's sparse branch (at most V^2/8
-    summed degree).
+    the set of answers to whether a graph takes closure_graph's sparse
+    branch (at most V^2/8 summed degree).
     """
     mismatches, sparse = [], set()
     for n in range(1, 8):

@@ -136,7 +136,7 @@ class TestRunSuite:
         case = setup_case(run_suite("solver-oracle", random_graphs=0))
         assert not case.passed and "closure" in case.actual
         monkeypatch.undo()
-        # a closure graph that loses the edge at its lowest live vertex
+        # a closure graph that loses one edge
         lifted = shifting.closure_graph
 
         def drop_an_edge(members, adj):
