@@ -74,12 +74,9 @@ def shift_closure(members: Sequence[SignedVector]) -> tuple[list[int], list[int]
     pred[r] has bit s when members[s] is reachable from members[r] by
     shifts, s != r; succ is its transpose.
     """
-    pred = _closed(members, lambda r: 1 << r)
-    succ = _closed(members, lambda r: 1 << r, upward=True)
-    for r in range(len(members)):
-        pred[r] ^= 1 << r
-        succ[r] ^= 1 << r
-    return pred, succ
+    down = _closed(members, lambda r: 1 << r)
+    up = _closed(members, lambda r: 1 << r, upward=True)
+    return [m ^ 1 << r for r, m in enumerate(down)], [m ^ 1 << r for r, m in enumerate(up)]
 
 
 def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[int, list[int]]:

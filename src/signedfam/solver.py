@@ -372,12 +372,10 @@ def _solve_shifted(
     labels is shift_order of the whole class family, adj the conflict
     graph of its members in that order and seed an independent set of adj,
     the first incumbent.  _bnb searches shifting.closure_graph's H from
-    its live vertices: a maximum independent set of H[live] is a largest
-    shift-closed family, and every set of H is independent in adj, so a
-    search cut short still holds a valid family.  A deadline
-    (time.monotonic()) passed once H is built returns the seed at 0
-    nodes; otherwise the search stops unfinished at it.  elapsed covers
-    the H build and search.
+    its live vertices, where every independent set is one of adj and the
+    largest are shift-closed.  A deadline (time.monotonic()) passed once
+    H is built returns the seed at 0 nodes.  elapsed covers the H build
+    and search.
     """
     start = time.monotonic()
     live, closed = closure_graph([family.members[i] for i in labels], adj)
