@@ -4,8 +4,11 @@ Constructions: the fixed-first-coordinate family, the one-dimension
 inductive extension, and one-cut split families, with best_split_family
 the one place that picks the optimal cut.  Each builds its members from
 index subsets the same way: combinations over bit values, summed into a
-mask.  xy_class is the one window-class rule: it puts a vector into its
-class (side, m) at window count t, so one pass over a class counts every
+mask.  It hands the (pos, neg) pairs to VectorFamily._of_masks, which
+skips the family-level checks that the construction already makes
+true; in-order subsets of a family go to VectorFamily._of_sorted.
+xy_class is the one window-class rule: it puts a vector into its class
+(side, m) at window count t, so one pass over a class counts every
 window class of it.  xy_families splits a class into the x and y classes
 at one (t, m) in one pass, and family_xy_tm picks one side of it.
 Classification sorts the plus-final members of a family into the two
@@ -38,13 +41,13 @@ def ekr_family(profile: Profile) -> VectorFamily:
     supports share coordinate 1.
     """
     n, k, l = profile.n, profile.k, profile.l
-    members = []
+    masks = []
     for rest in combinations([1 << i for i in range(1, n)], k + l - 1):
         support_mask = 1 + sum(rest)  # coordinate 1 is in every support
         for minus in combinations(rest, l):
             neg = sum(minus)
-            members.append(SignedVector(n, support_mask ^ neg, neg))
-    return VectorFamily(profile, members)
+            masks.append((support_mask ^ neg, neg))
+    return VectorFamily._of_masks(profile, masks)
 
 
 def inductive_extend(fam: VectorFamily) -> VectorFamily:
@@ -62,14 +65,14 @@ def inductive_extend(fam: VectorFamily) -> VectorFamily:
     if p.l < 1:
         raise ValueError("extension requires l >= 1")
     new_profile = Profile(p.n + 1, p.k, p.l)
-    members = [SignedVector(p.n + 1, v.pos, v.neg) for v in fam]
+    masks = [(v.pos, v.neg) for v in fam]
     last_bit = 1 << p.n
     for support in combinations([1 << i for i in range(p.n)], p.k + p.l - 1):
         support_mask = sum(support)
         for minus in combinations(support, p.l - 1):
             neg = sum(minus)
-            members.append(SignedVector(p.n + 1, support_mask ^ neg, neg | last_bit))
-    return VectorFamily(new_profile, members)
+            masks.append((support_mask ^ neg, neg | last_bit))
+    return VectorFamily._of_masks(new_profile, masks)
 
 
 def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
@@ -89,11 +92,11 @@ def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
     if len(y) < l:
         raise ValueError(f"minus side has {len(y)} coordinates; needs at least l={l}")
     minus_masks = [sum(c) for c in combinations([1 << (i - 1) for i in y], l)]
-    members = []
+    masks = []
     for plus in combinations([1 << (i - 1) for i in x], k):
         pos = sum(plus)
-        members.extend(SignedVector(n, pos, neg) for neg in minus_masks)
-    return VectorFamily(profile, members)
+        masks.extend((pos, neg) for neg in minus_masks)
+    return VectorFamily._of_masks(profile, masks)
 
 
 def best_split_family(profile: Profile) -> VectorFamily:
@@ -109,9 +112,9 @@ def partition_by_last(fam: VectorFamily) -> tuple[VectorFamily, VectorFamily, Ve
         (minus if v.last == -1 else zero if v.last == 0 else plus).append(v)
     p = fam.profile
     return (
-        VectorFamily(p, minus),
-        VectorFamily(p, zero),
-        VectorFamily(p, plus),
+        VectorFamily._of_sorted(p, minus),
+        VectorFamily._of_sorted(p, zero),
+        VectorFamily._of_sorted(p, plus),
     )
 
 
@@ -150,7 +153,10 @@ def xy_families(profile: Profile, t: int, m: int) -> tuple[VectorFamily, VectorF
         found = xy_class(v, t)
         if found is not None and found[1] == m:
             sides[found[0]].append(v)
-    return VectorFamily(profile, sides["x"]), VectorFamily(profile, sides["y"])
+    return (
+        VectorFamily._of_sorted(profile, sides["x"]),
+        VectorFamily._of_sorted(profile, sides["y"]),
+    )
 
 
 def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:

@@ -28,15 +28,23 @@ _ORACLE_DIM_CAP = 8
 
 
 def shift_ij(v: SignedVector, i: int, j: int) -> SignedVector:
-    """Apply the (i <- j)-shift; returns v itself when v_i >= v_j."""
+    """Apply the (i <- j)-shift; returns v itself when v_i >= v_j.
+
+    precedes_oracle and compress rely on that identity: an image that is
+    v is one the shift did not move.
+    """
     if not (1 <= i < j <= v.dim):
         raise ValueError(f"invalid move ({i}, {j}) for dimension {v.dim}")
-    if v.value_at(i) >= v.value_at(j):
+    pos, neg = v.pos, v.neg
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    vi = 1 if pos & bi else -1 if neg & bi else 0
+    vj = 1 if pos & bj else -1 if neg & bj else 0
+    if vi >= vj:
         return v
     # v_i < v_j, so each mask holds at most one of the two bits: swap it
-    swap = 1 << (i - 1) | 1 << (j - 1)
-    pos = v.pos ^ swap if v.pos & swap else v.pos
-    neg = v.neg ^ swap if v.neg & swap else v.neg
+    swap = bi | bj
+    pos = pos ^ swap if pos & swap else pos
+    neg = neg ^ swap if neg & swap else neg
     return SignedVector(v.dim, pos, neg)
 
 
@@ -198,7 +206,8 @@ def precedes_oracle(v: SignedVector, w: SignedVector) -> bool:
         for u in frontier:
             for i, j in moves:
                 img = shift_ij(u, i, j)
-                if img not in seen:
+                # an unmoved image is u itself, already seen
+                if img is not u and img not in seen:
                     if img == v:
                         return True
                     seen.add(img)
@@ -243,7 +252,7 @@ def compress(fam: VectorFamily) -> VectorFamily:
             replacements = []
             for v in members:
                 img = shift_ij(v, i, j)
-                if img != v and img not in members:
+                if img is not v and img not in members:
                     replacements.append((v, img))
             if replacements:
                 for v, img in replacements:

@@ -281,7 +281,7 @@ def _result(
     indices = tuple(sorted(labels[low.bit_length() - 1] for low in bits(mask)))
     witness = None
     if family is not None:
-        witness = VectorFamily(family.profile, [family.members[i] for i in indices])
+        witness = VectorFamily._of_sorted(family.profile, [family.members[i] for i in indices])
     return SolveResult(
         value=len(indices),
         status=STATUS_EXACT if finished else STATUS_TIMEOUT,

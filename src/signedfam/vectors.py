@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 _DIM_CAP = 128
@@ -303,11 +304,34 @@ class VectorFamily:
                     f"vector {v} does not match profile "
                     f"(n={profile.n}, k={profile.k}, l={profile.l})"
                 )
+        self._fill(profile, sorted(dedup, key=attrgetter("pos", "neg")), frozenset(dedup))
+
+    @classmethod
+    def _of_masks(cls, profile: Profile, masks: Iterable[tuple[int, int]]) -> "VectorFamily":
+        """The family of the given (pos, neg) mask pairs, each built as a SignedVector.
+
+        For builders inside the program only: the pairs must be distinct
+        and of the profile, as neither is checked here.  Each vector
+        still runs its own checks.
+        """
+        n = profile.n
+        return cls._of_sorted(profile, [SignedVector(n, pos, neg) for pos, neg in sorted(masks)])
+
+    @classmethod
+    def _of_sorted(cls, profile: Profile, members: Iterable[SignedVector]) -> "VectorFamily":
+        """The family of members already distinct, of the profile and in canonical order.
+
+        For builders inside the program only, such as an in-order subset
+        of a family's members; nothing is checked here.
+        """
+        fam = cls.__new__(cls)
+        fam._fill(profile, members, None)
+        return fam
+
+    def _fill(self, profile: Profile, members: Iterable[SignedVector], member_set) -> None:
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(
-            self, "members", tuple(sorted(dedup, key=lambda v: v.canonical_key))
-        )
-        object.__setattr__(self, "_member_set", frozenset(dedup))
+        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("VectorFamily is immutable")
@@ -319,21 +343,24 @@ class VectorFamily:
         return iter(self.members)
 
     def __contains__(self, v: object) -> bool:
-        return v in self._member_set
+        return v in self.member_set()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorFamily):
             return NotImplemented
-        return self.profile == other.profile and self._member_set == other._member_set
+        return self.profile == other.profile and self.member_set() == other.member_set()
 
     def __hash__(self) -> int:
-        return hash((self.profile, self._member_set))
+        return hash((self.profile, self.member_set()))
 
     def __repr__(self) -> str:
         p = self.profile
         return f"VectorFamily(n={p.n}, k={p.k}, l={p.l}, size={len(self)})"
 
     def member_set(self) -> frozenset:
+        # built on first use: a family from _of_sorted has none until then
+        if self._member_set is None:
+            object.__setattr__(self, "_member_set", frozenset(self.members))
         return self._member_set
 
     def to_text(self) -> str:
@@ -380,10 +407,10 @@ def enumerate_all(profile: Profile) -> VectorFamily:
     The count always equals C(n, k+l) * C(k+l, k).
     """
     n, k, l = profile.n, profile.k, profile.l
-    members = []
+    masks = []
     for support in combinations([1 << i for i in range(n)], k + l):
         support_mask = sum(support)
         for plus in combinations(support, k):
             pos = sum(plus)
-            members.append(SignedVector(n, pos, support_mask ^ pos))
-    return VectorFamily(profile, members)
+            masks.append((pos, support_mask ^ pos))
+    return VectorFamily._of_masks(profile, masks)

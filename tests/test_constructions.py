@@ -155,6 +155,40 @@ class TestConstructionsMatchDefinitions:
             assert plus_side == (1 << x) - 1, p
 
 
+class TestTrustedBuildersMatchCheckedConstructor:
+    """The builders skip VectorFamily's checks; on every profile with n <= 7
+    the checked constructor, given their members, returns the same members
+    in the same order."""
+
+    @staticmethod
+    def assert_as_checked(fam):
+        checked = VectorFamily(fam.profile, list(fam.members))
+        assert fam.members == checked.members, fam
+        assert fam == checked and hash(fam) == hash(checked), fam
+
+    def test_class_and_constructions(self):
+        for p in _profiles(7):
+            for fam in (
+                enumerate_all(p),
+                constructions.ekr_family(p),
+                constructions.best_split_family(p),
+                *constructions.partition_by_last(enumerate_all(p)),
+            ):
+                self.assert_as_checked(fam)
+            if p.l >= 1:
+                self.assert_as_checked(constructions.inductive_extend(constructions.ekr_family(p)))
+            odd = range(1, p.n + 1, 2)
+            if p.k <= len(odd) and p.l <= p.n - len(odd):
+                self.assert_as_checked(constructions.split_family(p, odd))
+
+    def test_window_classes(self):
+        for p in _profiles(7):
+            for t in range(1, min(p.k, p.n // 2) + 1):
+                for m in range(0, 2 * t):
+                    for fam in constructions.xy_families(p, t, m):
+                        self.assert_as_checked(fam)
+
+
 class TestPartitionByLast:
     def test_full_class_split(self):
         p = Profile(3, 1, 1)

@@ -1,7 +1,7 @@
 """Shift moves, the dominance order, and family compression."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +47,25 @@ class TestShiftMove:
             for i, j in combinations(range(1, 6), 2):
                 img = shift_ij(w, i, j)
                 assert (img.k, img.l) == (w.k, w.l)
+
+    def test_matches_max_min_rule(self):
+        # every vector of {0,+1,-1}^n for n <= 5 and every i < j; an
+        # unmoved image must be v itself, as precedes_oracle and compress
+        # skip images by identity
+        for n in range(2, 6):
+            for values in product((1, 0, -1), repeat=n):
+                w = SignedVector.from_supports(
+                    n,
+                    [p for p, x in enumerate(values, 1) if x == 1],
+                    [p for p, x in enumerate(values, 1) if x == -1],
+                )
+                for i, j in combinations(range(1, n + 1), 2):
+                    img = shift_ij(w, i, j)
+                    a, b = values[i - 1], values[j - 1]
+                    want = list(values)
+                    want[i - 1], want[j - 1] = max(a, b), min(a, b)
+                    assert img.values() == tuple(want), (w, i, j)
+                    assert (img is w) == (a >= b), (w, i, j)
 
     def test_mask_images_match_shift_ij(self):
         # shift_images, the rule the solver's closure uses, against the

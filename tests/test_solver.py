@@ -500,11 +500,17 @@ class TestSolveExtremal:
 
 
 def assert_class_witness(res, profile):
-    """witness_indices ascend, and index the class to give the witness."""
+    """witness_indices ascend, and index the class to give the witness.
+
+    The witness also equals the checked constructor's family of its
+    members, in the same order.
+    """
     indices = list(res.witness_indices)
     assert indices == sorted(set(indices))
     members = enumerate_all(profile).members
     assert [members[i] for i in indices] == list(res.witness.members)
+    checked = VectorFamily(profile, list(res.witness.members))
+    assert res.witness.members == checked.members and res.witness == checked
 
 
 # every class the exhaustive oracle can take

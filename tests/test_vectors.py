@@ -195,6 +195,11 @@ class TestVectorFamily:
         with pytest.raises(ValueError):
             VectorFamily(Profile(3, 1, 1), [SignedVector.parse("+-")])
 
+    def test_trusted_path_keeps_each_vectors_checks(self):
+        # _of_masks skips the family-level checks, never SignedVector's own
+        with pytest.raises(ValueError, match="overlap"):
+            VectorFamily._of_masks(Profile(3, 1, 1), [(1, 1)])
+
     def test_immutable(self):
         fam = VectorFamily(Profile(3, 1, 1), [SignedVector.parse("+-0")])
         with pytest.raises(AttributeError):
