@@ -163,10 +163,6 @@ class SignedVector:
         """Value of the final coordinate."""
         return self.value_at(self.dim)
 
-    @property
-    def canonical_key(self) -> tuple[int, int]:
-        return (self.pos, self.neg)
-
 
 class SuffixMarkers(NamedTuple):
     """Largest start index whose suffix sums to -1, and the count of -1s from there on."""

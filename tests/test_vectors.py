@@ -187,7 +187,7 @@ class TestVectorFamily:
         b = SignedVector.parse("-+0")
         fam = VectorFamily(p, [b, a, a])
         assert len(fam) == 2
-        assert list(fam) == sorted([a, b], key=lambda v: v.canonical_key)
+        assert list(fam) == sorted([a, b], key=lambda v: (v.pos, v.neg))
 
     def test_member_profile_enforced(self):
         with pytest.raises(ValueError):
