@@ -12,9 +12,11 @@ exact result; exact entries are never downgraded.  This is the program's only st
 solve results.  A cache file is corrupt when it is not a JSON object or
 holds an entry whose value is not a non-negative integer or whose status
 is neither exact nor a timeout; it is moved aside to "<path>.corrupt"
-and rebuilt from scratch with a warning rather than failing.  Saves
-write a temporary file and rename it into place, so an interrupted save
-leaves the previous file intact.
+and rebuilt from scratch with a warning rather than failing.  A path
+that cannot be read, such as a directory, is not corrupt: its OSError
+propagates and the path is left as it is.  Saves write a temporary
+file and rename it into place, so an interrupted save leaves the
+previous file intact.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class ResultCache:
             self.entries = data
         except FileNotFoundError:
             self.entries = {}
-        except (json.JSONDecodeError, ValueError, OSError) as exc:
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError too
             try:
                 os.replace(self.path, self.path + ".corrupt")
                 kept = f"moved to {self.path}.corrupt"

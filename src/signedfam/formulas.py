@@ -33,7 +33,8 @@ def g_closed_l1(n: int, k: int) -> int:
     """Exact g(n, k, 1) for n >= 2k, k >= 2.
 
     Equals k * C(n-1, k) while 2k <= n <= k*k; beyond that each dimension
-    step adds C(n', k).
+    step n' -> n' + 1 adds C(n', k), which sums (hockey stick) to
+    C(n, k+1) - C(k*k, k+1).
     """
     if k < 2:
         raise ValueError(f"closed form requires k >= 2, got k={k}")
@@ -41,10 +42,7 @@ def g_closed_l1(n: int, k: int) -> int:
         raise ValueError(f"closed form requires n >= 2k, got n={n}, k={k}")
     if n <= k * k:
         return k * binom(n - 1, k)
-    total = k * binom(k * k - 1, k)
-    for m in range(k * k, n):
-        total += binom(m, k)
-    return total
+    return k * binom(k * k - 1, k) + binom(n, k + 1) - binom(k * k, k + 1)
 
 
 class GBounds(NamedTuple):
@@ -116,21 +114,19 @@ class SplitValue(NamedTuple):
 def p_split(n: int, k: int, l: int) -> SplitValue:
     """Best one-cut split count p(n, k, l) and its smallest maximizer x.
 
-    Maximizes C(x, k) * C(n - x, l) over x in [k, n - l]; accepts k = 0
-    or l = 0 (the empty side contributes the factor C(., 0) = 1).
+    Maximizes f(x) = C(x, k) * C(n - x, l) over x in [k, n - l]; accepts
+    k = 0 or l = 0 (the empty side contributes the factor C(., 0) = 1).
+    f(x + 1) <= f(x) exactly when l(x + 1) >= k(n - x), that is when
+    x >= (kn - l) / (k + l), so f rises up to the least such x in range
+    and never rises after it.
     """
     if k < 0 or l < 0:
         raise ValueError(f"requires k, l >= 0, got k={k}, l={l}")
     if n < k + l:
         raise ValueError(f"requires n >= k + l, got n={n}, k+l={k + l}")
-    best = -1
-    best_x = -1
-    for x in range(k, n - l + 1):
-        val = binom(x, k) * binom(n - x, l)
-        if val > best:
-            best = val
-            best_x = x
-    return SplitValue(best, best_x)
+    # -((l - kn) // (k + l)) is the ceiling of (kn - l) / (k + l)
+    x = min(n - l, max(k, -((l - k * n) // (k + l)))) if k + l else k
+    return SplitValue(binom(x, k) * binom(n - x, l), x)
 
 
 class IncrementReport(NamedTuple):

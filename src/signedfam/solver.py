@@ -7,12 +7,13 @@ operations per vector.  build_conflict_graph applies it to a whole
 class, and solve_extremal to a class in shift_order's order when it
 prunes.
 One search engine, _bnb, called directly, returns (best mask, nodes,
-finished) and stops at an absolute deadline; _result maps its mask to
-class indices, a witness and a status.  It is a loop over an explicit
-stack of (pool, size, mask) nodes that takes cheap reductions, bounds
-each node by a greedy clique cover of its pool, whose number of cliques
-bounds any independent set, and branches on a vertex of maximum
-degree, taking it before it excludes it.  mis_exact runs it on any
+finished) and stops at an absolute deadline, which it reads before
+every node; _result maps its mask to class indices, a witness and a
+status.  It is a loop over an explicit stack of (pool, size, mask)
+nodes that takes cheap reductions, bounds each node by a greedy clique
+cover of its pool, whose number of cliques bounds any independent set,
+and branches on a vertex of maximum degree, taking it before it
+excludes it.  mis_exact runs it on any
 graph; the unpruned solve on a class's conflict graph; the shift-pruned
 solve (_solve_shifted) on shifting.closure_graph's lift of that graph,
 whose maximum independent sets are the largest shift-closed families.
@@ -213,17 +214,18 @@ def _bnb(
 
     Each node takes the vertices reductions force, is bounded by a fresh
     greedy clique cover of its pool and branches on a vertex of maximum
-    degree, taking it first.  The loop stops unfinished when a 256th node
-    finds the deadline passed.
+    degree, taking it first.  The clock is read before each node: once
+    it reaches the deadline the loop stops unfinished, at 0 nodes when
+    the deadline had passed on entry.
     """
     best_size = best.bit_count()
     nodes = 0
     stack = [root]
     while stack:
+        if time.monotonic() >= deadline:
+            return best, nodes, False
         pool, size, mask = stack.pop()
         nodes += 1
-        if not nodes & 255 and time.monotonic() > deadline:
-            return best, nodes, False
 
         # cheap reductions: a vertex with at most one neighbour is always
         # at least as good as that neighbour, so it is taken
@@ -303,10 +305,11 @@ def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     Every node is bounded by a greedy clique cover of its own pool.
     Deterministic, sequential and iterative (_bnb); a greedy independent
     set is the first incumbent.  When budget seconds pass before the
-    search finishes (at once for a NaN or negative budget, see
-    _deadline), the best set found so far is returned with a lower-bound
-    status.  solve_extremal runs the same search below a vertex-0 root,
-    which holds only for the vertex-transitive graph of a whole class.
+    search finishes, the best set found so far is returned with a
+    lower-bound status at the first node that finds the deadline passed
+    (before any node for a NaN or negative budget, see _deadline).
+    solve_extremal runs the same search below a vertex-0 root, which
+    holds only for the vertex-transitive graph of a whole class.
     """
     adj = graph.adj
     start = time.monotonic()
@@ -373,14 +376,16 @@ def _solve_shifted(
     graph of its members in that order and seed an independent set of adj,
     the first incumbent.  _bnb searches shifting.closure_graph's H from
     its live vertices, where every independent set is one of adj and the
-    largest are shift-closed.  A deadline (time.monotonic()) passed once
-    H is built returns the seed at 0 nodes.  elapsed covers the H build
-    and search.
+    largest are shift-closed.  A deadline (time.monotonic()) already
+    passed on entry returns the seed at 0 nodes without building H, the
+    one costly phase worth skipping; after that _bnb checks the deadline
+    before each node.  elapsed covers the H build and search.
     """
     start = time.monotonic()
-    live, closed = closure_graph([family.members[i] for i in labels], adj)
-    if time.monotonic() >= deadline:
+    if start >= deadline:
+        # the budget is spent: return the seed rather than build the closure graph
         return _result(family, labels, seed, False, 0, start)
+    live, closed = closure_graph([family.members[i] for i in labels], adj)
     best, nodes, finished = _bnb(closed, (live, 0, 0), seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
@@ -423,9 +428,8 @@ def solve_extremal(
     with a conflicting pair raises ValueError.
     budget bounds the whole call: it sets one deadline (_deadline from
     entry) that the search stops at, and elapsed is measured from entry.
-    A pruned solve whose deadline has passed once the graph and seed are
-    built does not start the closure graph; it returns the seed with a
-    lower-bound status.
+    A pruned solve checks it once more, in _solve_shifted, before the
+    closure graph.
     """
     start = time.monotonic()
     spec = target_spec(profile, target)
@@ -451,8 +455,5 @@ def solve_extremal(
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
         best, nodes, finished = _bnb(adj, (full & ~(adj[0] | 1), 1, 1), best, deadline)
         return _result(family, labels, best, finished, nodes, start)
-    if time.monotonic() >= deadline:
-        # the budget is spent: return the seed rather than build the closure graph
-        return _result(family, labels, seed, False, 0, start)
     result = _solve_shifted(family, labels, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

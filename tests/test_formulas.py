@@ -43,6 +43,16 @@ class TestFamilySize:
         assert formulas.family_size(n, k, l) == total
 
 
+def g_l1_loop(n, k):
+    """g(n, k, 1) summed one dimension step at a time past n = k*k."""
+    if n <= k * k:
+        return k * formulas.binom(n - 1, k)
+    total = k * formulas.binom(k * k - 1, k)
+    for m in range(k * k, n):
+        total += formulas.binom(m, k)
+    return total
+
+
 class TestGClosedL1:
     def test_frozen_values(self):
         assert formulas.g_closed_l1(4, 2) == 6
@@ -57,11 +67,16 @@ class TestGClosedL1:
                 assert formulas.g_closed_l1(n, k) == k * formulas.binom(n - 1, k)
 
     def test_forward_difference_past_square(self):
-        # beyond n = k*k each dimension step adds exactly C(n, k)
+        # beyond n = k*k each dimension step adds exactly C(n, k), at any size
         for k in (2, 3):
-            for n in range(k * k, k * k + 6):
+            for n in [*range(k * k, k * k + 6), 10**9]:
                 step = formulas.g_closed_l1(n + 1, k) - formulas.g_closed_l1(n, k)
                 assert step == formulas.binom(n, k)
+
+    def test_matches_stepwise_sum(self):
+        for k in range(2, 9):
+            for n in range(2 * k, 200):
+                assert formulas.g_closed_l1(n, k) == g_l1_loop(n, k)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -153,6 +168,16 @@ def split_oracle(n, k, l):
     return best, best_x
 
 
+def split_loop(n, k, l):
+    """p(n, k, l) and its smallest maximizer by a scan over every cut x."""
+    best, best_x = -1, -1
+    for x in range(k, n - l + 1):
+        value = formulas.binom(x, k) * formulas.binom(n - x, l)
+        if value > best:
+            best, best_x = value, x
+    return best, best_x
+
+
 class TestPSplit:
     def test_frozen(self):
         assert formulas.p_split(10, 2, 1) == (63, 7)
@@ -169,6 +194,12 @@ class TestPSplit:
                     if k + l > n:
                         continue
                     assert formulas.p_split(n, k, l) == split_oracle(n, k, l)
+
+    def test_matches_scan_over_cuts(self):
+        for k in range(8):
+            for l in range(8):
+                for n in range(k + l, 80):
+                    assert formulas.p_split(n, k, l) == split_loop(n, k, l)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,55 @@
-"""The package's public name list."""
+"""The package's public name list, and the names the benchmark tracer patches."""
 
+import importlib
+import importlib.util
+import pkgutil
+import sys
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 import signedfam
+from signedfam import solver
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
 def test_every_exported_name_resolves_once():
     assert [name for name, count in Counter(signedfam.__all__).items() if count > 1] == []
     assert [name for name in signedfam.__all__ if not hasattr(signedfam, name)] == []
+
+
+def _bindings():
+    """id of every value a loaded signedfam module, or a class it defines, binds."""
+    found = {}
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not (mod_name == "signedfam" or mod_name.startswith("signedfam.")):
+            continue
+        for attr, value in vars(module).items():
+            found[mod_name, attr] = id(value)
+            if isinstance(value, type) and value.__module__ == mod_name:
+                for leaf, member in vars(value).items():
+                    found[mod_name, attr, leaf] = id(member)
+    return found
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ beside the tests")
+def test_benchmark_tracer_finds_every_name_it_patches():
+    # the tracer looks up functions by name, so a renamed one fails here
+    # rather than only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("signedfam_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for info in pkgutil.iter_modules(signedfam.__path__):
+        importlib.import_module(f"signedfam.{info.name}")
+    before = _bindings()
+    solve = solver.solve_extremal
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert solver.solve_extremal is not solve
+    finally:
+        tracer.uninstall()
+    assert solver.solve_extremal is solve
+    assert _bindings() == before

@@ -5,8 +5,9 @@ import inspect
 import random
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -270,7 +271,17 @@ class TestMisExact:
     def test_nan_and_negative_budgets_count_as_spent(self, budget):
         # the greedy incumbent at the first deadline check; 60 s gives 20 at 427 nodes
         res = mis_exact(random_graph(60, 0.15, random.Random(11)), budget=budget)
-        assert (res.value, res.status, res.nodes_explored) == (19, "lower_bound_timeout", 256)
+        assert (res.value, res.status, res.nodes_explored) == (14, "lower_bound_timeout", 0)
+
+    @pytest.mark.parametrize("budget, value", [(1, 14), (2, 14), (100, 19)])
+    def test_search_reads_the_clock_before_every_node(self, budget, value, monkeypatch):
+        # each reading of this clock is one second later: entry reads 0, so
+        # the budget-th check, before node number budget, is the first to
+        # reach the deadline; unchecked, the search finishes at 427 nodes
+        ticks = count()
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        res = mis_exact(random_graph(60, 0.15, random.Random(11)), budget=budget)
+        assert (res.value, res.status, res.nodes_explored) == (value, "lower_bound_timeout", budget - 1)
 
 
 class TestMisBruteforce:
@@ -383,29 +394,28 @@ class TestSolveExtremal:
         with pytest.raises(ValueError, match="independent"):
             solve_extremal(Profile(6, 3, 2), "g")
 
-    def test_shifted_budget_exhaustion_keeps_lower_bound(self):
+    def test_shifted_budget_exhaustion_keeps_lower_bound(self, monkeypatch):
         limit = sys.getrecursionlimit()
         p = Profile(8, 3, 2)
         # the budget is spent before the shift closure starts: the seed comes back
-        solved = solve_extremal(p, "g", budget=0.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(solver, "closure_graph", None)  # never called
+            solved = solve_extremal(p, "g", budget=0.0)
         assert (solved.value, solved.status, solved.nodes_explored) == (230, "lower_bound_timeout", 0)
         assert not solved.is_exact
         assert solved.witness.members == greedy_seed_g(p).members
-        # the engine checks the deadline once its closure graph is built,
-        # before the first node; _bnb's own 256-node stop is pinned unpruned
+        assert len(solved.witness) == solved.value
+        assert_class_witness(solved, p)
+        assert verify_family(solved.witness, ForbiddenSpec.exact({-4})).ok
+        assert is_shifted(solved.witness)
+        # on a built closure graph, a passed deadline stops _bnb before its first node
         spec = ForbiddenSpec.exact({-4})
         family = enumerate_all(p)
-        labels = shift_order(family.members)
-        ranked = [family.members[i] for i in labels]
+        ranked = [family.members[i] for i in shift_order(family.members)]
         adj = solver._adjacency(ranked, p, spec)
+        live, closed = closure_graph(ranked, adj)
         seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
-        engine = solver._solve_shifted(family, labels, adj, time.monotonic(), seed)
-        assert (engine.value, engine.status, engine.nodes_explored) == (230, "lower_bound_timeout", 0)
-        for res in (solved, engine):
-            assert len(res.witness) == res.value
-            assert_class_witness(res, p)
-            assert verify_family(res.witness, ForbiddenSpec.exact({-4})).ok
-            assert is_shifted(res.witness)
+        assert solver._bnb(closed, (live, 0, 0), seed, time.monotonic()) == (seed, 0, False)
         assert sys.getrecursionlimit() == limit
 
     @pytest.mark.parametrize("target", ["g", "m"])
@@ -425,7 +435,7 @@ class TestSolveExtremal:
 
     def test_unpruned_budget_exhaustion_keeps_lower_bound(self):
         res = solve_extremal(Profile(7, 3, 1), "m", budget=0.0, shifted_pruning=False)
-        assert (res.value, res.status, res.nodes_explored) == (28, "lower_bound_timeout", 256)
+        assert (res.value, res.status, res.nodes_explored) == (28, "lower_bound_timeout", 0)
         assert len(res.witness) == res.value
         assert_class_witness(res, Profile(7, 3, 1))
         assert verify_family(res.witness, ForbiddenSpec.all_below(0)).ok
@@ -437,7 +447,7 @@ class TestSolveExtremal:
         assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "lower_bound_timeout", 0)
         assert pruned.witness.members == greedy_seed_g(p).members
         unpruned = solve_extremal(Profile(7, 3, 1), "m", budget=budget, shifted_pruning=False)
-        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "lower_bound_timeout", 256)
+        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "lower_bound_timeout", 0)
         assert_class_witness(unpruned, Profile(7, 3, 1))
 
     def test_infinite_budget_is_exact(self):

@@ -118,6 +118,19 @@ class TestResultCache:
         assert aside.read_text() == '{"6,3,2,g,pruned": {"value": 30, "sta'
         assert ResultCache(str(path)).get("5,2,1,g,pruned")["value"] == 12
 
+    def test_unreadable_path_is_not_corrupt(self, tmp_path, capsys):
+        # a directory cannot be opened as a file: the error propagates,
+        # and nothing is moved aside or written
+        path = tmp_path / "cache"
+        path.mkdir()
+        (path / "kept.json").write_text("{}")
+        with pytest.raises(IsADirectoryError):
+            ResultCache(str(path))
+        assert main(["solve", "--n", "4", "--k", "2", "--l", "1", "--cache", str(path)]) == 3
+        assert "Is a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cache"]
+        assert [p.name for p in path.iterdir()] == ["kept.json"]
+
 
 class TestRunSuite:
     def test_solver_oracle_rederives_the_g_setup(self, monkeypatch):
