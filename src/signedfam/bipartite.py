@@ -165,10 +165,12 @@ def random_biregular(
 ) -> BipartiteGraph:
     """Random simple biregular bipartite graph.
 
-    Each A vertex appears deg_a times and each B vertex deg_b times; a
-    random stub pairing is drawn and redrawn when it collapses to a
-    multi-edge.  Dense parameter choices rarely survive that rejection,
-    so after _MAX_RETRIES draws the graph falls back to a cyclic layout (A_i
+    When deg_a == b_size the complete graph K_{a,b} is the only simple
+    biregular graph, and it is returned without drawing.  Otherwise each
+    A vertex appears deg_a times and each B vertex deg_b times; a random
+    stub pairing is drawn and redrawn when it collapses to a multi-edge.
+    Dense parameter choices rarely survive that rejection, so after
+    _MAX_RETRIES draws the graph falls back to a cyclic layout (A_i
     adjacent to B_{(i*deg_a + r) mod b_size}, always simple and
     biregular when the handshake holds) under random relabelings of both
     sides.
@@ -181,6 +183,9 @@ def random_biregular(
         )
     if deg_a > b_size or deg_b > a_size:
         raise ValueError("degree exceeds the opposite side; no simple graph exists")
+    if deg_a == b_size:
+        edges = frozenset((a, b) for a in range(a_size) for b in range(b_size))
+        return BipartiteGraph(a_size, b_size, edges)
     rng = random.Random(seed)
     a_stubs = [a for a in range(a_size) for _ in range(deg_a)]
     b_stubs = [b for b in range(b_size) for _ in range(deg_b)]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -190,6 +191,10 @@ def _cmd_enumerate(args) -> int:
 def _cmd_solve(args) -> int:
     profile = Profile(args.n, args.k, args.l)
     solver.target_spec(profile, args.target)  # refuse a bad target before reading the cache
+    # refuse a path the solve could not write before spending the search on it
+    for path in (args.cache, args.witness_out, args.out):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"directory of {path} does not exist")
     pruning = not args.no_shift_pruning
     cache = ResultCache(args.cache) if args.cache else None
     keys = cache_keys(args.n, args.k, args.l, args.target, pruning)

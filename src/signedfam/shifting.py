@@ -7,14 +7,14 @@ sequence of shifts.  A family is shifted when it is closed under every
 single shift of every member, which is equivalent to closure under the
 full reachability order.
 
-shift_ij applies one shift to a vector; is_shifted, compress and
-precedes_oracle are built on it, and the tests take them as the
-reference.  shift_images is the same rule on (pos, neg) masks, every
-image at once; shift_order, shift_closure and closure_graph are built
-on it and give a linear extension of the shift order, that order's
-closure on a whole class, and a class's conflict graph lifted to the
-closure, where the solver searches.  compress says why searching
-shift-closed families only keeps the optimum.
+shift_ij applies one shift to a vector; is_shifted, compress,
+precedes_oracle and down_set_oracle are built on it, and the tests and
+suites take them as the reference.  shift_images is the same rule on
+(pos, neg) masks, every image at once; shift_order, shift_closure and
+closure_graph are built on it and give a linear extension of the shift
+order, that order's closure on a whole class, and a class's conflict
+graph lifted to the closure, where the solver searches.  compress says
+why searching shift-closed families only keeps the optimum.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def precedes(v: SignedVector, w: SignedVector) -> bool:
     Characterization used: the coordinate multisets agree, and for every
     prefix [1, p] and both thresholds c in {0, 1} the count of
     coordinates >= c in v dominates the count in w.  Validated against
-    the breadth-first oracle.
+    both shift oracles.
     """
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
@@ -214,6 +214,40 @@ def precedes_oracle(v: SignedVector, w: SignedVector) -> bool:
                     nxt.append(img)
         frontier = nxt
     return False
+
+
+def down_set_oracle(
+    w: SignedVector, known: dict[SignedVector, frozenset[SignedVector]]
+) -> frozenset[SignedVector]:
+    """Every vector reachable from w by shifts, w included.
+
+    Built by the definition: {w} with the down-sets of w's moved
+    single-shift images.  known maps each vector already reached to its
+    down-set; the caller owns it, shares it between calls that should
+    reuse work, and drops it when done.  Every vector reached is added.
+    Images rank below their source by _potential, so the explicit stack
+    finishes every image before its source.  Guarded to dimension <= 8.
+    """
+    if w.dim > _ORACLE_DIM_CAP:
+        raise ValueError(f"oracle limited to dimension {_ORACLE_DIM_CAP}, got {w.dim}")
+    if w in known:
+        return known[w]
+    moves = list(combinations(range(1, w.dim + 1), 2))
+    images: dict[SignedVector, set[SignedVector]] = {}
+    stack = [w]
+    while stack:
+        u = stack[-1]
+        if u in known:
+            stack.pop()
+            continue
+        if u not in images:
+            # an unmoved image is u itself
+            images[u] = {img for i, j in moves if (img := shift_ij(u, i, j)) is not u}
+            stack.extend(img for img in images[u] if img not in known)
+            continue
+        known[u] = frozenset((u,)).union(*(known[img] for img in images.pop(u)))
+        stack.pop()
+    return known[w]
 
 
 def is_shifted(fam: VectorFamily) -> bool:

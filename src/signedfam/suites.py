@@ -210,10 +210,15 @@ def _suite_bounds(budget: float = 60.0) -> VerificationReport:
 
 
 def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, list[str]]:
-    """(eligible, failure descriptions) over a whole class."""
+    """(eligible, failure descriptions) over a whole class.
+
+    With use_oracle, each witness must lie in its vector's shift
+    down-set; the down-sets share one memo for the class.
+    """
     eligible = 0
     failures = []
     floor = -2 * profile.l
+    known: dict = {}
     for w in enumerate_all(profile):
         cond_i, cond_ii = witness.check_conditions(w)
         if not (cond_i and cond_ii):
@@ -223,7 +228,7 @@ def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, list[str
         ok = scalar_product(v, w) == floor
         ok = ok and shifting.precedes(v, w)
         if use_oracle:
-            ok = ok and shifting.precedes_oracle(v, w)
+            ok = ok and v in shifting.down_set_oracle(w, known)
         ok = ok and witness.verify_trace_claims(trace, w).all_pass
         if not ok:
             failures.append(f"w={w}")
@@ -342,8 +347,12 @@ def _suite_ratios(max_dim: int = 12) -> VerificationReport:
 def _suite_precedes(
     max_exhaustive: int = 5, random_pairs: int = 10000, seed: int = 20260815
 ) -> VerificationReport:
-    """Fast reachability test against the breadth-first oracle."""
+    """Fast reachability test against the shift down-set oracle.
+
+    One memo of down-sets serves every pair of the call.
+    """
     report = VerificationReport("precedes")
+    known: dict = {}
 
     mismatches = []
     checked = 0
@@ -354,7 +363,7 @@ def _suite_precedes(
                 for v in fam:
                     for w in fam:
                         checked += 1
-                        if shifting.precedes(v, w) != shifting.precedes_oracle(v, w):
+                        if shifting.precedes(v, w) != (v in shifting.down_set_oracle(w, known)):
                             mismatches.append(f"v={v}, w={w}")
     report.add_failures(
         f"exhaustive(n<={max_exhaustive})", "mismatches", mismatches, f" among {checked}"
@@ -376,7 +385,7 @@ def _suite_precedes(
         k, l = rng.choice(profiles_by_dim[n])
         v = _random_vector(rng, n, k, l)
         w = _random_vector(rng, n, k, l)
-        if shifting.precedes(v, w) != shifting.precedes_oracle(v, w):
+        if shifting.precedes(v, w) != (v in shifting.down_set_oracle(w, known)):
             mismatches.append(f"v={v}, w={w}")
     report.add_failures(f"random(n=6..7, {random_pairs} pairs)", "mismatches", mismatches)
     return report

@@ -1,10 +1,12 @@
 """Bipartite comparison graphs and the exact averaging bound."""
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from signedfam import Profile
+from signedfam import Profile, bipartite
 from signedfam.bipartite import (
     BipartiteGraph,
     IrregularityError,
@@ -162,6 +164,25 @@ class TestRandomBiregular:
         # on a simple graph here, so the cyclic fallback must kick in
         g = random_biregular(9, 6, 4, 6, seed=1)
         assert check_biregular(g) == (4, 6)
+
+    def test_complete_case_draws_nothing(self, monkeypatch):
+        # deg_a == b_size leaves K_{a,b} as the only simple biregular graph
+        shuffles = []
+
+        class CountingRandom(random.Random):
+            def shuffle(self, x):
+                shuffles.append(len(x))
+                super().shuffle(x)
+
+        monkeypatch.setattr(bipartite, "random", SimpleNamespace(Random=CountingRandom))
+        for a in range(1, 7):
+            for b in range(1, 7):
+                g = random_biregular(a, b, b, a, seed=a * 7 + b)
+                assert g.edges == {(i, j) for i in range(a) for j in range(b)}
+        assert shuffles == []
+        # a sparse case still draws
+        random_biregular(10, 15, 3, 2, seed=4)
+        assert shuffles
 
     def test_deterministic_in_seed(self):
         g1 = random_biregular(8, 12, 3, 2, seed=9)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from signedfam.shifting import (
     _potential,
     compress,
+    down_set_oracle,
     is_shifted,
     precedes,
     precedes_oracle,
@@ -110,6 +111,21 @@ class TestPrecedes:
         big = "+-" + "0" * 7
         with pytest.raises(ValueError):
             precedes_oracle(v(big), v(big))
+        with pytest.raises(ValueError):
+            down_set_oracle(v(big), {})
+
+    def test_down_set_oracle_matches_bfs_oracle(self):
+        # every pair of every profile with n <= 5, one memo per profile
+        for n in range(1, 6):
+            for k in range(1, n + 1):
+                for l in range(0, n - k + 1):
+                    fam = list(enumerate_all(Profile(n, k, l)))
+                    known = {}
+                    for b in fam:
+                        down = down_set_oracle(b, known)
+                        assert {a for a in fam if precedes_oracle(a, b)} == down, b
+                    # every vector of the class was reached, and nothing outside it
+                    assert set(known) == set(fam)
 
     def test_matches_oracle_exhaustive(self):
         for profile in [Profile(4, 2, 1), Profile(4, 1, 1), Profile(5, 2, 2)]:
@@ -134,6 +150,7 @@ class TestPrecedes:
         a = SignedVector.from_supports(n, sup_a[:k], sup_a[k:])
         b = SignedVector.from_supports(n, sup_b[:k], sup_b[k:])
         assert precedes(a, b) == precedes_oracle(a, b)
+        assert (a in down_set_oracle(b, {})) == precedes_oracle(a, b)
 
 
 class TestIsShifted:

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from signedfam import Profile, VectorFamily, constructions, formulas, shifting, solver, suites
+from signedfam import (
+    Profile,
+    SignedVector,
+    VectorFamily,
+    constructions,
+    formulas,
+    shifting,
+    solver,
+    suites,
+)
 from signedfam.cache import ResultCache, cache_key, cache_keys
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
@@ -245,6 +254,28 @@ class TestRunSuite:
         assert case.expected == "0 mismatches among 12"
         assert case.actual == "4 mismatches among 12; first t=2, m=0: formula (4,9), enumerated (3,9)"
         assert not case.passed and case.provenance == "closed-form"
+
+    def test_precedes_catches_a_wrong_answer_and_a_dropped_image(self, monkeypatch):
+        run = lambda: run_suite("precedes", max_exhaustive=4, random_pairs=100, seed=1)
+        wrong = SignedVector.parse("+-")
+        precedes = shifting.precedes
+        monkeypatch.setattr(
+            shifting, "precedes", lambda v, w: precedes(v, w) != (v == w == wrong)
+        )
+        report = run()
+        assert not report.ok
+        assert report.cases[0].actual.startswith("1 mismatches")
+        monkeypatch.undo()
+
+        # "+-" is the only image of "-+", so dropping it empties the down-set below "-+"
+        shift_ij = shifting.shift_ij
+        lost = SignedVector.parse("-+")
+        monkeypatch.setattr(
+            shifting, "shift_ij", lambda v, i, j: v if v == lost else shift_ij(v, i, j)
+        )
+        assert not run().ok
+        monkeypatch.undo()
+        assert run().ok
 
     def test_ratios_catches_a_bad_enumeration(self, monkeypatch):
         xy_class = constructions.xy_class
@@ -492,6 +523,17 @@ class TestCliSolve:
         fam = VectorFamily.load(str(witness))
         assert len(fam) == 6
         assert fam.profile == Profile(4, 2, 1)
+
+    @pytest.mark.parametrize("flag", ["--cache", "--witness-out", "--out"])
+    def test_missing_output_directory_refused_before_solving(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(solver, "solve_extremal", lambda *a, **kw: calls.append(a))
+        path = str(tmp_path / "nodir" / "file.txt")
+        assert main(["solve", "--n", "10", "--k", "3", "--l", "2", flag, path]) == 3
+        assert calls == []
+        assert path in capsys.readouterr().err
 
 
 class TestCliOther:
