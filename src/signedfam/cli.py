@@ -122,7 +122,11 @@ def build_parser() -> _Parser:
         action="store_true",
         help="search all families instead of shifted representatives",
     )
-    p.add_argument("--witness-out", metavar="FILE", help="write an optimal family here")
+    p.add_argument(
+        "--witness-out",
+        metavar="FILE",
+        help="write the family found here; it is optimal only when the status is exact",
+    )
     p.add_argument("--vertex-cap", type=_at_least(1, int), default=solver.DEFAULT_VERTEX_CAP)
     p.add_argument("--cache", metavar="PATH", help="JSON result cache file")
     p.add_argument("--budget", type=_BUDGET, default=60.0, help="time budget in seconds")

@@ -10,11 +10,13 @@ full reachability order.
 shift_ij applies one shift to a vector; is_shifted, compress,
 precedes_oracle and down_set_oracle are built on it, and the tests and
 suites take them as the reference.  shift_images is the same rule on
-(pos, neg) masks, every image at once; shift_order, shift_closure and
-closure_graph are built on it and give a linear extension of the shift
-order, that order's closure on a whole class, and a class's conflict
-graph lifted to the closure, where the solver searches.  compress says
-why searching shift-closed families only keeps the optimum.
+(pos, neg) masks, every image at once; shift_order and closure_graph
+are built on it and give a linear extension of the shift order and a
+class's conflict graph lifted to that order's closure, where the solver
+searches.  _closed computes the closure itself, downward or upward; the
+solver-oracle suite checks both directions against a pairwise precedes
+scan.  compress says why searching shift-closed families only keeps the
+optimum.
 """
 
 from __future__ import annotations
@@ -74,17 +76,6 @@ def shift_images(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
 def shift_order(members: Sequence[SignedVector]) -> list[int]:
     """Indices by ascending _potential, index on ties: a linear extension of the shift order."""
     return sorted(range(len(members)), key=lambda i: _potential(members[i]))
-
-
-def shift_closure(members: Sequence[SignedVector]) -> tuple[list[int], list[int]]:
-    """Closure of the shift order on a full class given in shift_order's order.
-
-    pred[r] has bit s when members[s] is reachable from members[r] by
-    shifts, s != r; succ is its transpose.
-    """
-    down = _closed(members, lambda r: 1 << r)
-    up = _closed(members, lambda r: 1 << r, upward=True)
-    return [m ^ 1 << r for r, m in enumerate(down)], [m ^ 1 << r for r, m in enumerate(up)]
 
 
 def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[int, list[int]]:

@@ -1,11 +1,10 @@
 """Exact maximum-independent-set solving over conflict graphs of vector families.
 
-_adjacency, behind graph_from_family, is the one conflict-graph builder,
-for every spec, every family and any member order: it counts v.w for all
-members w at once in a bit-sliced counter, O(k + l) big-integer
-operations per vector.  build_conflict_graph applies it to a whole
-class, and solve_extremal to a class in shift_order's order when it
-prunes.
+_adjacency is the one conflict-graph builder, for every spec, every
+family and any member order: it counts v.w for all members w at once in
+a bit-sliced counter, O(k + l) big-integer operations per vector.
+build_conflict_graph applies it to a whole class, and solve_extremal to
+a class in shift_order's order when it prunes.
 One search engine, _bnb, called directly, returns (best mask, nodes,
 finished) and stops at an absolute deadline, which it reads before
 every node; _result maps its mask to class indices, a witness and a
@@ -97,7 +96,8 @@ def build_conflict_graph(profile: Profile, spec: ForbiddenSpec) -> ConflictGraph
 
     A class above DEFAULT_VERTEX_CAP vectors raises VertexCapExceeded.
     """
-    return graph_from_family(_capped_class(profile, DEFAULT_VERTEX_CAP), spec)
+    family = _capped_class(profile, DEFAULT_VERTEX_CAP)
+    return ConflictGraph(_adjacency(family.members, profile, spec), family)
 
 
 def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
@@ -109,11 +109,6 @@ def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
             f"has {size} vectors, above the cap of {vertex_cap}"
         )
     return enumerate_all(profile)
-
-
-def graph_from_family(family: VectorFamily, spec: ForbiddenSpec) -> ConflictGraph:
-    """Conflict graph of any family under any spec (see _adjacency)."""
-    return ConflictGraph(_adjacency(family.members, family.profile, spec), family)
 
 
 def _adjacency(

@@ -344,14 +344,14 @@ def _suite_ratios(max_dim: int = 12) -> VerificationReport:
     return report
 
 
-def _suite_precedes(
-    max_exhaustive: int = 5, random_pairs: int = 10000, seed: int = 20260815
-) -> VerificationReport:
+def _suite_precedes(seed: int = 20260815) -> VerificationReport:
     """Fast reachability test against the shift down-set oracle.
 
     One memo of down-sets serves every pair of the call.
     """
     report = VerificationReport("precedes")
+    max_exhaustive = 5
+    random_pairs = 10000
     known: dict = {}
 
     mismatches = []
@@ -519,42 +519,50 @@ def _setup_mismatch(profile: Profile) -> str:
     """First difference of the solver's setup from its pairwise definition.
 
     The g and m conflict graphs against _pairwise_adjacency, the shift
-    closure against a pairwise precedes scan, and the g and m closure
-    graphs against _closure_graph_by_definition on that scan.
+    closure, downward and upward, against a pairwise precedes scan, and
+    the g and m closure graphs against _closure_graph_by_definition on
+    that scan.
     """
-    family = enumerate_all(profile)
-    members = family.members
+    members = enumerate_all(profile).members
     order = shifting.shift_order(members)
     ranked = [members[i] for i in order]
     ranked_graphs = {}
     for target in ("g", "m"):
         spec = solver.target_spec(profile, target)
         pairwise = _pairwise_adjacency(members, spec)
-        if list(solver.graph_from_family(family, spec).adj) != pairwise:
+        if list(solver.build_conflict_graph(profile, spec).adj) != pairwise:
             return f"{target} conflict graph"
         ranked_graphs[target] = [
             sum((pairwise[i] >> j & 1) << r for r, j in enumerate(order)) for i in order
         ]
-    pred, succ = shifting.shift_closure(ranked)
     down = [1 << b for b in range(len(ranked))]
+    up = list(down)
     for b in range(len(ranked)):
         for a in range(b):
-            related = shifting.precedes(ranked[a], ranked[b])
-            if related != bool(pred[b] >> a & 1) or related != bool(succ[a] >> b & 1):
-                return f"closure at ranks {a} < {b}"
-            down[b] |= related << a
+            if shifting.precedes(ranked[a], ranked[b]):
+                down[b] |= 1 << a
+                up[a] |= 1 << b
+    if shifting._closed(ranked, lambda r: 1 << r) != down:
+        return "downward closure"
+    if shifting._closed(ranked, lambda r: 1 << r, upward=True) != up:
+        return "upward closure"
     for target, adj in ranked_graphs.items():
         if shifting.closure_graph(ranked, adj) != _closure_graph_by_definition(down, adj):
             return f"{target} closure graph"
     return ""
 
 
-def _suite_solver_oracle(seed: int = 20260815, random_graphs: int = 200) -> VerificationReport:
-    """Branch-and-bound against the exhaustive oracle; setup against pairwise scans."""
-    report = VerificationReport("solver-oracle")
+def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
+    """Branch-and-bound against the exhaustive oracle; setup against pairwise scans.
 
-    # the g and m graphs are bit-sliced, and the shift closure and closure
-    # graphs are generated; re-derive all five from their pairwise definitions
+    The setup check reads both directions of shifting._closed: a fault in
+    the upward pass need not show in the closure graphs.
+    """
+    report = VerificationReport("solver-oracle")
+    random_graphs = 200
+
+    # the g and m graphs are bit-sliced, and the shift closure, both ways,
+    # and the closure graphs are generated; re-derive all six pairwise
     setup_profiles = [
         Profile(n, k, l) for n in range(3, 8) for k in range(2, n) for l in range(1, k)
         if k + l <= n

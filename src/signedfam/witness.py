@@ -76,7 +76,7 @@ def check_conditions(w: SignedVector) -> tuple[bool, bool]:
 def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:
     """Build the minimum-product witness v preceding w, with its trace.
 
-    Requires k >= l >= 1 and both conditions from check_conditions.
+    Requires k >= l and both conditions from check_conditions.
     """
     k, l = w.k, w.l
     if k < l:

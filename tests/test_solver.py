@@ -26,13 +26,12 @@ from signedfam import (
 )
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
-from signedfam.shifting import closure_graph, shift_closure, shift_ij, shift_order
+from signedfam.shifting import _closed, closure_graph, shift_ij, shift_order
 from signedfam.vectors import bits
 from signedfam.solver import (
     ConflictGraph,
     VertexCapExceeded,
     build_conflict_graph,
-    graph_from_family,
     greedy_seed_g,
     mis_bruteforce,
     mis_exact,
@@ -156,7 +155,7 @@ class TestGeneratedSetup:
     def test_any_spec_on_any_subfamily_matches_pairwise(self, p, spec, rng):
         family = VectorFamily(p, [v for v in enumerate_all(p).members if rng.random() < 0.5])
         reference = suites._pairwise_adjacency(family.members, spec)
-        assert list(graph_from_family(family, spec).adj) == reference
+        assert solver._adjacency(family.members, p, spec) == reference
         # any member order, as the shift-pruned search builds its graph in rank order
         shuffled = list(family.members)
         rng.shuffle(shuffled)
@@ -166,37 +165,39 @@ class TestGeneratedSetup:
     @given(small_profiles())
     @example(Profile(5, 2, 0))
     @example(Profile(7, 4, 3))
-    def test_shift_closure_matches_pairwise_precedes(self, p):
+    def test_closure_matches_pairwise_precedes(self, p):
         members = enumerate_all(p).members
         order = shift_order(members)
         ranked = [members[i] for i in order]
-        pred, succ = shift_closure(ranked)
+        down = _closed(ranked, lambda r: 1 << r)
+        up = _closed(ranked, lambda r: 1 << r, upward=True)
         assert sorted(order) == list(range(len(members)))
         for b in range(len(ranked)):
             wb = ranked[b]
             for a in range(b):
                 expected = precedes(ranked[a], wb)
-                assert bool(pred[b] >> a & 1) == expected
-                assert bool(succ[a] >> b & 1) == expected
-            assert pred[b] >> b == 0
-            assert succ[b] & ((2 << b) - 1) == 0
+                assert bool(down[b] >> a & 1) == expected
+                assert bool(up[a] >> b & 1) == expected
+            assert down[b] >> b == 1
+            assert up[b] & ((2 << b) - 1) == 1 << b
 
     def test_oracle_suite_catches_an_asymmetric_builder_graph(self, monkeypatch):
         # a graph given with its family skips the symmetry check, so the
         # solver-oracle suite's pairwise reference is what catches a one-way edge
-        built = solver.graph_from_family
+        built = solver.build_conflict_graph
 
-        def one_way(family, spec):
-            adj = list(built(family, spec).adj)
+        def one_way(profile, spec):
+            graph = built(profile, spec)
+            adj = list(graph.adj)
             if spec == ForbiddenSpec.all_below(0):
                 adj[0] |= 1 << (len(adj) - 1)
                 adj[-1] &= ~1
-            return ConflictGraph(adj, family)
+            return ConflictGraph(adj, graph.family)
 
-        monkeypatch.setattr(solver, "graph_from_family", one_way)
+        monkeypatch.setattr(solver, "build_conflict_graph", one_way)
         with pytest.raises(ValueError, match="asymmetric"):
-            ConflictGraph(one_way(enumerate_all(Profile(6, 3, 2)), ForbiddenSpec.all_below(0)).adj)
-        report = suites.run_suite("solver-oracle", random_graphs=0)
+            ConflictGraph(one_way(Profile(6, 3, 2), ForbiddenSpec.all_below(0)).adj)
+        report = suites.run_suite("solver-oracle")
         (case,) = [c for c in report.cases if c.case.startswith("setup-pairwise[")]
         assert not case.passed
         assert case.actual.startswith("22 mismatches; first profile (3,2,1): m conflict graph")
@@ -699,13 +700,13 @@ class TestShiftedEngine:
     def test_matches_exhaustive_search_on_random_orders(self):
         """Random graphs of at most 16 vertices under random transitive orders.
 
-        pred[v] is a random down-closed set of lower ranks, as shift_closure
-        gives; the optimum is the largest independent set that holds the
-        pred of each of its members.  live and H come from their
-        definition, and _bnb on H[live] must reach the optimum with a set
-        that is down-closed and independent, from an empty incumbent and
-        from an optimum less its top-ranked member, which leaves no slack
-        in the bound.
+        pred[v] is a random down-closed set of lower ranks, as
+        shifting._closed gives less v itself; the optimum is the largest
+        independent set that holds the pred of each of its members.  live
+        and H come from their definition, and _bnb on H[live] must reach
+        the optimum with a set that is down-closed and independent, from
+        an empty incumbent and from an optimum less its top-ranked member,
+        which leaves no slack in the bound.
         """
         rng = random.Random(15)
         for _ in range(400):
@@ -762,7 +763,7 @@ class TestShiftedEngine:
         assert mismatches
 
 
-class TestGraphFromFamily:
+class TestAdjacency:
     def test_subfamily_graph(self):
         p = Profile(4, 2, 1)
         fam = VectorFamily(
@@ -773,6 +774,6 @@ class TestGraphFromFamily:
                 SignedVector.parse("++0-"),
             ],
         )
-        g = graph_from_family(fam, ForbiddenSpec.exact({-2}))
+        g = ConflictGraph(solver._adjacency(fam.members, p, ForbiddenSpec.exact({-2})), fam)
         assert g.n_vertices == 3
         assert n_edges(g) == 2  # both outer vectors hit the middle one

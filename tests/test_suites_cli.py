@@ -147,17 +147,32 @@ class TestRunSuite:
             (case,) = [c for c in report.cases if c.case.startswith("setup-pairwise[")]
             return case
 
-        assert setup_case(run_suite("solver-oracle", random_graphs=0)).passed
-        closure = shifting.shift_closure
+        assert setup_case(run_suite("solver-oracle")).passed
+        # a closure that drops one shift image in one pass; the closure
+        # graphs alone do not show the upward fault
+        closed, images = shifting._closed, shifting.shift_images
+        for faulty_pass in ("downward", "upward"):
 
-        def no_pred(members):
-            pred, succ = closure(members)
-            return [0] * len(pred), succ
+            def drop_an_image(members, base, upward=False):
+                dropped = []
 
-        monkeypatch.setattr(shifting, "shift_closure", no_pred)
-        case = setup_case(run_suite("solver-oracle", random_graphs=0))
-        assert not case.passed and "closure" in case.actual
-        monkeypatch.undo()
+                def one_fewer(pos, neg, full):
+                    out = images(pos, neg, full)
+                    if out and not dropped:
+                        dropped.append(out.pop())
+                    return out
+
+                if upward == (faulty_pass == "upward"):
+                    monkeypatch.setattr(shifting, "shift_images", one_fewer)
+                try:
+                    return closed(members, base, upward)
+                finally:
+                    monkeypatch.setattr(shifting, "shift_images", images)
+
+            monkeypatch.setattr(shifting, "_closed", drop_an_image)
+            case = setup_case(run_suite("solver-oracle"))
+            assert case.actual == f"22 mismatches; first profile (3,2,1): {faulty_pass} closure"
+            monkeypatch.undo()
         # a closure graph that loses one edge
         lifted = shifting.closure_graph
 
@@ -172,19 +187,20 @@ class TestRunSuite:
             return live, graph
 
         monkeypatch.setattr(shifting, "closure_graph", drop_an_edge)
-        case = setup_case(run_suite("solver-oracle", random_graphs=0))
+        case = setup_case(run_suite("solver-oracle"))
         assert not case.passed and "g closure graph" in case.actual
         monkeypatch.undo()
         # a builder that loses the edges of the g graph
-        built = solver.graph_from_family
+        built = solver.build_conflict_graph
 
-        def no_g_edges(family, spec):
-            if spec == solver.ForbiddenSpec.exact({-2 * family.profile.l}):
-                return solver.ConflictGraph([0] * len(family), family)
-            return built(family, spec)
+        def no_g_edges(profile, spec):
+            graph = built(profile, spec)
+            if spec == solver.ForbiddenSpec.exact({-2 * profile.l}):
+                return solver.ConflictGraph([0] * graph.n_vertices, graph.family)
+            return graph
 
-        monkeypatch.setattr(solver, "graph_from_family", no_g_edges)
-        case = setup_case(run_suite("solver-oracle", random_graphs=0))
+        monkeypatch.setattr(solver, "build_conflict_graph", no_g_edges)
+        case = setup_case(run_suite("solver-oracle"))
         assert not case.passed and "g conflict graph" in case.actual
 
     def test_names_sorted_and_complete(self):
@@ -212,14 +228,20 @@ class TestRunSuite:
             run_suite("lemma3", trials=5, bogus=1)
 
     def test_shared_parameters_reach_their_suites(self):
-        takes = {
-            param: {name for name in suite_names() if param in suite_parameters(name)}
-            for param in ("trials", "seed", "budget")
-        }
-        assert takes == {
-            "trials": {"lemma3"},
-            "seed": {"lemma3", "precedes", "solver-oracle"},
-            "budget": {"theorem1", "eq111", "bounds"},
+        # every suite's full parameter set: the CLI sets seed, budget,
+        # trials, n, k and l, and the benchmark max_n and max_dim; a size
+        # only a test sets has no place here
+        assert {name: suite_parameters(name) for name in suite_names()} == {
+            "theorem1": {"budget"},
+            "eq111": {"budget"},
+            "bounds": {"budget"},
+            "lemma1": {"n", "k", "l"},
+            "lemma3": {"trials", "seed"},
+            "ratios": {"max_dim"},
+            "precedes": {"seed"},
+            "constructions": {"max_n"},
+            "solver-oracle": {"seed"},
+            "p-increment": set(),
         }
 
     def test_lemma1_partial_profile_rejected(self):
@@ -232,7 +254,7 @@ class TestRunSuite:
         assert report.suite == "lemma3"
 
     def test_precedes_small(self):
-        report = run_suite("precedes", max_exhaustive=4, random_pairs=100, seed=1)
+        report = run_suite("precedes", seed=1)
         assert report.ok
 
     def test_ratios_small(self):
@@ -256,7 +278,7 @@ class TestRunSuite:
         assert not case.passed and case.provenance == "closed-form"
 
     def test_precedes_catches_a_wrong_answer_and_a_dropped_image(self, monkeypatch):
-        run = lambda: run_suite("precedes", max_exhaustive=4, random_pairs=100, seed=1)
+        run = lambda: run_suite("precedes", seed=1)
         wrong = SignedVector.parse("+-")
         precedes = shifting.precedes
         monkeypatch.setattr(
@@ -264,7 +286,7 @@ class TestRunSuite:
         )
         report = run()
         assert not report.ok
-        assert report.cases[0].actual.startswith("1 mismatches")
+        assert report.cases[0].actual == "1 mismatches among 3458; first v=+-, w=+-"
         monkeypatch.undo()
 
         # "+-" is the only image of "-+", so dropping it empties the down-set below "-+"
@@ -273,7 +295,9 @@ class TestRunSuite:
         monkeypatch.setattr(
             shifting, "shift_ij", lambda v, i, j: v if v == lost else shift_ij(v, i, j)
         )
-        assert not run().ok
+        report = run()
+        assert not report.ok
+        assert report.cases[0].actual == "1 mismatches among 3458; first v=+-, w=-+"
         monkeypatch.undo()
         assert run().ok
 
@@ -477,6 +501,7 @@ class TestCliSolve:
 
     def test_budget_exhaustion_exit_code(self, tmp_path):
         out = tmp_path / "out.json"
+        witness = tmp_path / "witness.txt"
         code = main(
             [
                 "solve",
@@ -495,10 +520,17 @@ class TestCliSolve:
                 "json",
                 "--out",
                 str(out),
+                "--witness-out",
+                str(witness),
             ]
         )
         assert code == 2
-        assert json.loads(out.read_text())["status"] == "lower_bound_timeout"
+        payload = json.loads(out.read_text())
+        assert payload["status"] == "lower_bound_timeout"
+        # a timed-out solve writes its lower-bound family, which still verifies
+        fam = VectorFamily.load(str(witness))
+        assert len(fam) == payload["value"]
+        assert solver.verify_family(fam, solver.target_spec(fam.profile, "g")).ok
 
     def test_witness_roundtrip(self, tmp_path):
         witness = tmp_path / "witness.txt"

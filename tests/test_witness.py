@@ -99,6 +99,7 @@ EXHAUSTIVE_PROFILES = [
     ((5, 2, 1), 13),
     ((6, 3, 2), 15),
     ((8, 3, 2), 198),
+    ((6, 2, 0), 9),  # l = 0
 ]
 
 
