@@ -21,9 +21,10 @@ target_spec defines the two extremal targets: "g" (largest family
 avoiding the minimum product -2l) and "m" (largest family with no
 negative product).  solve_extremal solves them, shift-pruned by
 default, which keeps the optimum (shifting.compress says why).  Without
-pruning it runs _bnb below a root that takes vertex 0, which is exact
-because the graph of a whole class is vertex-transitive.  The search is
-deterministic.
+pruning it runs _bnb with orbital branching: the coordinate
+permutations keep every scalar product, so an exclude child drops the
+branching vertex's whole _orbit under those that fix the taken vectors.
+At the root that orbit is the whole class.  The search is deterministic.
 """
 
 from __future__ import annotations
@@ -127,13 +128,7 @@ def _adjacency(
     """
     size = profile.k + profile.l
     full = (1 << len(members)) - 1
-    plus = [0] * profile.n
-    minus = [0] * profile.n
-    for a, w in enumerate(members):
-        for low in bits(w.pos):
-            plus[low.bit_length() - 1] |= 1 << a
-        for low in bits(w.neg):
-            minus[low.bit_length() - 1] |= 1 << a
+    plus, minus = _sign_masks(members, profile.n)
     zero = [full & ~(pos | neg) for pos, neg in zip(plus, minus)]
     forbidden = [c for c in range(2 * size + 1) if spec.forbids(c - size)]
     width = (2 * size).bit_length()
@@ -202,8 +197,58 @@ def _greedy_clique_cover(adj: Sequence[int], pool: int) -> list[int]:
     return cliques
 
 
+def _sign_masks(members: Sequence[SignedVector], n: int) -> tuple[list[int], list[int]]:
+    """plus[i] and minus[i]: the members, as a bit mask, with +1 and with -1 at coordinate i."""
+    plus = [0] * n
+    minus = [0] * n
+    for a, w in enumerate(members):
+        for low in bits(w.pos):
+            plus[low.bit_length() - 1] |= 1 << a
+        for low in bits(w.neg):
+            minus[low.bit_length() - 1] |= 1 << a
+    return plus, minus
+
+
+def _orbit(
+    members: Sequence[SignedVector], signs: tuple[list[int], list[int]],
+    mask: int, pool: int, v: int,
+) -> int:
+    """The vertices of pool in v's orbit under the coordinate permutations fixing mask.
+
+    members are the graph's vertices, signs their _sign_masks and mask a
+    set of them; the permutations fix each member of mask.  They form a
+    Young subgroup: each member of mask splits every block of
+    coordinates into its +1, -1 and 0 coordinates, and the group
+    permutes each block of the final partition freely.  So u shares v's
+    orbit exactly when u and v have as many +1s and as many -1s in every
+    block, which is counted for all of pool at once.
+    """
+    w = members[v]
+    blocks = [(1 << w.dim) - 1]
+    for low in bits(mask):
+        t = members[low.bit_length() - 1]
+        zero = ~(t.pos | t.neg)
+        blocks = [part for b in blocks for part in (b & t.pos, b & t.neg, b & zero) if part]
+    orbit = pool
+    for b in blocks:
+        for masks, want in zip(signs, (w.pos & b, w.neg & b)):
+            # at[c]: the members of orbit with exactly c of masks over the block so far
+            at = [orbit] + [0] * want.bit_count()
+            for low in bits(b):
+                m = masks[low.bit_length() - 1]
+                for c in range(len(at) - 1, 0, -1):
+                    at[c] = at[c] & ~m | at[c - 1] & m
+                at[0] &= ~m
+            orbit = at[-1]
+    return orbit
+
+
 def _bnb(
-    adj: Sequence[int], root: tuple[int, int, int], best: int, deadline: float
+    adj: Sequence[int],
+    root: tuple[int, int, int],
+    best: int,
+    deadline: float,
+    members: Optional[Sequence[SignedVector]] = None,
 ) -> tuple[int, int, bool]:
     """Search below root, a (pool, size, mask) node; (best mask, nodes, finished).
 
@@ -212,8 +257,22 @@ def _bnb(
     degree, taking it first.  The clock is read before each node: once
     it reaches the deadline the loop stops unfinished, at 0 nodes when
     the deadline had passed on entry.
+
+    members, the vectors of a whole class in graph order, turn on
+    orbital branching: the exclude child drops the branching vertex's
+    whole _orbit under the coordinate permutations that fix every taken
+    vector, not the vertex alone.  Those permutations keep every scalar
+    product, so they map the node's problem onto itself when they also
+    fix its pool, and an optimum below the node that holds any vertex of
+    the orbit is the image of one that holds the branching vertex.  The
+    pool is invariant under them: the class is, and so is N[mask]; each
+    earlier exclusion is an orbit of a group that contains this one, as
+    mask only grows down the tree.  Without members every orbit is the
+    vertex itself.
     """
     best_size = best.bit_count()
+    if members is not None:
+        signs = _sign_masks(members, members[0].dim)
     nodes = 0
     stack = [root]
     while stack:
@@ -259,7 +318,8 @@ def _bnb(
                 best_deg = deg
                 best_v = low.bit_length() - 1
         bit = 1 << best_v
-        stack.append((pool & ~bit, size, mask))
+        orbit = bit if members is None else _orbit(members, signs, mask, pool, best_v)
+        stack.append((pool & ~orbit, size, mask))
         stack.append((pool & ~(adj[best_v] | bit), size + 1, mask | bit))
     return best, nodes, True
 
@@ -303,8 +363,8 @@ def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     search finishes, the best set found so far is returned with a
     lower-bound status at the first node that finds the deadline passed
     (before any node for a NaN or negative budget, see _deadline).
-    solve_extremal runs the same search below a vertex-0 root, which
-    holds only for the vertex-transitive graph of a whole class.
+    Every exclude child drops one vertex: solve_extremal's orbital
+    branching holds only for the conflict graph of a whole class.
     """
     adj = graph.adj
     start = time.monotonic()
@@ -412,9 +472,11 @@ def solve_extremal(
     pruning (_solve_shifted) is on for both unless shifted_pruning is
     False, and keeps the optimum, as shifting.compress explains; the
     unpruned search is the independent route.  Without pruning _bnb
-    takes vertex 0 at the root and explores only its non-neighbours:
-    the class is one S_n-orbit and the spec depends only on the product,
-    so some optimum contains vertex 0.
+    branches on orbits of the class's members: the spec depends only on
+    the product, which every coordinate permutation keeps, so an
+    exclude child drops the orbit of its vertex under the permutations
+    that fix the taken vectors.  The root's orbit is the whole class, so
+    the root's take child is the whole search.
     One conflict graph is built per call, its vertices in shift_order's
     order when pruning, in class order otherwise.
     A graph with no edges needs no search: the whole class is the
@@ -446,9 +508,8 @@ def solve_extremal(
 
     deadline = _deadline(start, budget)
     if not pruned:
-        # vertex-transitive graph (see above): take vertex 0, no exclude branch
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
-        best, nodes, finished = _bnb(adj, (full & ~(adj[0] | 1), 1, 1), best, deadline)
+        best, nodes, finished = _bnb(adj, (full, 0, 0), best, deadline, members)
         return _result(family, labels, best, finished, nodes, start)
     result = _solve_shifted(family, labels, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

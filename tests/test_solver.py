@@ -5,7 +5,7 @@ import inspect
 import random
 import sys
 import time
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 from math import comb
 from types import SimpleNamespace
 
@@ -345,11 +345,21 @@ class TestSolveExtremal:
         assert_class_witness(res, Profile(4, 2, 1))
 
     def test_pruning_agrees_with_plain_search(self):
-        for n, k, l in [(4, 2, 1), (5, 2, 1), (5, 3, 1), (5, 3, 2)]:
-            p = Profile(n, k, l)
+        # n < 2k leaves a class edgeless; the 7 others all have n <= 7
+        profiles = [
+            Profile(n, k, l)
+            for n in range(2, 20)
+            for k in range(2, n + 1)
+            for l in range(1, min(k, n - k + 1))
+            if comb(n, k) * comb(n - k, l) <= 150
+        ]
+        assert len(profiles) == 52
+        assert sum(p.n >= 2 * p.k for p in profiles) == 7
+        for p in profiles:
             pruned = solve_extremal(p, "g", shifted_pruning=True)
             plain = solve_extremal(p, "g", shifted_pruning=False)
-            assert pruned.value == plain.value
+            assert pruned.is_exact and plain.is_exact
+            assert pruned.value == plain.value, p
 
     def test_g_needs_g_profile(self):
         with pytest.raises(ValueError, match="k > l"):
@@ -455,7 +465,7 @@ class TestSolveExtremal:
         pruned = solve_extremal(Profile(8, 3, 2), "g", budget=float("inf"))
         assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 1)
         unpruned = solve_extremal(Profile(7, 3, 1), "m", budget=float("inf"), shifted_pruning=False)
-        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 2633)
+        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 627)
 
     def test_budget_covers_setup(self):
         # m(11,3,2) takes about 0.2 s to its graph and seed, 0.3 s more to
@@ -534,20 +544,97 @@ ORACLE_CLASSES = [
 ]
 
 
+def unpruned_oracle_sweep(target):
+    """(profile, unpruned solve, unseeded search, mis_bruteforce value) per ORACLE_CLASSES class of target.
+
+    The unseeded search is the unpruned solve's orbital _bnb started
+    from an empty incumbent, as (best mask, graph).  On these classes the
+    solve's first incumbent is already optimal, so only the unseeded
+    search shows whether the search finds the optimum itself.
+    """
+    for p in ORACLE_CLASSES:
+        if target == "m" or p.is_g_profile:
+            graph = build_conflict_graph(p, target_spec(p, target))
+            root = ((1 << graph.n_vertices) - 1, 0, 0)
+            best, _, finished = solver._bnb(graph.adj, root, 0, float("inf"), graph.family.members)
+            assert finished
+            solved = solve_extremal(p, target, shifted_pruning=False)
+            yield p, solved, (best, graph), mis_bruteforce(graph).value
+
+
+def permuted(v, perm):
+    """v with coordinate i moved to perm[i]."""
+
+    def move(mask):
+        return sum(1 << perm[low.bit_length() - 1] for low in bits(mask))
+
+    return SignedVector(v.dim, move(v.pos), move(v.neg))
+
+
+class TestOrbit:
+    """solver._orbit, the orbital branching of unpruned solves, against brute force over S_n."""
+
+    def test_matches_the_stabiliser_images(self):
+        rng = random.Random(21)
+        checked = 0
+        for n in range(1, 7):
+            perms = list(permutations(range(n)))
+            for k in range(1, n + 1):
+                for l in range(n - k + 1):
+                    members = enumerate_all(Profile(n, k, l)).members
+                    signs = solver._sign_masks(members, n)
+                    for _ in range(4):
+                        taken = rng.sample(range(len(members)), rng.randint(0, min(3, len(members))))
+                        v = rng.randrange(len(members))
+                        pool = 1 << v | sum(1 << a for a in range(len(members)) if rng.random() < 0.5)
+                        fixing = [
+                            perm for perm in perms
+                            if all(permuted(members[t], perm) == members[t] for t in taken)
+                        ]
+                        images = {permuted(members[v], perm) for perm in fixing}
+                        expected = sum(1 << a for a, w in enumerate(members) if w in images)
+                        mask = sum(1 << t for t in taken)
+                        assert solver._orbit(members, signs, mask, pool, v) == expected & pool
+                        checked += 1
+        assert checked == 4 * 56
+
+    def test_oracle_sweep_catches_orbits_that_ignore_the_taken_vectors(self, monkeypatch):
+        # planted fault: every orbit taken under all of S_n
+        orbit = solver._orbit
+        monkeypatch.setattr(
+            solver, "_orbit", lambda members, signs, mask, pool, v: orbit(members, signs, 0, pool, v)
+        )
+        missed = [
+            (p.n, p.k, p.l, target)
+            for target in ("m", "g")
+            for p, res, (unseeded, _), value in unpruned_oracle_sweep(target)
+            if {res.value, unseeded.bit_count()} != {value}
+        ]
+        assert missed == [(5, 1, 3, "m"), (5, 3, 1, "m")]
+
+
 class TestUnprunedRoot:
-    """Unpruned solves take vertex 0 at the root; checked by independent routes."""
+    """Unpruned solves, with orbital branching from the whole class at the root, against independent routes."""
 
     @pytest.mark.parametrize("target", ["m", "g"])
     def test_matches_oracle_on_every_small_class(self, target):
-        profiles = [p for p in ORACLE_CLASSES if target == "m" or p.is_g_profile]
-        assert len(profiles) == {"m": 142, "g": 28}[target]
-        for p in profiles:
-            spec = target_spec(p, target)
-            res = solve_extremal(p, target, shifted_pruning=False)
+        swept = list(unpruned_oracle_sweep(target))
+        assert len(swept) == {"m": 142, "g": 28}[target]
+        for p, res, (unseeded, graph), value in swept:
             assert res.is_exact
-            assert res.value == mis_bruteforce(build_conflict_graph(p, spec)).value, p
+            assert res.value == unseeded.bit_count() == value, p
+            assert not any(graph.adj[low.bit_length() - 1] & unseeded for low in bits(unseeded))
             assert_class_witness(res, p)
-            assert verify_family(res.witness, spec).ok
+            assert verify_family(res.witness, target_spec(p, target)).ok
+
+    def test_unpruned_g_721_matches_the_closed_form(self):
+        p = Profile(7, 2, 1)
+        assert p.family_size() == 105
+        plain = solve_extremal(p, "g", shifted_pruning=False)
+        assert plain.is_exact
+        assert plain.value == g_closed_l1(7, 2) == 37
+        assert_class_witness(plain, p)
+        assert verify_family(plain.witness, ForbiddenSpec.exact({-2})).ok
 
     def test_unpruned_g_731_matches_pruning_and_closed_form(self):
         p = Profile(7, 3, 1)
@@ -603,10 +690,10 @@ class TestSearchEffort:
         [
             ((8, 3, 2), "g", True, 230, 1),
             ((11, 3, 1), "g", True, 372, 1),
-            ((7, 3, 1), "g", False, 60, 2825),
-            ((8, 2, 1), "m", False, 30, 1435),
-            ((7, 3, 1), "m", False, 28, 2633),
-            ((7, 3, 2), "m", False, 33, 1005),
+            ((7, 3, 1), "g", False, 60, 405),
+            ((8, 2, 1), "m", False, 30, 87),
+            ((7, 3, 1), "m", False, 28, 627),
+            ((7, 3, 2), "m", False, 33, 181),
             # m is shift-pruned by default
             ((7, 3, 2), "m", None, 33, 49),
             ((8, 2, 1), "m", None, 30, 1),
@@ -641,7 +728,7 @@ class TestSearchEffort:
             monkeypatch.undo()
             sys.setrecursionlimit(limit)
         assert (g.value, g.status, g.nodes_explored) == (510, "exact", 1)
-        assert (m.value, m.status, m.nodes_explored) == (33, "exact", 1005)
+        assert (m.value, m.status, m.nodes_explored) == (33, "exact", 181)
         assert (deep.value, deep.status, deep.nodes_explored) == (155, "exact", 305)
 
 
