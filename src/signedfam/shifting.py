@@ -9,14 +9,17 @@ full reachability order.
 
 shift_ij applies one shift to a vector; is_shifted, compress,
 precedes_oracle and down_set_oracle are built on it, and the tests and
-suites take them as the reference.  shift_images is the same rule on
-(pos, neg) masks, every image at once; shift_order and closure_graph
-are built on it and give a linear extension of the shift order and a
-class's conflict graph lifted to that order's closure, where the solver
-searches.  _closed computes the closure itself, downward or upward; the
-solver-oracle suite checks both directions against a pairwise precedes
-scan.  compress says why searching shift-closed families only keeps the
-optimum.
+suites take them as the reference.  shift_covers gives, on (pos, neg)
+masks, the images under the covering shifts only: those with no
+coordinate between i and j valued in [v_i, v_j].  Every other shift is
+a composite of covers (closure_graph gives the argument), so the covers
+generate the same order.  shift_order gives a linear extension of it,
+and closure_graph a class's conflict graph lifted to its closure, where
+the solver searches.  _cover_table lists each vector's covers by rank,
+once per class, and _closed computes a closure over that table,
+downward or upward; the solver-oracle suite checks both directions
+against a pairwise precedes scan.  compress says why searching
+shift-closed families only keeps the optimum.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .vectors import SignedVector, VectorFamily, bits
+from .vectors import SignedVector, VectorFamily
 
 _ORACLE_DIM_CAP = 8
 
@@ -51,24 +54,49 @@ def shift_ij(v: SignedVector, i: int, j: int) -> SignedVector:
 
 
 def _potential(v: SignedVector) -> int:
-    """sum_i i * v_i, which the (i <- j)-shift lowers by (j - i)(v_j - v_i) when it moves v."""
-    return sum(v.pos_support()) - sum(v.neg_support())
+    """sum_i i * v_i, which the (i <- j)-shift lowers by (j - i)(v_j - v_i) when it moves v.
+
+    Computed from the masks: the bit of coordinate i has bit_length i.
+    """
+    total = 0
+    for mask, sign in ((v.pos, 1), (v.neg, -1)):
+        while mask:
+            low = mask & -mask
+            total += sign * low.bit_length()
+            mask ^= low
+    return total
 
 
-def shift_images(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
-    """(pos, neg) masks of every single-shift image of a vector other than itself.
+def shift_covers(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
+    """(pos, neg) masks of the covers of a vector: its images under its covering shifts.
 
-    full has one bit per coordinate.  A shift at i < j changes the
-    vector exactly when v_i < v_j: a +1 at j swaps with a 0 or -1 at i,
-    or a 0 at j swaps with a -1 at i.
+    full has one bit per coordinate.  The (i <- j)-shift covers when
+    v_i < v_j and no coordinate strictly between i and j has a value in
+    [v_i, v_j]: a +1 at j swaps with the nearest coordinate to its left
+    valued 0 or +1 when that one is 0, and with j - 1 when j - 1 is -1;
+    a 0 at j swaps with the nearest coordinate to its left valued 0 or
+    -1 when that one is -1.  Every other moving shift is a composite of
+    covers (see closure_graph), so the covers generate the shift order.
     """
     out = []
-    for bj in bits(pos):
-        for bi in bits(~pos & (bj - 1)):
-            swap = bi | bj
-            out.append((pos ^ swap, neg ^ swap if neg & bi else neg))
-    for bj in bits(full & ~(pos | neg)):
-        for bi in bits(neg & (bj - 1)):
+    scan = pos
+    while scan:
+        bj = scan & -scan
+        scan ^= bj
+        near = (bj - 1) & ~neg
+        bi = 1 << near.bit_length() - 1 if near else 0
+        if bi and not pos & bi:
+            out.append((pos ^ bi ^ bj, neg))
+        if neg & bj >> 1:
+            swap = bj | bj >> 1
+            out.append((pos ^ swap, neg ^ swap))
+    scan = full & ~(pos | neg)
+    while scan:
+        bj = scan & -scan
+        scan ^= bj
+        near = (bj - 1) & ~pos
+        bi = 1 << near.bit_length() - 1 if near else 0
+        if neg & bi:
             out.append((pos, neg ^ bi ^ bj))
     return out
 
@@ -91,62 +119,85 @@ def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[
     independent set of adj; and as H holds every edge of adj between
     live vertices, every independent set of H is one of adj.
 
-    A[u], the neighbours of down(u), is adj[u] with A[s] for every image
-    s of u; u is dead when it lies in up(A[u]), and H[u] is up(A[u]) on
-    live vertices, empty at dead ones.  A sparse graph (summed degree at
-    most V^2/8) builds up(A[u]) in one pass, as up(adj[u]) with up(A[s]),
-    and needs up only.  A denser one, where up(adj[u]) is costly, holds
-    A and down and joins each live pair once, when A[v] meets down(u).
+    Both closures run over the covers only, from one _cover_table.  A
+    moving (i <- j)-shift with some coordinate k strictly between valued
+    in [v_i, v_j] is a composite of shifts over shorter segments: of
+    (k <- j) then (i <- k) when v_k = v_i, of (i <- k) then (k <- j) when
+    v_k = v_j, and of (i <- k), (k <- j), (i <- k) when v_i < v_k < v_j.
+    Each of those moves its vector, so by induction on j - i every shift
+    is a chain of covers, and down and up are the covers' closures.
+
+    With A[u] for the neighbours of down(u), u is dead when it lies in
+    up(A[u]), and H[u] is up(A[u]) on live vertices, empty at dead ones.
+    up(A[u]) is up(adj[u]) with up(A[s]) for every cover s of u, built in
+    one pass.  An up-set holds the up of each of its members, so only
+    the neighbours of u outside the covers' masks are looked up: on the
+    g and m classes that is one or two per vertex.  A vertex u that lies
+    in its covers' masks, which up(A[u]) holds, is dead: its row is then
+    up(u), shared with up, at no cost.  That row still holds every vertex
+    above u, all dead too, and no live row joins a dead one.
     """
     n = len(adj)
-    if sum(mask.bit_count() for mask in adj) <= n * n // 8:
-        up = _closed(members, lambda r: 1 << r, upward=True)
-        graph = _closed(members, lambda r: _union(up, adj[r]))
-        del up
-        live = sum(1 << r for r in range(n) if not graph[r] >> r & 1)
-        for r in range(n):
-            graph[r] = graph[r] & live if live >> r & 1 else 0
-        return live, graph
-    down = _closed(members, lambda r: 1 << r)
-    nbrs = _closed(members, lambda r: adj[r])
-    ranks = [r for r in range(n) if not nbrs[r] & down[r]]
-    graph = [0] * n
-    for i, u in enumerate(ranks):
-        for v in ranks[i + 1:]:
-            if nbrs[v] & down[u]:
-                graph[u] |= 1 << v
-                graph[v] |= 1 << u
-    return sum(1 << r for r in ranks), graph
+    table = _cover_table(members)
+    up = _closed(table, lambda r, above: above | 1 << r, upward=True)
+    graph = _closed(
+        table, lambda r, below: up[r] if below >> r & 1 else below | _union(up, adj[r] & ~below)
+    )
+    del up
+    live = sum(1 << r for r in range(n) if not graph[r] >> r & 1)
+    for r in range(n):
+        graph[r] = graph[r] & live if live >> r & 1 else 0
+    return live, graph
 
 
 def _union(masks: Sequence[int], chosen: int) -> int:
     """The OR of masks[r] over the bits r of chosen."""
     out = 0
-    for low in bits(chosen):
+    while chosen:
+        low = chosen & -chosen
         out |= masks[low.bit_length() - 1]
+        chosen ^= low
     return out
 
 
-def _closed(
-    members: Sequence[SignedVector], base: Callable[[int], int], upward: bool = False
-) -> list[int]:
-    """out[r] = base(r) with out[s] for every s one shift below r (above r when upward).
+def _cover_table(members: Sequence[SignedVector]) -> list[list[int]]:
+    """table[r]: the ranks of the covers of members[r], a full class in shift_order's order.
 
-    members is a full class in shift_order's order.  Every image ranks
-    below its source, so one pass in rank order fills every out[r] from
-    finished masks.  Upward the pass runs in reverse rank order over the
-    preimages, the images of the negated vector, negated back: keyed by
-    (neg, pos), they come straight from shift_images.
+    Every cover lowers _potential, so it ranks below its source.
     """
-    key = (lambda v: (v.neg, v.pos)) if upward else (lambda v: (v.pos, v.neg))
-    rank = {key(v): r for r, v in enumerate(members)}
-    full = (1 << members[0].dim) - 1
-    out = [0] * len(members)
-    for r in range(len(members) - 1, -1, -1) if upward else range(len(members)):
-        mask = base(r)
-        for image in shift_images(*key(members[r]), full):
-            mask |= out[rank[image]]
-        out[r] = mask
+    dim = members[0].dim
+    full = (1 << dim) - 1
+    rank = {v.pos | v.neg << dim: r for r, v in enumerate(members)}
+    return [
+        [rank[pos | neg << dim] for pos, neg in shift_covers(v.pos, v.neg, full)]
+        for v in members
+    ]
+
+
+def _closed(
+    table: Sequence[Sequence[int]], step: Callable[[int, int], int], upward: bool = False
+) -> list[int]:
+    """out[r] = step(r, joined), joined the OR of out[s] over r's covers s (upward, the s r covers).
+
+    table is _cover_table's.  Covers rank below their source, so one pass
+    in rank order finds every out[s] finished; upward the pass runs in
+    reverse rank order over the transposed table.  With step(r, joined)
+    = joined | 1 << r, out[r] is r's down-set (up-set when upward).
+    """
+    n = len(table)
+    ranks = range(n)
+    if upward:
+        above: list[list[int]] = [[] for _ in ranks]
+        for r, covers in enumerate(table):
+            for s in covers:
+                above[s].append(r)
+        table, ranks = above, reversed(ranks)
+    out = [0] * n
+    for r in ranks:
+        joined = 0
+        for s in table[r]:
+            joined |= out[s]
+        out[r] = step(r, joined)
     return out
 
 

@@ -209,26 +209,34 @@ def _sign_masks(members: Sequence[SignedVector], n: int) -> tuple[list[int], lis
     return plus, minus
 
 
-def _orbit(
-    members: Sequence[SignedVector], signs: tuple[list[int], list[int]],
-    mask: int, pool: int, v: int,
-) -> int:
-    """The vertices of pool in v's orbit under the coordinate permutations fixing mask.
+def _refine(members: Sequence[SignedVector], blocks: list[int], mask: int) -> list[int]:
+    """The partition blocks of the coordinates, cut by each member of mask into +1, -1 and 0 parts.
 
-    members are the graph's vertices, signs their _sign_masks and mask a
-    set of them; the permutations fix each member of mask.  They form a
-    Young subgroup: each member of mask splits every block of
-    coordinates into its +1, -1 and 0 coordinates, and the group
-    permutes each block of the final partition freely.  So u shares v's
-    orbit exactly when u and v have as many +1s and as many -1s in every
-    block, which is counted for all of pool at once.
+    Two coordinates end in one block when they did and every member of
+    mask has one value at both, so the result does not depend on the
+    order the members come in.
     """
-    w = members[v]
-    blocks = [(1 << w.dim) - 1]
     for low in bits(mask):
         t = members[low.bit_length() - 1]
         zero = ~(t.pos | t.neg)
         blocks = [part for b in blocks for part in (b & t.pos, b & t.neg, b & zero) if part]
+    return blocks
+
+
+def _orbit(
+    members: Sequence[SignedVector], signs: tuple[list[int], list[int]],
+    blocks: list[int], pool: int, v: int,
+) -> int:
+    """The vertices of pool in v's orbit under the coordinate permutations that keep blocks.
+
+    members are the graph's vertices, signs their _sign_masks and blocks
+    the whole coordinate set as _refine cuts it by a set of members: the
+    permutations that fix each of those members form a Young subgroup,
+    which permutes each block freely.  So u shares v's orbit exactly when
+    u and v have as many +1s and as many -1s in every block, which is
+    counted for all of pool at once.
+    """
+    w = members[v]
     orbit = pool
     for b in blocks:
         for masks, want in zip(signs, (w.pos & b, w.neg & b)):
@@ -269,16 +277,23 @@ def _bnb(
     earlier exclusion is an orbit of a group that contains this one, as
     mask only grows down the tree.  Without members every orbit is the
     vertex itself.
+
+    Each stack node also carries its coordinate blocks and the part of
+    its mask they are refined by.  Only a node that branches refines them
+    further (_refine), by the vectors its mask took since: the one its
+    parent's take child took and those its own reductions took.
     """
     best_size = best.bit_count()
+    blocks = None
     if members is not None:
         signs = _sign_masks(members, members[0].dim)
+        blocks = [(1 << members[0].dim) - 1]
     nodes = 0
-    stack = [root]
+    stack = [(*root, blocks, 0)]
     while stack:
         if time.monotonic() >= deadline:
             return best, nodes, False
-        pool, size, mask = stack.pop()
+        pool, size, mask, blocks, refined = stack.pop()
         nodes += 1
 
         # cheap reductions: a vertex with at most one neighbour is always
@@ -318,9 +333,12 @@ def _bnb(
                 best_deg = deg
                 best_v = low.bit_length() - 1
         bit = 1 << best_v
-        orbit = bit if members is None else _orbit(members, signs, mask, pool, best_v)
-        stack.append((pool & ~orbit, size, mask))
-        stack.append((pool & ~(adj[best_v] | bit), size + 1, mask | bit))
+        orbit = bit
+        if members is not None:
+            blocks = _refine(members, blocks, mask & ~refined)
+            orbit = _orbit(members, signs, blocks, pool, best_v)
+        stack.append((pool & ~orbit, size, mask, blocks, mask))
+        stack.append((pool & ~(adj[best_v] | bit), size + 1, mask | bit, blocks, mask))
     return best, nodes, True
 
 

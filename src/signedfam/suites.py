@@ -519,9 +519,9 @@ def _setup_mismatch(profile: Profile) -> str:
     """First difference of the solver's setup from its pairwise definition.
 
     The g and m conflict graphs against _pairwise_adjacency, the shift
-    closure, downward and upward, against a pairwise precedes scan, and
-    the g and m closure graphs against _closure_graph_by_definition on
-    that scan.
+    closure over the cover table, downward and upward, against a pairwise
+    precedes scan, and the g and m closure graphs against
+    _closure_graph_by_definition on that scan.
     """
     members = enumerate_all(profile).members
     order = shifting.shift_order(members)
@@ -542,9 +542,10 @@ def _setup_mismatch(profile: Profile) -> str:
             if shifting.precedes(ranked[a], ranked[b]):
                 down[b] |= 1 << a
                 up[a] |= 1 << b
-    if shifting._closed(ranked, lambda r: 1 << r) != down:
+    table = shifting._cover_table(ranked)
+    if shifting._closed(table, lambda r, below: below | 1 << r) != down:
         return "downward closure"
-    if shifting._closed(ranked, lambda r: 1 << r, upward=True) != up:
+    if shifting._closed(table, lambda r, above: above | 1 << r, upward=True) != up:
         return "upward closure"
     for target, adj in ranked_graphs.items():
         if shifting.closure_graph(ranked, adj) != _closure_graph_by_definition(down, adj):
@@ -555,8 +556,8 @@ def _setup_mismatch(profile: Profile) -> str:
 def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
     """Branch-and-bound against the exhaustive oracle; setup against pairwise scans.
 
-    The setup check reads both directions of shifting._closed: a fault in
-    the upward pass need not show in the closure graphs.
+    The setup check reads both directions of shifting._closed on the cover
+    table: a fault in the upward pass need not show in the closure graphs.
     """
     report = VerificationReport("solver-oracle")
     random_graphs = 200

@@ -13,8 +13,8 @@ from signedfam.shifting import (
     is_shifted,
     precedes,
     precedes_oracle,
+    shift_covers,
     shift_ij,
-    shift_images,
 )
 from signedfam.solver import ForbiddenSpec, verify_family
 from signedfam.vectors import Profile, SignedVector, VectorFamily, enumerate_all
@@ -68,9 +68,11 @@ class TestShiftMove:
                     assert img.values() == tuple(want), (w, i, j)
                     assert (img is w) == (a >= b), (w, i, j)
 
-    def test_mask_images_match_shift_ij(self):
-        # shift_images, the rule the solver's closure uses, against the
-        # reference over all of {0,+1,-1}^n for n <= 6
+    def test_covers_match_their_definition(self):
+        # shift_covers, the rule the solver's closure uses, against the
+        # (i <- j)-shifts with v_i < v_j and no coordinate strictly between
+        # valued in [v_i, v_j], applied by shift_ij, over all of
+        # {0,+1,-1}^n for n <= 6
         vectors = 0
         for n in range(1, 7):
             full = (1 << n) - 1
@@ -79,11 +81,16 @@ class TestShiftMove:
                     if pos & neg:
                         continue
                     w = SignedVector(n, pos, neg)
-                    moves = combinations(range(1, n + 1), 2)
-                    images = {shift_ij(w, i, j) for i, j in moves} - {w}
-                    expected = sorted((u.pos, u.neg) for u in images)
-                    assert sorted(shift_images(pos, neg, full)) == expected, w
-                    assert all(_potential(u) < _potential(w) for u in images), w
+                    x = w.values()
+                    covers = {
+                        shift_ij(w, i, j)
+                        for i, j in combinations(range(1, n + 1), 2)
+                        if x[i - 1] < x[j - 1]
+                        and not any(x[i - 1] <= x[c] <= x[j - 1] for c in range(i, j - 1))
+                    }
+                    expected = sorted((u.pos, u.neg) for u in covers)
+                    assert sorted(shift_covers(pos, neg, full)) == expected, w
+                    assert all(_potential(u) < _potential(w) for u in covers), w
                     vectors += 1
         assert vectors == 3 + 9 + 27 + 81 + 243 + 729
 

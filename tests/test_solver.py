@@ -26,7 +26,7 @@ from signedfam import (
 )
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
-from signedfam.shifting import _closed, closure_graph, shift_ij, shift_order
+from signedfam.shifting import _closed, _cover_table, closure_graph, shift_ij, shift_order
 from signedfam.vectors import bits
 from signedfam.solver import (
     ConflictGraph,
@@ -169,8 +169,9 @@ class TestGeneratedSetup:
         members = enumerate_all(p).members
         order = shift_order(members)
         ranked = [members[i] for i in order]
-        down = _closed(ranked, lambda r: 1 << r)
-        up = _closed(ranked, lambda r: 1 << r, upward=True)
+        table = _cover_table(ranked)
+        down = _closed(table, lambda r, below: below | 1 << r)
+        up = _closed(table, lambda r, above: above | 1 << r, upward=True)
         assert sorted(order) == list(range(len(members)))
         for b in range(len(ranked)):
             wb = ranked[b]
@@ -593,8 +594,8 @@ class TestOrbit:
                         ]
                         images = {permuted(members[v], perm) for perm in fixing}
                         expected = sum(1 << a for a, w in enumerate(members) if w in images)
-                        mask = sum(1 << t for t in taken)
-                        assert solver._orbit(members, signs, mask, pool, v) == expected & pool
+                        blocks = solver._refine(members, [(1 << n) - 1], sum(1 << t for t in taken))
+                        assert solver._orbit(members, signs, blocks, pool, v) == expected & pool
                         checked += 1
         assert checked == 4 * 56
 
@@ -602,7 +603,11 @@ class TestOrbit:
         # planted fault: every orbit taken under all of S_n
         orbit = solver._orbit
         monkeypatch.setattr(
-            solver, "_orbit", lambda members, signs, mask, pool, v: orbit(members, signs, 0, pool, v)
+            solver,
+            "_orbit",
+            lambda members, signs, blocks, pool, v: orbit(
+                members, signs, [(1 << members[0].dim) - 1], pool, v
+            ),
         )
         missed = [
             (p.n, p.k, p.l, target)
@@ -736,11 +741,9 @@ def closure_graph_mismatches(build):
     """(profile, target) of every class with n <= 7 on which build differs from the definition.
 
     build(members, adj) is checked against suites._closure_graph_by_definition,
-    with each down(u) found through precedes, for g and m.  Also returns
-    the set of answers to whether a graph takes closure_graph's sparse
-    branch (at most V^2/8 summed degree).
+    with each down(u) found through precedes, for g and m.
     """
-    mismatches, sparse = [], set()
+    mismatches = []
     for n in range(1, 8):
         for k in range(1, n + 1):
             for l in range(n - k + 1):
@@ -752,10 +755,9 @@ def closure_graph_mismatches(build):
                 ]
                 for target in ("g", "m") if p.is_g_profile else ("m",):
                     adj = solver._adjacency(ranked, p, target_spec(p, target))
-                    sparse.add(sum(mask.bit_count() for mask in adj) <= len(adj) ** 2 // 8)
                     if build(ranked, adj) != suites._closure_graph_by_definition(down, adj):
                         mismatches.append(((n, k, l), target))
-    return mismatches, sparse
+    return mismatches
 
 
 class TestShiftedEngine:
@@ -827,9 +829,7 @@ class TestShiftedEngine:
                     assert not adj[v] & best and not pred[v] & ~best
 
     def test_closure_graph_matches_its_definition(self):
-        mismatches, sparse = closure_graph_mismatches(closure_graph)
-        assert mismatches == []
-        assert sparse == {True, False}  # both of closure_graph's branches ran
+        assert closure_graph_mismatches(closure_graph) == []
 
     @pytest.mark.parametrize("fault", ["drop an edge", "revive a dead vertex"])
     def test_closure_graph_check_catches_a_planted_fault(self, fault):
@@ -846,8 +846,7 @@ class TestShiftedEngine:
                     break
             return live, graph
 
-        mismatches, _ = closure_graph_mismatches(faulty)
-        assert mismatches
+        assert closure_graph_mismatches(faulty)
 
 
 class TestAdjacency:

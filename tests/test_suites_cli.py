@@ -148,28 +148,19 @@ class TestRunSuite:
             return case
 
         assert setup_case(run_suite("solver-oracle")).passed
-        # a closure that drops one shift image in one pass; the closure
-        # graphs alone do not show the upward fault
-        closed, images = shifting._closed, shifting.shift_images
+        # a closure that drops one cover table entry in one direction; the
+        # closure graphs alone do not show the upward fault
+        closed = shifting._closed
         for faulty_pass in ("downward", "upward"):
 
-            def drop_an_image(members, base, upward=False):
-                dropped = []
-
-                def one_fewer(pos, neg, full):
-                    out = images(pos, neg, full)
-                    if out and not dropped:
-                        dropped.append(out.pop())
-                    return out
-
+            def drop_an_entry(table, step, upward=False):
                 if upward == (faulty_pass == "upward"):
-                    monkeypatch.setattr(shifting, "shift_images", one_fewer)
-                try:
-                    return closed(members, base, upward)
-                finally:
-                    monkeypatch.setattr(shifting, "shift_images", images)
+                    r = next(r for r, covers in enumerate(table) if covers)
+                    table = list(table)
+                    table[r] = table[r][:-1]
+                return closed(table, step, upward)
 
-            monkeypatch.setattr(shifting, "_closed", drop_an_image)
+            monkeypatch.setattr(shifting, "_closed", drop_an_entry)
             case = setup_case(run_suite("solver-oracle"))
             assert case.actual == f"22 mismatches; first profile (3,2,1): {faulty_pass} closure"
             monkeypatch.undo()
