@@ -12,7 +12,8 @@ status.  It is a loop over an explicit stack of (pool, size, mask)
 nodes that takes cheap reductions, bounds each node by a greedy clique
 cover of its pool, whose number of cliques bounds any independent set,
 and branches on a vertex of maximum degree, taking it before it
-excludes it.  mis_exact runs it on any
+excludes it; its last reduction pass finds the densest vertices.
+mis_exact runs it on any
 graph; the unpruned solve on a class's conflict graph; the shift-pruned
 solve (_solve_shifted) on shifting.closure_graph's lift of that graph,
 whose maximum independent sets are the largest shift-closed families.
@@ -23,8 +24,12 @@ negative product).  solve_extremal solves them, shift-pruned by
 default, which keeps the optimum (shifting.compress says why).  Without
 pruning it runs _bnb with orbital branching: the coordinate
 permutations keep every scalar product, so an exclude child drops the
-branching vertex's whole _orbit under those that fix the taken vectors.
-At the root that orbit is the whole class.  The search is deterministic.
+branching vertex's whole orbit under those that fix the taken vectors.
+Those permutations keep the pool and its degrees, so the densest
+vertices, grouped by their +1 and -1 counts in each block of _refine's
+partition, fall into exactly their orbits in the pool; _bnb branches on
+the largest.  At the root that orbit is the whole class.  The search is
+deterministic.
 """
 
 from __future__ import annotations
@@ -223,32 +228,13 @@ def _refine(members: Sequence[SignedVector], blocks: list[int], mask: int) -> li
     return blocks
 
 
-def _orbit(
-    members: Sequence[SignedVector], signs: tuple[list[int], list[int]],
-    blocks: list[int], pool: int, v: int,
-) -> int:
-    """The vertices of pool in v's orbit under the coordinate permutations that keep blocks.
+def _signature(w: SignedVector, blocks: list[int]) -> tuple[tuple[int, int], ...]:
+    """w's +1 and -1 counts in each block of a partition of its coordinates.
 
-    members are the graph's vertices, signs their _sign_masks and blocks
-    the whole coordinate set as _refine cuts it by a set of members: the
-    permutations that fix each of those members form a Young subgroup,
-    which permutes each block freely.  So u shares v's orbit exactly when
-    u and v have as many +1s and as many -1s in every block, which is
-    counted for all of pool at once.
+    Two vectors share it exactly when a permutation that keeps each
+    block maps one onto the other.
     """
-    w = members[v]
-    orbit = pool
-    for b in blocks:
-        for masks, want in zip(signs, (w.pos & b, w.neg & b)):
-            # at[c]: the members of orbit with exactly c of masks over the block so far
-            at = [orbit] + [0] * want.bit_count()
-            for low in bits(b):
-                m = masks[low.bit_length() - 1]
-                for c in range(len(at) - 1, 0, -1):
-                    at[c] = at[c] & ~m | at[c - 1] & m
-                at[0] &= ~m
-            orbit = at[-1]
-    return orbit
+    return tuple(((w.pos & b).bit_count(), (w.neg & b).bit_count()) for b in blocks)
 
 
 def _bnb(
@@ -262,32 +248,37 @@ def _bnb(
 
     Each node takes the vertices reductions force, is bounded by a fresh
     greedy clique cover of its pool and branches on a vertex of maximum
-    degree, taking it first.  The clock is read before each node: once
-    it reaches the deadline the loop stops unfinished, at 0 nodes when
-    the deadline had passed on entry.
+    degree, taking it first and then excluding its orbit.  The last
+    reduction pass takes nothing, so the degrees it read are the pool's:
+    that one scan finds the densest vertices.  The clock is read before
+    each node: once it reaches the deadline the loop stops unfinished,
+    at 0 nodes when the deadline had passed on entry.
 
     members, the vectors of a whole class in graph order, turn on
-    orbital branching: the exclude child drops the branching vertex's
-    whole _orbit under the coordinate permutations that fix every taken
-    vector, not the vertex alone.  Those permutations keep every scalar
-    product, so they map the node's problem onto itself when they also
-    fix its pool, and an optimum below the node that holds any vertex of
-    the orbit is the image of one that holds the branching vertex.  The
-    pool is invariant under them: the class is, and so is N[mask]; each
-    earlier exclusion is an orbit of a group that contains this one, as
-    mask only grows down the tree.  Without members every orbit is the
-    vertex itself.
+    orbital branching under the coordinate permutations that fix every
+    taken vector.  Those permutations keep every scalar product, so they
+    map the node's problem onto itself when they also fix its pool, and
+    an optimum below the node that holds any vertex of an orbit is the
+    image of one that holds the branching vertex.  The pool is invariant
+    under them: the class is, and so is N[mask]; each earlier exclusion
+    is an orbit of a group that contains this one, as mask only grows
+    down the tree.  They form a Young subgroup, which permutes each
+    block of _refine's partition freely, so two vectors share an orbit
+    exactly when they share a _signature.  The group also keeps the
+    adjacency, hence each vertex's degree in the pool, so the densest
+    vertices grouped by signature are exactly their orbits in the pool.
+    The node branches on the lowest vertex of the largest group (the
+    group with the lowest vertex on size ties), and the exclude child
+    drops the whole group.  Without members every orbit is the vertex
+    itself, and the rule is the lowest-index densest vertex.
 
     Each stack node also carries its coordinate blocks and the part of
     its mask they are refined by.  Only a node that branches refines them
-    further (_refine), by the vectors its mask took since: the one its
-    parent's take child took and those its own reductions took.
+    further, by the vectors its mask took since: the one its parent's
+    take child took and those its own reductions took.
     """
     best_size = best.bit_count()
-    blocks = None
-    if members is not None:
-        signs = _sign_masks(members, members[0].dim)
-        blocks = [(1 << members[0].dim) - 1]
+    blocks = None if members is None else [(1 << members[0].dim) - 1]
     nodes = 0
     stack = [(*root, blocks, 0)]
     while stack:
@@ -298,21 +289,26 @@ def _bnb(
 
         # cheap reductions: a vertex with at most one neighbour is always
         # at least as good as that neighbour, so it is taken
-        while pool:
+        applied = True
+        while applied:
             applied = False
+            top, dense = 1, 0
             scan = pool
             while scan:
                 low = scan & -scan
                 scan ^= low
                 if pool & low:
                     nbrs = adj[low.bit_length() - 1] & pool
-                    if not nbrs & (nbrs - 1):
+                    deg = nbrs.bit_count()
+                    if deg <= 1:
                         size += 1
                         mask |= low
                         pool &= ~(low | nbrs)
                         applied = True
-            if not applied:
-                break
+                    elif deg > top:
+                        top, dense = deg, low
+                    elif deg == top:
+                        dense |= low
 
         if not pool:
             if size > best_size:
@@ -321,24 +317,18 @@ def _bnb(
         if size + len(_greedy_clique_cover(adj, pool)) <= best_size:
             continue
 
-        # branch on the densest remaining vertex, lowest index on ties
-        best_v = -1
-        best_deg = -1
-        scan = pool
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            deg = (adj[low.bit_length() - 1] & pool).bit_count()
-            if deg > best_deg:
-                best_deg = deg
-                best_v = low.bit_length() - 1
-        bit = 1 << best_v
-        orbit = bit
+        # branch on the densest vertex; with members, on the largest orbit among the densest
+        orbit = dense & -dense
         if members is not None:
             blocks = _refine(members, blocks, mask & ~refined)
-            orbit = _orbit(members, signs, blocks, pool, best_v)
+            groups: dict[tuple, int] = {}
+            for low in bits(dense):
+                key = _signature(members[low.bit_length() - 1], blocks)
+                groups[key] = groups.get(key, 0) | low
+            orbit = max(groups.values(), key=int.bit_count)
+        bit = orbit & -orbit
         stack.append((pool & ~orbit, size, mask, blocks, mask))
-        stack.append((pool & ~(adj[best_v] | bit), size + 1, mask | bit, blocks, mask))
+        stack.append((pool & ~(adj[bit.bit_length() - 1] | bit), size + 1, mask | bit, blocks, mask))
     return best, nodes, True
 
 

@@ -5,6 +5,7 @@ import inspect
 import random
 import sys
 import time
+from collections import Counter
 from itertools import combinations, count, permutations
 from math import comb
 from types import SimpleNamespace
@@ -466,7 +467,7 @@ class TestSolveExtremal:
         pruned = solve_extremal(Profile(8, 3, 2), "g", budget=float("inf"))
         assert (pruned.value, pruned.status, pruned.nodes_explored) == (230, "exact", 1)
         unpruned = solve_extremal(Profile(7, 3, 1), "m", budget=float("inf"), shifted_pruning=False)
-        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 627)
+        assert (unpruned.value, unpruned.status, unpruned.nodes_explored) == (28, "exact", 611)
 
     def test_budget_covers_setup(self):
         # m(11,3,2) takes about 0.2 s to its graph and seed, 0.3 s more to
@@ -572,10 +573,40 @@ def permuted(v, perm):
     return SignedVector(v.dim, move(v.pos), move(v.neg))
 
 
+# every class of at most 200 vectors with n >= 2
+CLASSES_UP_TO_200 = [
+    Profile(n, k, l)
+    for n in range(2, 12)
+    for k in range(1, n + 1)
+    for l in range(n - k + 1)
+    if comb(n, k) * comb(n - k, l) <= 200
+]
+
+
+def unseeded_sweep():
+    """(profile, target, unseeded search, graph, pruned value) per CLASSES_UP_TO_200 class and target with an edge.
+
+    The targets are m and, where it applies, g.  The unseeded search is
+    the orbital _bnb of the unpruned route started from an empty
+    incumbent; the shift-pruned solve gives the value it must reach.
+    """
+    for p in CLASSES_UP_TO_200:
+        for target in ("m", "g") if p.is_g_profile else ("m",):
+            graph = build_conflict_graph(p, target_spec(p, target))
+            if not any(graph.adj):
+                continue
+            root = ((1 << graph.n_vertices) - 1, 0, 0)
+            best, _, finished = solver._bnb(graph.adj, root, 0, float("inf"), graph.family.members)
+            assert finished
+            yield p, target, best, graph, solve_extremal(p, target).value
+
+
 class TestOrbit:
-    """solver._orbit, the orbital branching of unpruned solves, against brute force over S_n."""
+    """The orbits of unpruned solves' orbital branching, against brute force over S_n."""
 
     def test_matches_the_stabiliser_images(self):
+        # two members share a _signature under _refine's blocks exactly
+        # when a permutation that fixes the taken vectors maps one onto the other
         rng = random.Random(21)
         checked = 0
         for n in range(1, 7):
@@ -583,39 +614,31 @@ class TestOrbit:
             for k in range(1, n + 1):
                 for l in range(n - k + 1):
                     members = enumerate_all(Profile(n, k, l)).members
-                    signs = solver._sign_masks(members, n)
                     for _ in range(4):
                         taken = rng.sample(range(len(members)), rng.randint(0, min(3, len(members))))
                         v = rng.randrange(len(members))
-                        pool = 1 << v | sum(1 << a for a in range(len(members)) if rng.random() < 0.5)
                         fixing = [
                             perm for perm in perms
                             if all(permuted(members[t], perm) == members[t] for t in taken)
                         ]
                         images = {permuted(members[v], perm) for perm in fixing}
-                        expected = sum(1 << a for a, w in enumerate(members) if w in images)
                         blocks = solver._refine(members, [(1 << n) - 1], sum(1 << t for t in taken))
-                        assert solver._orbit(members, signs, blocks, pool, v) == expected & pool
+                        signature = solver._signature(members[v], blocks)
+                        for w in members:
+                            assert (solver._signature(w, blocks) == signature) == (w in images)
                         checked += 1
         assert checked == 4 * 56
 
-    def test_oracle_sweep_catches_orbits_that_ignore_the_taken_vectors(self, monkeypatch):
-        # planted fault: every orbit taken under all of S_n
-        orbit = solver._orbit
-        monkeypatch.setattr(
-            solver,
-            "_orbit",
-            lambda members, signs, blocks, pool, v: orbit(
-                members, signs, [(1 << members[0].dim) - 1], pool, v
-            ),
-        )
+    def test_unseeded_sweep_catches_orbits_that_ignore_the_taken_vectors(self, monkeypatch):
+        # planted fault: _refine leaves the blocks uncut, so every orbit is
+        # taken under all of S_n; no class of the oracle sweep shows it
+        monkeypatch.setattr(solver, "_refine", lambda members, blocks, mask: blocks)
         missed = [
             (p.n, p.k, p.l, target)
-            for target in ("m", "g")
-            for p, res, (unseeded, _), value in unpruned_oracle_sweep(target)
-            if {res.value, unseeded.bit_count()} != {value}
+            for p, target, best, _, value in unseeded_sweep()
+            if best.bit_count() != value
         ]
-        assert missed == [(5, 1, 3, "m"), (5, 3, 1, "m")]
+        assert missed == [(6, 2, 1, "g"), (7, 2, 1, "g"), (7, 3, 1, "g"), (8, 2, 1, "g"), (8, 3, 5, "m")]
 
 
 class TestUnprunedRoot:
@@ -631,6 +654,13 @@ class TestUnprunedRoot:
             assert not any(graph.adj[low.bit_length() - 1] & unseeded for low in bits(unseeded))
             assert_class_witness(res, p)
             assert verify_family(res.witness, target_spec(p, target)).ok
+
+    def test_unseeded_search_reaches_the_pruned_value_up_to_200(self):
+        swept = list(unseeded_sweep())
+        assert Counter(target for _, target, *_ in swept) == {"m": 60, "g": 8}
+        for p, target, best, graph, value in swept:
+            assert best.bit_count() == value, (p, target)
+            assert not any(graph.adj[low.bit_length() - 1] & best for low in bits(best))
 
     def test_unpruned_g_721_matches_the_closed_form(self):
         p = Profile(7, 2, 1)
@@ -651,16 +681,9 @@ class TestUnprunedRoot:
         assert verify_family(plain.witness, ForbiddenSpec.exact({-2})).ok
 
     def test_pruned_m_matches_unpruned_on_every_class_up_to_200(self):
-        profiles = [
-            Profile(n, k, l)
-            for n in range(2, 12)
-            for k in range(1, n + 1)
-            for l in range(n - k + 1)
-            if comb(n, k) * comb(n - k, l) <= 200
-        ]
-        assert len(profiles) == 156
+        assert len(CLASSES_UP_TO_200) == 156
         spec = ForbiddenSpec.all_below(0)
-        for p in profiles:
+        for p in CLASSES_UP_TO_200:
             pruned = solve_extremal(p, "m")
             plain = solve_extremal(p, "m", shifted_pruning=False)
             assert pruned.is_exact and plain.is_exact
@@ -695,10 +718,10 @@ class TestSearchEffort:
         [
             ((8, 3, 2), "g", True, 230, 1),
             ((11, 3, 1), "g", True, 372, 1),
-            ((7, 3, 1), "g", False, 60, 405),
+            ((7, 3, 1), "g", False, 60, 215),
             ((8, 2, 1), "m", False, 30, 87),
-            ((7, 3, 1), "m", False, 28, 627),
-            ((7, 3, 2), "m", False, 33, 181),
+            ((7, 3, 1), "m", False, 28, 611),
+            ((7, 3, 2), "m", False, 33, 165),
             # m is shift-pruned by default
             ((7, 3, 2), "m", None, 33, 49),
             ((8, 2, 1), "m", None, 30, 1),
@@ -733,7 +756,7 @@ class TestSearchEffort:
             monkeypatch.undo()
             sys.setrecursionlimit(limit)
         assert (g.value, g.status, g.nodes_explored) == (510, "exact", 1)
-        assert (m.value, m.status, m.nodes_explored) == (33, "exact", 181)
+        assert (m.value, m.status, m.nodes_explored) == (33, "exact", 165)
         assert (deep.value, deep.status, deep.nodes_explored) == (155, "exact", 305)
 
 
