@@ -13,23 +13,18 @@ nodes that takes cheap reductions, bounds each node by a greedy clique
 cover of its pool, whose number of cliques bounds any independent set,
 and branches on a vertex of maximum degree, taking it before it
 excludes it; its last reduction pass finds the densest vertices.
-mis_exact runs it on any
-graph; the unpruned solve on a class's conflict graph; the shift-pruned
-solve (_solve_shifted) on shifting.closure_graph's lift of that graph,
-whose maximum independent sets are the largest shift-closed families.
+mis_exact runs it on any graph; the unpruned solve on a class's
+conflict graph; the shift-pruned solve (_solve_shifted) on
+shifting.closure_graph's lift of that graph, whose maximum independent
+sets are the largest shift-closed families.
 mis_bruteforce is an exhaustive oracle for small graphs.
 target_spec defines the two extremal targets: "g" (largest family
 avoiding the minimum product -2l) and "m" (largest family with no
 negative product).  solve_extremal solves them, shift-pruned by
 default, which keeps the optimum (shifting.compress says why).  Without
-pruning it runs _bnb with orbital branching: the coordinate
-permutations keep every scalar product, so an exclude child drops the
-branching vertex's whole orbit under those that fix the taken vectors.
-Those permutations keep the pool and its degrees, so the densest
-vertices, grouped by their +1 and -1 counts in each block of _refine's
-partition, fall into exactly their orbits in the pool; _bnb branches on
-the largest.  At the root that orbit is the whole class.  The search is
-deterministic.
+pruning it runs _bnb with orbital branching under the coordinate
+permutations, which keep every scalar product; _bnb's docstring gives
+the argument.  The search is deterministic.
 """
 
 from __future__ import annotations
@@ -67,11 +62,12 @@ class VertexCapExceeded(ValueError):
 class ConflictGraph:
     """Vertices in canonical family order; adjacency as per-vertex bit masks.
 
-    Every mask is checked to stay in range and to avoid its own vertex.
-    A graph given without a family is outside input, and its symmetry is
-    checked too, in O(E); one given with its family is _adjacency's
-    output, symmetric by construction and checked against a pairwise
-    scan by the solver-oracle suite.
+    Every mask is checked to stay in range and to avoid its own vertex,
+    and a family must have one member per vertex.  A graph given without
+    a family is outside input, and its symmetry is checked too, in O(E);
+    one given with its family is _adjacency's output, symmetric by
+    construction and checked against a pairwise scan by the
+    solver-oracle suite.
     """
 
     __slots__ = ("family", "adj")
@@ -79,6 +75,8 @@ class ConflictGraph:
     def __init__(self, adj: Sequence[int], family: Optional[VectorFamily] = None):
         self.adj = tuple(adj)
         self.family = family
+        if family is not None and len(family) != len(self.adj):
+            raise ValueError(f"family of {len(family)} members for {len(self.adj)} vertices")
         for v, mask in enumerate(self.adj):
             if mask >> len(self.adj):
                 raise ValueError(f"adjacency mask of vertex {v} out of range")
@@ -214,37 +212,27 @@ def _sign_masks(members: Sequence[SignedVector], n: int) -> tuple[list[int], lis
     return plus, minus
 
 
-def _refine(members: Sequence[SignedVector], blocks: list[int], mask: int) -> list[int]:
-    """The partition blocks of the coordinates, cut by each member of mask into +1, -1 and 0 parts.
+def _orbit_key(w: SignedVector, columns: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """The sorted columns of w's +1 coordinates and those of its -1 coordinates.
 
-    Two coordinates end in one block when they did and every member of
-    mask has one value at both, so the result does not depend on the
-    order the members come in.
+    columns[i] is coordinate i's column at a node, the taken vectors with
+    +1 and with -1 there; _bnb says why two vectors share this key
+    exactly when they share an orbit.
     """
-    for low in bits(mask):
-        t = members[low.bit_length() - 1]
-        zero = ~(t.pos | t.neg)
-        blocks = [part for b in blocks for part in (b & t.pos, b & t.neg, b & zero) if part]
-    return blocks
-
-
-def _signature(w: SignedVector, blocks: list[int]) -> tuple[tuple[int, int], ...]:
-    """w's +1 and -1 counts in each block of a partition of its coordinates.
-
-    Two vectors share it exactly when a permutation that keeps each
-    block maps one onto the other.
-    """
-    return tuple(((w.pos & b).bit_count(), (w.neg & b).bit_count()) for b in blocks)
+    return (
+        tuple(sorted(columns[low.bit_length() - 1] for low in bits(w.pos))),
+        tuple(sorted(columns[low.bit_length() - 1] for low in bits(w.neg))),
+    )
 
 
 def _bnb(
     adj: Sequence[int],
-    root: tuple[int, int, int],
+    pool: int,
     best: int,
     deadline: float,
     members: Optional[Sequence[SignedVector]] = None,
 ) -> tuple[int, int, bool]:
-    """Search below root, a (pool, size, mask) node; (best mask, nodes, finished).
+    """Search the vertices of pool from an empty set; (best mask, nodes, finished).
 
     Each node takes the vertices reductions force, is bounded by a fresh
     greedy clique cover of its pool and branches on a vertex of maximum
@@ -256,35 +244,35 @@ def _bnb(
 
     members, the vectors of a whole class in graph order, turn on
     orbital branching under the coordinate permutations that fix every
-    taken vector.  Those permutations keep every scalar product, so they
-    map the node's problem onto itself when they also fix its pool, and
-    an optimum below the node that holds any vertex of an orbit is the
-    image of one that holds the branching vertex.  The pool is invariant
-    under them: the class is, and so is N[mask]; each earlier exclusion
-    is an orbit of a group that contains this one, as mask only grows
-    down the tree.  They form a Young subgroup, which permutes each
-    block of _refine's partition freely, so two vectors share an orbit
-    exactly when they share a _signature.  The group also keeps the
-    adjacency, hence each vertex's degree in the pool, so the densest
-    vertices grouped by signature are exactly their orbits in the pool.
-    The node branches on the lowest vertex of the largest group (the
-    group with the lowest vertex on size ties), and the exclude child
-    drops the whole group.  Without members every orbit is the vertex
-    itself, and the rule is the lowest-index densest vertex.
-
-    Each stack node also carries its coordinate blocks and the part of
-    its mask they are refined by.  Only a node that branches refines them
-    further, by the vectors its mask took since: the one its parent's
-    take child took and those its own reductions took.
+    taken vector (Ostrowski, Linderoth, Rossi & Smriglio, Orbital
+    branching, 2011).  Those permutations keep every scalar product, so
+    they map the node's problem onto itself when they also fix its pool,
+    and an optimum below the node that holds any vertex of an orbit is
+    the image of one that holds the branching vertex.  The pool is
+    invariant under them: the class is, and so is N[mask]; each earlier
+    exclusion is an orbit of a group that contains this one, as mask
+    only grows down the tree.  Coordinate i's column is the taken
+    vectors with +1 and with -1 at i.  A permutation fixes every taken
+    vector exactly when it keeps each coordinate's column, so the group
+    permutes freely the coordinates that share a column, and two vectors
+    share an orbit exactly when they share an _orbit_key: as many +1s
+    and as many -1s on each column.  The group also keeps the adjacency,
+    hence each vertex's degree in the pool, so the densest vertices
+    grouped by key are exactly their orbits in the pool.  The node
+    branches on the lowest vertex of the largest group (the group with
+    the lowest vertex on size ties), and the exclude child drops the
+    whole group.  Without members every orbit is the vertex itself, and
+    the rule is the lowest-index densest vertex.
     """
     best_size = best.bit_count()
-    blocks = None if members is None else [(1 << members[0].dim) - 1]
+    if members is not None:
+        plus, minus = _sign_masks(members, members[0].dim)
     nodes = 0
-    stack = [(*root, blocks, 0)]
+    stack = [(pool, 0, 0)]
     while stack:
         if time.monotonic() >= deadline:
             return best, nodes, False
-        pool, size, mask, blocks, refined = stack.pop()
+        pool, size, mask = stack.pop()
         nodes += 1
 
         # cheap reductions: a vertex with at most one neighbour is always
@@ -320,15 +308,15 @@ def _bnb(
         # branch on the densest vertex; with members, on the largest orbit among the densest
         orbit = dense & -dense
         if members is not None:
-            blocks = _refine(members, blocks, mask & ~refined)
+            columns = [(pos & mask, neg & mask) for pos, neg in zip(plus, minus)]
             groups: dict[tuple, int] = {}
             for low in bits(dense):
-                key = _signature(members[low.bit_length() - 1], blocks)
+                key = _orbit_key(members[low.bit_length() - 1], columns)
                 groups[key] = groups.get(key, 0) | low
             orbit = max(groups.values(), key=int.bit_count)
         bit = orbit & -orbit
-        stack.append((pool & ~orbit, size, mask, blocks, mask))
-        stack.append((pool & ~(adj[bit.bit_length() - 1] | bit), size + 1, mask | bit, blocks, mask))
+        stack.append((pool & ~orbit, size, mask))
+        stack.append((pool & ~(adj[bit.bit_length() - 1] | bit), size + 1, mask | bit))
     return best, nodes, True
 
 
@@ -371,15 +359,14 @@ def mis_exact(graph: ConflictGraph, budget: float = 60.0) -> SolveResult:
     search finishes, the best set found so far is returned with a
     lower-bound status at the first node that finds the deadline passed
     (before any node for a NaN or negative budget, see _deadline).
-    Every exclude child drops one vertex: solve_extremal's orbital
-    branching holds only for the conflict graph of a whole class.
+    Every exclude child drops one vertex: orbital branching (see _bnb)
+    holds only for the conflict graph of a whole class.
     """
     adj = graph.adj
     start = time.monotonic()
     full = (1 << len(adj)) - 1
-    best, nodes, finished = _bnb(
-        adj, (full, 0, 0), _greedy_independent(adj, full), _deadline(start, budget)
-    )
+    deadline = _deadline(start, budget)
+    best, nodes, finished = _bnb(adj, full, _greedy_independent(adj, full), deadline)
     return _result(graph.family, range(len(adj)), best, finished, nodes, start)
 
 
@@ -449,7 +436,7 @@ def _solve_shifted(
         # the budget is spent: return the seed rather than build the closure graph
         return _result(family, labels, seed, False, 0, start)
     live, closed = closure_graph([family.members[i] for i in labels], adj)
-    best, nodes, finished = _bnb(closed, (live, 0, 0), seed, deadline)
+    best, nodes, finished = _bnb(closed, live, seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
 
@@ -480,11 +467,10 @@ def solve_extremal(
     pruning (_solve_shifted) is on for both unless shifted_pruning is
     False, and keeps the optimum, as shifting.compress explains; the
     unpruned search is the independent route.  Without pruning _bnb
-    branches on orbits of the class's members: the spec depends only on
-    the product, which every coordinate permutation keeps, so an
-    exclude child drops the orbit of its vertex under the permutations
-    that fix the taken vectors.  The root's orbit is the whole class, so
-    the root's take child is the whole search.
+    branches on orbits of the class's members, as its docstring
+    explains: the spec depends only on the product, which every
+    coordinate permutation keeps.  The root's orbit is the whole class,
+    so the root's take child is the whole search.
     One conflict graph is built per call, its vertices in shift_order's
     order when pruning, in class order otherwise.
     A graph with no edges needs no search: the whole class is the
@@ -517,7 +503,7 @@ def solve_extremal(
     deadline = _deadline(start, budget)
     if not pruned:
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
-        best, nodes, finished = _bnb(adj, (full, 0, 0), best, deadline, members)
+        best, nodes, finished = _bnb(adj, full, best, deadline, members)
         return _result(family, labels, best, finished, nodes, start)
     result = _solve_shifted(family, labels, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

@@ -116,6 +116,13 @@ class TestConflictGraph:
         with pytest.raises(ValueError, match="out of range"):
             ConflictGraph([0b100, 0b000])
 
+    @pytest.mark.parametrize("n_vertices", [8, 3])
+    def test_rejects_a_family_of_another_size(self, n_vertices):
+        family = enumerate_all(Profile(3, 1, 1))
+        assert len(family) == 6
+        with pytest.raises(ValueError, match=f"family of 6 members for {n_vertices} vertices"):
+            ConflictGraph([0] * n_vertices, family)
+
 
 @st.composite
 def small_profiles(draw):
@@ -428,7 +435,7 @@ class TestSolveExtremal:
         adj = solver._adjacency(ranked, p, spec)
         live, closed = closure_graph(ranked, adj)
         seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
-        assert solver._bnb(closed, (live, 0, 0), seed, time.monotonic()) == (seed, 0, False)
+        assert solver._bnb(closed, live, seed, time.monotonic()) == (seed, 0, False)
         assert sys.getrecursionlimit() == limit
 
     @pytest.mark.parametrize("target", ["g", "m"])
@@ -557,8 +564,8 @@ def unpruned_oracle_sweep(target):
     for p in ORACLE_CLASSES:
         if target == "m" or p.is_g_profile:
             graph = build_conflict_graph(p, target_spec(p, target))
-            root = ((1 << graph.n_vertices) - 1, 0, 0)
-            best, _, finished = solver._bnb(graph.adj, root, 0, float("inf"), graph.family.members)
+            full = (1 << graph.n_vertices) - 1
+            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family.members)
             assert finished
             solved = solve_extremal(p, target, shifted_pruning=False)
             yield p, solved, (best, graph), mis_bruteforce(graph).value
@@ -595,8 +602,8 @@ def unseeded_sweep():
             graph = build_conflict_graph(p, target_spec(p, target))
             if not any(graph.adj):
                 continue
-            root = ((1 << graph.n_vertices) - 1, 0, 0)
-            best, _, finished = solver._bnb(graph.adj, root, 0, float("inf"), graph.family.members)
+            full = (1 << graph.n_vertices) - 1
+            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family.members)
             assert finished
             yield p, target, best, graph, solve_extremal(p, target).value
 
@@ -605,8 +612,8 @@ class TestOrbit:
     """The orbits of unpruned solves' orbital branching, against brute force over S_n."""
 
     def test_matches_the_stabiliser_images(self):
-        # two members share a _signature under _refine's blocks exactly
-        # when a permutation that fixes the taken vectors maps one onto the other
+        # two members share an _orbit_key under the taken vectors' columns
+        # exactly when a permutation that fixes the taken vectors maps one onto the other
         rng = random.Random(21)
         checked = 0
         for n in range(1, 7):
@@ -614,6 +621,7 @@ class TestOrbit:
             for k in range(1, n + 1):
                 for l in range(n - k + 1):
                     members = enumerate_all(Profile(n, k, l)).members
+                    plus, minus = solver._sign_masks(members, n)
                     for _ in range(4):
                         taken = rng.sample(range(len(members)), rng.randint(0, min(3, len(members))))
                         v = rng.randrange(len(members))
@@ -622,17 +630,19 @@ class TestOrbit:
                             if all(permuted(members[t], perm) == members[t] for t in taken)
                         ]
                         images = {permuted(members[v], perm) for perm in fixing}
-                        blocks = solver._refine(members, [(1 << n) - 1], sum(1 << t for t in taken))
-                        signature = solver._signature(members[v], blocks)
+                        mask = sum(1 << t for t in taken)
+                        columns = [(pos & mask, neg & mask) for pos, neg in zip(plus, minus)]
+                        key = solver._orbit_key(members[v], columns)
                         for w in members:
-                            assert (solver._signature(w, blocks) == signature) == (w in images)
+                            assert (solver._orbit_key(w, columns) == key) == (w in images)
                         checked += 1
         assert checked == 4 * 56
 
     def test_unseeded_sweep_catches_orbits_that_ignore_the_taken_vectors(self, monkeypatch):
-        # planted fault: _refine leaves the blocks uncut, so every orbit is
-        # taken under all of S_n; no class of the oracle sweep shows it
-        monkeypatch.setattr(solver, "_refine", lambda members, blocks, mask: blocks)
+        # planted fault: the columns are taken against an empty mask, so every
+        # orbit is taken under all of S_n; no class of the oracle sweep shows it
+        key = solver._orbit_key
+        monkeypatch.setattr(solver, "_orbit_key", lambda w, columns: key(w, [(0, 0)] * len(columns)))
         missed = [
             (p.n, p.k, p.l, target)
             for p, target, best, _, value in unseeded_sweep()
@@ -699,6 +709,41 @@ class TestUnprunedRoot:
         rooted = solve_extremal(p, "m", shifted_pruning=False)
         assert plain.is_exact and rooted.is_exact
         assert plain.value == rooted.value == 33
+
+
+class TestAveragingCap:
+    """X(n) <= floor(n X(n-1) / (n - k - l)) along chains of solves, a bound with no compression.
+
+    The members of an X(n) family that are 0 at coordinate i, with i
+    deleted, form a valid family of the (n-1)-class: each product between
+    them is kept.  Each member is 0 at n - k - l coordinates, so summing
+    over i gives X(n) (n - k - l) <= n X(n-1).
+    """
+
+    def test_holds_on_every_step_up_to_1000_vectors(self):
+        steps, tight = 0, set()
+        for size in range(2, 6):
+            for l in range(1, size):
+                k = size - l
+                for target in ("g", "m") if k > l else ("m",):
+                    prev = solve_extremal(Profile(size, k, l), target)
+                    n = size + 1
+                    while comb(n, k) * comb(n - k, l) <= 1000:
+                        res = solve_extremal(Profile(n, k, l), target)
+                        assert res.is_exact and prev.is_exact
+                        cap = n * prev.value // (n - size)
+                        assert res.value <= cap, (target, n, k, l)
+                        steps += 1
+                        if res.value == cap:
+                            tight.add((target, n, k, l))
+                        prev, n = res, n + 1
+        assert steps == 104
+        assert tight == {("m", n, 1, 1) for n in range(4, 33)} | {
+            ("m", 4, 1, 2), ("m", 9, 1, 2), ("m", 12, 1, 2), ("m", 6, 1, 4),
+            ("m", 4, 2, 1), ("m", 9, 2, 1), ("m", 12, 2, 1),
+            ("g", 10, 2, 1), ("g", 11, 2, 1), ("g", 12, 2, 1), ("g", 13, 2, 1),
+            ("g", 5, 3, 1), ("m", 6, 4, 1), ("g", 6, 4, 1), ("g", 7, 4, 1),
+        }
 
 
 class TestSearchEffort:
@@ -844,7 +889,7 @@ class TestShiftedEngine:
                 [mask | 1 << v for v, mask in enumerate(pred)], adj
             )
             for seed in (0, optimum & ~(1 << optimum.bit_length() - 1)):
-                best, _, finished = solver._bnb(closed, (live, 0, 0), seed, float("inf"))
+                best, _, finished = solver._bnb(closed, live, seed, float("inf"))
                 assert finished
                 assert best.bit_count() == optimum.bit_count()
                 for low in bits(best):
