@@ -368,6 +368,9 @@ def _cmd_report(args) -> int:
         names = [name.strip() for name in args.suites.split(",") if name.strip()]
         if not names:
             raise ValueError(f"--suites {args.suites!r} names no suite")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"--suites {args.suites!r} repeats suite {', '.join(repeated)}")
     params = _suite_params(args)
     # resolve every name first, so a misspelt one runs no suite
     accepted = {name: suites.suite_parameters(name) for name in names}

@@ -1,8 +1,10 @@
-"""The package's public name list, and the names the benchmark tracer patches."""
+"""Public names, running without networkx, and the names the benchmark tracer patches."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -53,3 +55,19 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         tracer.uninstall()
     assert solver.solve_extremal is solve
     assert _bindings() == before
+
+
+def test_runs_without_networkx():
+    # None in sys.modules makes every import of networkx raise ImportError
+    code = "\n".join([
+        "import random, sys",
+        "sys.modules['networkx'] = None",
+        "import signedfam, signedfam.cli",
+        "from signedfam import solver, suites",
+        "print(solver.mis_bruteforce(suites._random_graph(random.Random(1), 25, 0.3)).value)",
+    ])
+    src = str(Path(signedfam.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 0

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations, count, permutations
 from math import comb
 from types import SimpleNamespace
@@ -241,6 +242,11 @@ def random_graph(n, density, rng):
     return ConflictGraph(adj)
 
 
+def thirty_random_graphs():
+    rng = random.Random(7)
+    return [random_graph(rng.randrange(5, 19), rng.choice([0.15, 0.35, 0.6]), rng) for _ in range(30)]
+
+
 class TestMisExact:
     def test_edgeless(self):
         res = mis_exact(ConflictGraph([0] * 7))
@@ -254,9 +260,7 @@ class TestMisExact:
         assert res.value == 1
 
     def test_matches_bruteforce_on_random_graphs(self):
-        rng = random.Random(7)
-        for trial in range(30):
-            g = random_graph(rng.randrange(5, 19), rng.choice([0.15, 0.35, 0.6]), rng)
+        for g in thirty_random_graphs():
             assert mis_exact(g).value == mis_bruteforce(g).value
 
     def test_witness_is_independent(self):
@@ -294,10 +298,87 @@ class TestMisExact:
         assert (res.value, res.status, res.nodes_explored) == (value, "lower_bound_timeout", budget - 1)
 
 
+def subset_scan(adj):
+    """Value, lexicographically first largest set and maximal-set count, by every vertex subset.
+
+    The graph has a vertex: the empty graph's one maximal set, the empty
+    set, is not counted by the oracle.
+    """
+    n = len(adj)
+    independent = [s for s in range(1 << n) if not any(adj[v] & s for v in range(n) if s >> v & 1)]
+    maximal = [s for s in independent if all(adj[v] & s for v in range(n) if not s >> v & 1)]
+    best = min(maximal, key=lambda s: (-s.bit_count(), [v for v in range(n) if s >> v & 1]))
+    return best.bit_count(), tuple(v for v in range(n) if best >> v & 1), len(maximal)
+
+
+def networkx_bruteforce(graph):
+    """The reference oracle: networkx lists every maximal clique of the complement."""
+    import networkx as nx
+
+    n = graph.n_vertices
+    start = time.monotonic()
+    comp = nx.Graph()
+    comp.add_nodes_from(range(n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            if not graph.adj[a] & (1 << b):
+                comp.add_edge(a, b)
+    best: tuple[int, ...] = ()
+    count = 0
+    for clique in nx.find_cliques(comp):
+        count += 1
+        cand = tuple(sorted(clique))
+        if (len(cand), [-i for i in cand]) > (len(best), [-i for i in best]):
+            best = cand
+    return solver._result(graph.family, range(n), sum(1 << i for i in best), True, count, start)
+
+
+def timeless(result):
+    return replace(result, elapsed=0.0)
+
+
 class TestMisBruteforce:
     def test_cap(self):
         with pytest.raises(ValueError, match="25"):
             mis_bruteforce(ConflictGraph([0] * 26))
+
+    def test_empty_graph(self):
+        res = mis_bruteforce(ConflictGraph([]))
+        assert (res.value, res.status, res.nodes_explored, res.witness_indices) == (0, "exact", 0, ())
+        assert timeless(res) == timeless(networkx_bruteforce(ConflictGraph([])))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_a_subset_scan_on_every_labelled_graph(self, n):
+        pairs = list(combinations(range(n), 2))
+        for edges in range(1 << len(pairs)):
+            adj = [0] * n
+            for e, (a, b) in enumerate(pairs):
+                if edges >> e & 1:
+                    adj[a] |= 1 << b
+                    adj[b] |= 1 << a
+            res = mis_bruteforce(ConflictGraph(adj))
+            assert res.status == "exact"
+            assert (res.value, res.witness_indices, res.nodes_explored) == subset_scan(adj), adj
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_matches_networkx_on_every_suite_graph(self, seed, monkeypatch):
+        checked = []
+
+        def compared(graph):
+            res = mis_bruteforce(graph)
+            assert timeless(res) == timeless(networkx_bruteforce(graph)), graph.adj
+            checked.append(graph)
+            return res
+
+        monkeypatch.setattr(solver, "mis_bruteforce", compared)
+        params = {} if seed is None else {"seed": seed}
+        assert suites.run_suite("solver-oracle", **params).ok
+        assert len(checked) == 256
+        assert sum(g.family is not None for g in checked) == 56
+
+    def test_matches_networkx_on_random_graphs(self):
+        for g in thirty_random_graphs():
+            assert timeless(mis_bruteforce(g)) == timeless(networkx_bruteforce(g)), g.adj
 
     def test_tiny_profile_value(self):
         g = build_conflict_graph(Profile(3, 1, 1), ForbiddenSpec.exact({-2}))

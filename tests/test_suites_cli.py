@@ -766,6 +766,15 @@ class TestCliOther:
         assert captured.out == ""
         assert "unknown suite 'nope'" in captured.err
 
+    def test_report_refuses_a_repeated_suite_before_running_any(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(suites, "run_suite", lambda name, **kwargs: calls.append(name))
+        assert main(["report", "--suites", "p-increment,lemma3, p-increment", "--format", "csv"]) == 3
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repeats suite p-increment" in captured.err
+
     def test_invalid_arguments(self):
         assert main(["solve", "--k", "2", "--l", "1"]) == 3  # missing --n
         assert main(["nonsense"]) == 3
