@@ -336,7 +336,8 @@ def _result(
     indices = tuple(sorted(labels[low.bit_length() - 1] for low in bits(mask)))
     witness = None
     if family is not None:
-        witness = VectorFamily._of_sorted(family.profile, [family.members[i] for i in indices])
+        members = family.members
+        witness = VectorFamily._of_sorted(family.profile, [members[i] for i in indices])
     return SolveResult(
         value=len(indices),
         status=STATUS_EXACT if finished else STATUS_TIMEOUT,
@@ -501,8 +502,9 @@ def solve_extremal(
     spec = target_spec(profile, target)
     pruned = shifted_pruning is None or shifted_pruning
     family = _capped_class(profile, vertex_cap)
-    labels = shift_order(family.members) if pruned else range(len(family))
-    members = [family.members[i] for i in labels]
+    class_members = family.members
+    labels = shift_order(class_members) if pruned else range(len(family))
+    members = [class_members[i] for i in labels]
     adj = _adjacency(members, profile, spec)
     full = (1 << len(adj)) - 1
     if not any(adj):

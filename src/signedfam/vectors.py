@@ -3,9 +3,13 @@
 A vector of profile ``(n, k, l)`` has dimension ``n``, exactly ``k``
 coordinates equal to +1 and exactly ``l`` coordinates equal to -1.
 Coordinates are 1-indexed.  Vectors are stored as a pair of bit masks
-(bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), are immutable
-and hashable, and families keep their members deduplicated in a
-deterministic canonical order: ascending on the ``(pos, neg)`` mask pair.
+(bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), in slots, are
+immutable and hashable, and families keep their members deduplicated in
+a deterministic canonical order: ascending on the ``(pos, neg)`` mask
+pair.  The program's own builders hand a family its sorted mask pairs
+(VectorFamily._of_masks), which checks each pair once, at build time,
+with SignedVector's own conditions and messages; the members are built
+on first read, so a family that is only counted never builds them.
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ class Profile:
         return comb(self.n, self.k + self.l) * comb(self.k + self.l, self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedVector:
     """One {0,+1,-1} vector: dimension plus disjoint plus/minus index masks."""
 
@@ -227,17 +231,33 @@ class FamilyCheck:
 
 
 def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
-    """Scan all pairs of a family for a forbidden product; first hit wins."""
+    """Scan all pairs of a family for a forbidden product; first hit wins.
+
+    Each product is scalar_product's, read inline from the four support
+    intersections, and tested against the forbidden products in
+    [-(k+l), k+l], the only ones two members of the profile can have.
+    """
     members = fam.members
-    checked = 0
-    for a in range(len(members)):
-        va = members[a]
-        for b in range(a + 1, len(members)):
-            checked += 1
-            prod = scalar_product(va, members[b])
-            if spec.forbids(prod):
-                return FamilyCheck(False, checked, (va, members[b], prod))
-    return FamilyCheck(True, checked)
+    reach = fam.profile.k + fam.profile.l
+    forbidden = {x for x in range(-reach, reach + 1) if spec.forbids(x)}
+    pos = [v.pos for v in members]
+    neg = [v.neg for v in members]
+    size = len(members)
+    for a in range(size):
+        pa, na = pos[a], neg[a]
+        for b in range(a + 1, size):
+            pb, nb = pos[b], neg[b]
+            prod = (
+                (pa & pb).bit_count()
+                + (na & nb).bit_count()
+                - (pa & nb).bit_count()
+                - (na & pb).bit_count()
+            )
+            if prod in forbidden:
+                # rows 0..a-1 hold size-1-i pairs each; row a has reached b
+                checked = a * (2 * size - a - 1) // 2 + b - a
+                return FamilyCheck(False, checked, (members[a], members[b], prod))
+    return FamilyCheck(True, size * (size - 1) // 2)
 
 
 def min_suffix_sum(v: SignedVector) -> int:
@@ -290,7 +310,7 @@ def full_window(v: SignedVector) -> Optional[int]:
 class VectorFamily:
     """Immutable, deduplicated, canonically ordered set of same-profile vectors."""
 
-    __slots__ = ("profile", "members", "_member_set")
+    __slots__ = ("profile", "_members", "_masks", "_member_set")
 
     def __init__(self, profile: Profile, members: Iterable[SignedVector] = ()):
         dedup = set(members)
@@ -300,18 +320,28 @@ class VectorFamily:
                     f"vector {v} does not match profile "
                     f"(n={profile.n}, k={profile.k}, l={profile.l})"
                 )
-        self._fill(profile, sorted(dedup, key=attrgetter("pos", "neg")), frozenset(dedup))
+        members = sorted(dedup, key=attrgetter("pos", "neg"))
+        self._fill(profile, tuple(members), None, frozenset(dedup))
 
     @classmethod
     def _of_masks(cls, profile: Profile, masks: Iterable[tuple[int, int]]) -> "VectorFamily":
-        """The family of the given (pos, neg) mask pairs, each built as a SignedVector.
+        """The family of the given (pos, neg) mask pairs, members built on first read.
 
         For builders inside the program only: the pairs must be distinct
-        and of the profile, as neither is checked here.  Each vector
-        still runs its own checks.
+        and of the profile, as neither is checked here.  Each pair is
+        checked once, here, as SignedVector checks its masks and with its
+        messages; a bad pair raises ValueError from this call.
         """
-        n = profile.n
-        return cls._of_sorted(profile, [SignedVector(n, pos, neg) for pos, neg in sorted(masks)])
+        pairs = sorted(masks)
+        full = (1 << profile.n) - 1
+        for pos, neg in pairs:
+            if not 0 <= pos <= full or not 0 <= neg <= full:
+                raise ValueError("support mask out of range for dimension")
+            if pos & neg:
+                raise ValueError("plus and minus supports overlap")
+        fam = cls.__new__(cls)
+        fam._fill(profile, None, pairs, None)
+        return fam
 
     @classmethod
     def _of_sorted(cls, profile: Profile, members: Iterable[SignedVector]) -> "VectorFamily":
@@ -321,19 +351,29 @@ class VectorFamily:
         of a family's members; nothing is checked here.
         """
         fam = cls.__new__(cls)
-        fam._fill(profile, members, None)
+        fam._fill(profile, tuple(members), None, None)
         return fam
 
-    def _fill(self, profile: Profile, members: Iterable[SignedVector], member_set) -> None:
+    def _fill(self, profile: Profile, members, masks, member_set) -> None:
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "members", tuple(members))
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "_member_set", member_set)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("VectorFamily is immutable")
 
+    @property
+    def members(self) -> tuple[SignedVector, ...]:
+        """The members in canonical order."""
+        # built on first read: a family from _of_masks holds its mask pairs until then
+        if self._members is None:
+            object.__setattr__(self, "_members", _vectors_of(self.profile.n, self._masks))
+            object.__setattr__(self, "_masks", None)
+        return self._members
+
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self._masks if self._members is None else self._members)
 
     def __iter__(self) -> Iterator[SignedVector]:
         return iter(self.members)
@@ -395,6 +435,24 @@ class VectorFamily:
     def load(cls, path: str) -> "VectorFamily":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
+
+
+def _vectors_of(dim: int, masks: Iterable[tuple[int, int]]) -> tuple[SignedVector, ...]:
+    """SignedVectors of checked (pos, neg) pairs, set through their slots.
+
+    Skips the dataclass __init__ and so __post_init__: _of_masks has
+    already checked every pair, and dim comes from a Profile.
+    """
+    new, cls = object.__new__, SignedVector
+    set_dim, set_pos, set_neg = cls.dim.__set__, cls.pos.__set__, cls.neg.__set__
+    out = []
+    for pos, neg in masks:
+        v = new(cls)
+        set_dim(v, dim)
+        set_pos(v, pos)
+        set_neg(v, neg)
+        out.append(v)
+    return tuple(out)
 
 
 def enumerate_all(profile: Profile) -> VectorFamily:

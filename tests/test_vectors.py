@@ -1,11 +1,15 @@
 """Vector primitives against brute-force definitions."""
 
 import itertools
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
+from signedfam.constructions import best_split_family, ekr_family, inductive_extend
+from signedfam.solver import target_spec
 from signedfam.vectors import (
+    ForbiddenSpec,
     Profile,
     SignedVector,
     SuffixMarkers,
@@ -14,6 +18,7 @@ from signedfam.vectors import (
     min_suffix_sum,
     scalar_product,
     suffix_markers,
+    verify_family,
 )
 
 
@@ -196,7 +201,7 @@ class TestVectorFamily:
             VectorFamily(Profile(3, 1, 1), [SignedVector.parse("+-")])
 
     def test_trusted_path_keeps_each_vectors_checks(self):
-        # _of_masks skips the family-level checks, never SignedVector's own
+        # _of_masks skips the family-level checks, never the checks of each mask pair
         with pytest.raises(ValueError, match="overlap"):
             VectorFamily._of_masks(Profile(3, 1, 1), [(1, 1)])
 
@@ -227,3 +232,163 @@ class TestVectorFamily:
         fam = enumerate_all(Profile(3, 1, 1))
         assert SignedVector.parse("+-0") in fam
         assert SignedVector.parse("+00") not in fam
+
+
+SMALL_PROFILES = [
+    Profile(n, k, l) for n in range(1, 8) for k in range(1, n + 1) for l in range(n - k + 1)
+]
+
+
+def _bulk_builds(p: Profile):
+    """(name, family) for every builder that goes through _of_masks."""
+    yield "enumerate_all", enumerate_all(p)
+    yield "ekr_family", ekr_family(p)
+    yield "best_split_family", best_split_family(p)
+    if p.l >= 1:
+        yield "inductive_extend", inductive_extend(ekr_family(p))
+
+
+class TestBulkPath:
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            ((0b011, 0b010), "overlap"),
+            ((0b1000, 0b001), "out of range"),
+            ((0b001, 0b1000), "out of range"),
+            ((-1, 0b010), "out of range"),
+            ((0b001, -2), "out of range"),
+        ],
+    )
+    def test_a_bad_pair_raises_inside_the_builder_call(self, pair, message):
+        good = [(0b100, 0b010), (0b001, 0b100)]
+        with pytest.raises(ValueError, match=message):
+            VectorFamily._of_masks(Profile(3, 1, 1), good + [pair])
+
+    def test_every_builder_matches_the_checked_constructor(self):
+        assert len(SMALL_PROFILES) == 84
+        for p in SMALL_PROFILES:
+            for name, fam in _bulk_builds(p):
+                checked = VectorFamily(
+                    fam.profile, [SignedVector(v.dim, v.pos, v.neg) for v in fam.members]
+                )
+                assert fam.members == checked.members, (name, p)
+                assert fam == checked and hash(fam) == hash(checked), (name, p)
+                assert fam.member_set() == checked.member_set(), (name, p)
+                assert fam.to_text() == checked.to_text(), (name, p)
+
+    def test_a_bulk_vector_is_its_public_twin(self):
+        v = ekr_family(Profile(5, 2, 1)).members[3]
+        twin = SignedVector(v.dim, v.pos, v.neg)
+        assert type(v) is SignedVector and v is not twin
+        assert v == twin and hash(v) == hash(twin) and repr(v) == repr(twin)
+        assert {v: 1}[twin] == 1
+        for field in ("dim", "pos", "neg"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(v, field, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(v, field)
+        # a name that is not a field has no slot; some Python versions raise
+        # TypeError there, as a frozen slots dataclass's __setattr__ calls
+        # super() on the class as it was before its slots were added
+        with pytest.raises((AttributeError, TypeError)):
+            v.other = 0
+        assert not hasattr(v, "__dict__") and v == twin
+
+    def test_len_before_members_are_read(self):
+        for p in SMALL_PROFILES:
+            for name, fam in _bulk_builds(p):
+                size = len(fam)
+                # counting leaves the members unbuilt
+                assert fam._members is None, (name, p)
+                assert size == len(fam.members) == len(fam), (name, p)
+        assert len(enumerate_all(Profile(7, 2, 2))) == Profile(7, 2, 2).family_size()
+        assert len(ekr_family(Profile(7, 3, 1))) == 60
+
+
+def _naive_check(fam: VectorFamily, spec) -> tuple:
+    """(ok, pairs_checked, violation) by the definition: scalar_product on every pair in order."""
+    members = fam.members
+    checked = 0
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            checked += 1
+            prod = scalar_product(members[a], members[b])
+            if spec.forbids(prod):
+                return False, checked, (members[a], members[b], prod)
+    return True, checked, None
+
+
+def _planted(clean: VectorFamily, spec, where: str) -> tuple[VectorFamily, tuple]:
+    """clean's members that conflict with neither of a forbidden pair (u, w), plus u and w.
+
+    The pair comes from the class of clean's profile, and the kept members
+    lie after it ("first"), before it ("last") or on both sides ("middle"),
+    so the scan's first hit is (u, w) at the first, the last or a middle pair.
+    """
+    p = clean.profile
+    members = enumerate_all(p).members
+    pairs = [
+        (u, w)
+        for i, u in enumerate(members)
+        for w in members[i + 1 :]
+        if spec.forbids(scalar_product(u, w))
+    ]
+    if where == "first":
+        pairs = pairs[:1]
+    elif where == "last":
+        pairs = pairs[-1:]
+    else:
+        pairs = pairs[len(pairs) // 2 :]
+    for u, w in pairs:
+        kept = [
+            v
+            for v in clean
+            if not spec.forbids(scalar_product(v, u)) and not spec.forbids(scalar_product(v, w))
+        ]
+        below = [v for v in kept if (v.pos, v.neg) < (u.pos, u.neg)]
+        above = [v for v in kept if (v.pos, v.neg) > (w.pos, w.neg)]
+        sides = {"first": ([], above), "last": (below, [])}.get(where, (below, above))
+        if where != "middle" or (below and above):
+            return VectorFamily(p, sides[0] + [u, w] + sides[1]), (u, w, scalar_product(u, w))
+    raise AssertionError(f"no forbidden pair with members on both sides in {clean}")
+
+
+class TestVerifyFamily:
+    CLEAN = [
+        ("g", ekr_family(Profile(7, 3, 1))),
+        ("g", inductive_extend(ekr_family(Profile(6, 2, 1)))),
+        ("g", best_split_family(Profile(7, 3, 2))),
+        ("m", best_split_family(Profile(7, 3, 1))),
+        ("m", best_split_family(Profile(6, 2, 2))),
+    ]
+
+    @pytest.mark.parametrize("target, fam", CLEAN)
+    def test_clean_families_match_the_naive_scan(self, target, fam):
+        spec = target_spec(fam.profile, target)
+        check = verify_family(fam, spec)
+        assert (check.ok, check.pairs_checked, check.violation) == _naive_check(fam, spec)
+        assert check.ok and check.pairs_checked == len(fam) * (len(fam) - 1) // 2
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("target, profile", [("g", Profile(7, 2, 1)), ("m", Profile(6, 2, 1))])
+    def test_a_planted_conflict_matches_the_naive_scan(self, target, profile, where):
+        spec = target_spec(profile, target)
+        clean = ekr_family(profile) if target == "g" else best_split_family(profile)
+        fam, violation = _planted(clean, spec, where)
+        check = verify_family(fam, spec)
+        assert (check.ok, check.pairs_checked, check.violation) == _naive_check(fam, spec)
+        assert not check.ok and check.violation == violation
+        total = len(fam) * (len(fam) - 1) // 2
+        position = {"first": 1, "last": total}.get(where, check.pairs_checked)
+        assert check.pairs_checked == position and 1 <= position <= total
+        if where == "middle":
+            assert 1 < position < total
+
+    def test_the_least_product_in_a_class_is_caught(self):
+        # k = l lets two members reach the least product -(k + l)
+        p = Profile(4, 2, 2)
+        spec = ForbiddenSpec.exact({-4})
+        fam = enumerate_all(p)
+        check = verify_family(fam, spec)
+        assert (check.ok, check.pairs_checked, check.violation) == _naive_check(fam, spec)
+        assert check.violation[2] == -4
