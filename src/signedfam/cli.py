@@ -219,8 +219,7 @@ def _cmd_solve(args) -> int:
         shifted_pruning=pruning,
         vertex_cap=args.vertex_cap,
     )
-    if cache:
-        cache.put(keys[0], result.value, result.status)
+    if cache and cache.put(keys[0], result.value, result.status):
         cache.save()
     if args.witness_out and result.witness is not None:
         result.witness.save(args.witness_out)

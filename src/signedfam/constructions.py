@@ -6,7 +6,7 @@ the one place that picks the optimal cut.  Each builds its members from
 index subsets the same way: combinations over bit values, summed into a
 mask.  It hands the (pos, neg) pairs to VectorFamily._of_masks, which
 skips the family-level checks that the construction already makes
-true; in-order subsets of a family go to VectorFamily._of_sorted.
+true; so do partition_by_last and xy_families with the pairs they keep.
 xy_class is the one window-class rule: it puts a vector into its class
 (side, m) at window count t, so one pass over a class counts every
 window class of it.  xy_families splits a class into the x and y classes
@@ -65,7 +65,7 @@ def inductive_extend(fam: VectorFamily) -> VectorFamily:
     if p.l < 1:
         raise ValueError("extension requires l >= 1")
     new_profile = Profile(p.n + 1, p.k, p.l)
-    masks = [(v.pos, v.neg) for v in fam]
+    masks = list(fam.masks)
     last_bit = 1 << p.n
     for support in combinations([1 << i for i in range(p.n)], p.k + p.l - 1):
         support_mask = sum(support)
@@ -107,15 +107,12 @@ def best_split_family(profile: Profile) -> VectorFamily:
 
 def partition_by_last(fam: VectorFamily) -> tuple[VectorFamily, VectorFamily, VectorFamily]:
     """Split a family by the final coordinate: (minus, zero, plus) classes."""
-    minus, zero, plus = [], [], []
-    for v in fam:
-        (minus if v.last == -1 else zero if v.last == 0 else plus).append(v)
     p = fam.profile
-    return (
-        VectorFamily._of_sorted(p, minus),
-        VectorFamily._of_sorted(p, zero),
-        VectorFamily._of_sorted(p, plus),
-    )
+    last = 1 << (p.n - 1)
+    minus, zero, plus = [], [], []
+    for pos, neg in fam.masks:
+        (plus if pos & last else minus if neg & last else zero).append((pos, neg))
+    return tuple(VectorFamily._of_masks(p, side) for side in (minus, zero, plus))
 
 
 def xy_class(v: SignedVector, t: int) -> Optional[tuple[Literal["x", "y"], int]]:
@@ -148,15 +145,12 @@ def xy_families(profile: Profile, t: int, m: int) -> tuple[VectorFamily, VectorF
     # the window must avoid the fixed final coordinate
     if 2 * t - 1 > n - 1:
         raise ValueError(f"window [1, {2 * t - 1}] reaches the final coordinate {n}")
-    sides: dict[str, list[SignedVector]] = {"x": [], "y": []}
+    sides: dict[str, list[tuple[int, int]]] = {"x": [], "y": []}
     for v in enumerate_all(profile):
         found = xy_class(v, t)
         if found is not None and found[1] == m:
-            sides[found[0]].append(v)
-    return (
-        VectorFamily._of_sorted(profile, sides["x"]),
-        VectorFamily._of_sorted(profile, sides["y"]),
-    )
+            sides[found[0]].append((v.pos, v.neg))
+    return VectorFamily._of_masks(profile, sides["x"]), VectorFamily._of_masks(profile, sides["y"])
 
 
 def family_xy_tm(profile: Profile, t: int, m: int, side: Literal["x", "y"]) -> VectorFamily:

@@ -329,15 +329,15 @@ def _result(
     """SolveResult for the vertex set mask of a graph whose vertex i is member labels[i].
 
     witness_indices are those members' indices in family, ascending, and
-    the witness lists the members in that order (None without a family).
+    the witness is the family of their mask pairs, checked by
+    VectorFamily._of_masks (None without a family).
     A search that did not finish gives a lower-bound status; elapsed is
     measured from start.
     """
     indices = tuple(sorted(labels[low.bit_length() - 1] for low in bits(mask)))
     witness = None
     if family is not None:
-        members = family.members
-        witness = VectorFamily._of_sorted(family.profile, [members[i] for i in indices])
+        witness = VectorFamily._of_masks(family.profile, [family.masks[i] for i in indices])
     return SolveResult(
         value=len(indices),
         status=STATUS_EXACT if finished else STATUS_TIMEOUT,
@@ -512,7 +512,8 @@ def solve_extremal(
         return _result(family, labels, full, True, 0, start)
 
     seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
-    seed = sum(1 << i for i, v in enumerate(members) if v in seed_family)
+    seed_masks = set(seed_family.masks)
+    seed = sum(1 << i for i, j in enumerate(labels) if family.masks[j] in seed_masks)
     for low in bits(seed):
         if adj[low.bit_length() - 1] & seed:
             raise ValueError("initial incumbent is not independent")

@@ -3,21 +3,22 @@
 A vector of profile ``(n, k, l)`` has dimension ``n``, exactly ``k``
 coordinates equal to +1 and exactly ``l`` coordinates equal to -1.
 Coordinates are 1-indexed.  Vectors are stored as a pair of bit masks
-(bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), in slots, are
-immutable and hashable, and families keep their members deduplicated in
-a deterministic canonical order: ascending on the ``(pos, neg)`` mask
-pair.  The program's own builders hand a family its sorted mask pairs
-(VectorFamily._of_masks), which checks each pair once, at build time,
-with SignedVector's own conditions and messages; the members are built
-on first read, so a family that is only counted never builds them.
+(bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), in slots, and
+are immutable and hashable.  A family is its distinct (pos, neg) pairs,
+sorted ascending, in ``VectorFamily.masks``: that order is the canonical
+member order.  Every pair is checked once, by _check_pairs, whether it
+comes from a SignedVector or from the program's own builders
+(VectorFamily._of_masks); the members and their set are built on first
+read, so a family that is only counted never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Optional
+
+from .formulas import family_size
 
 _DIM_CAP = 128
 
@@ -43,6 +44,16 @@ def bits(mask: int) -> list[int]:
 
 def _indices_of(mask: int) -> tuple[int, ...]:
     return tuple(low.bit_length() for low in bits(mask))
+
+
+def _check_pairs(dim: int, pairs: Iterable[tuple[int, int]]) -> None:
+    """Raise ValueError unless every (pos, neg) pair fits dim and has disjoint masks."""
+    full = (1 << dim) - 1
+    for pos, neg in pairs:
+        if not 0 <= pos <= full or not 0 <= neg <= full:
+            raise ValueError("support mask out of range for dimension")
+        if pos & neg:
+            raise ValueError("plus and minus supports overlap")
 
 
 @dataclass(frozen=True)
@@ -75,9 +86,7 @@ class Profile:
 
     def family_size(self) -> int:
         """Number of vectors in the class: C(n, k+l) * C(k+l, k)."""
-        from math import comb
-
-        return comb(self.n, self.k + self.l) * comb(self.k + self.l, self.k)
+        return family_size(self.n, self.k, self.l)
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,11 +102,7 @@ class SignedVector:
             raise ValueError(f"dimension must be a positive integer, got {self.dim!r}")
         if self.dim > _DIM_CAP:
             raise ValueError(f"dimension {self.dim} exceeds cap {_DIM_CAP}")
-        full = (1 << self.dim) - 1
-        if not 0 <= self.pos <= full or not 0 <= self.neg <= full:
-            raise ValueError("support mask out of range for dimension")
-        if self.pos & self.neg:
-            raise ValueError("plus and minus supports overlap")
+        _check_pairs(self.dim, ((self.pos, self.neg),))
 
     @classmethod
     def from_supports(
@@ -234,15 +239,15 @@ def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
     """Scan all pairs of a family for a forbidden product; first hit wins.
 
     Each product is scalar_product's, read inline from the four support
-    intersections, and tested against the forbidden products in
-    [-(k+l), k+l], the only ones two members of the profile can have.
+    intersections of two mask pairs, and tested against the forbidden
+    products in [-(k+l), k+l], the only ones two members of the profile
+    can have.  Members are built only to report a violation.
     """
-    members = fam.members
     reach = fam.profile.k + fam.profile.l
     forbidden = {x for x in range(-reach, reach + 1) if spec.forbids(x)}
-    pos = [v.pos for v in members]
-    neg = [v.neg for v in members]
-    size = len(members)
+    pos = [p for p, _ in fam.masks]
+    neg = [n for _, n in fam.masks]
+    size = len(pos)
     for a in range(size):
         pa, na = pos[a], neg[a]
         for b in range(a + 1, size):
@@ -256,6 +261,7 @@ def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
             if prod in forbidden:
                 # rows 0..a-1 hold size-1-i pairs each; row a has reached b
                 checked = a * (2 * size - a - 1) // 2 + b - a
+                members = fam.members
                 return FamilyCheck(False, checked, (members[a], members[b], prod))
     return FamilyCheck(True, size * (size - 1) // 2)
 
@@ -308,9 +314,13 @@ def full_window(v: SignedVector) -> Optional[int]:
 
 
 class VectorFamily:
-    """Immutable, deduplicated, canonically ordered set of same-profile vectors."""
+    """Immutable, deduplicated, canonically ordered set of same-profile vectors.
 
-    __slots__ = ("profile", "_members", "_masks", "_member_set")
+    masks holds the members' (pos, neg) pairs in canonical order; the
+    members and their set are built from it on first read.
+    """
+
+    __slots__ = ("profile", "masks", "_members", "_member_set")
 
     def __init__(self, profile: Profile, members: Iterable[SignedVector] = ()):
         dedup = set(members)
@@ -320,60 +330,40 @@ class VectorFamily:
                     f"vector {v} does not match profile "
                     f"(n={profile.n}, k={profile.k}, l={profile.l})"
                 )
-        members = sorted(dedup, key=attrgetter("pos", "neg"))
-        self._fill(profile, tuple(members), None, frozenset(dedup))
+        self._fill(profile, tuple(sorted((v.pos, v.neg) for v in dedup)))
 
     @classmethod
     def _of_masks(cls, profile: Profile, masks: Iterable[tuple[int, int]]) -> "VectorFamily":
-        """The family of the given (pos, neg) mask pairs, members built on first read.
+        """The family of the given (pos, neg) mask pairs, for builders inside the program.
 
-        For builders inside the program only: the pairs must be distinct
-        and of the profile, as neither is checked here.  Each pair is
-        checked once, here, as SignedVector checks its masks and with its
-        messages; a bad pair raises ValueError from this call.
+        The pairs must be distinct and of the profile, as neither is
+        checked here; each is checked by _check_pairs, as SignedVector
+        checks its masks, so a bad pair raises ValueError from this call.
         """
-        pairs = sorted(masks)
-        full = (1 << profile.n) - 1
-        for pos, neg in pairs:
-            if not 0 <= pos <= full or not 0 <= neg <= full:
-                raise ValueError("support mask out of range for dimension")
-            if pos & neg:
-                raise ValueError("plus and minus supports overlap")
+        pairs = tuple(sorted(masks))
+        _check_pairs(profile.n, pairs)
         fam = cls.__new__(cls)
-        fam._fill(profile, None, pairs, None)
+        fam._fill(profile, pairs)
         return fam
 
-    @classmethod
-    def _of_sorted(cls, profile: Profile, members: Iterable[SignedVector]) -> "VectorFamily":
-        """The family of members already distinct, of the profile and in canonical order.
-
-        For builders inside the program only, such as an in-order subset
-        of a family's members; nothing is checked here.
-        """
-        fam = cls.__new__(cls)
-        fam._fill(profile, tuple(members), None, None)
-        return fam
-
-    def _fill(self, profile: Profile, members, masks, member_set) -> None:
+    def _fill(self, profile: Profile, masks: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_member_set", member_set)
+        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "_members", None)
+        object.__setattr__(self, "_member_set", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("VectorFamily is immutable")
 
     @property
     def members(self) -> tuple[SignedVector, ...]:
-        """The members in canonical order."""
-        # built on first read: a family from _of_masks holds its mask pairs until then
+        """The members in canonical order, built from masks on first read."""
         if self._members is None:
-            object.__setattr__(self, "_members", _vectors_of(self.profile.n, self._masks))
-            object.__setattr__(self, "_masks", None)
+            object.__setattr__(self, "_members", _vectors_of(self.profile.n, self.masks))
         return self._members
 
     def __len__(self) -> int:
-        return len(self._masks if self._members is None else self._members)
+        return len(self.masks)
 
     def __iter__(self) -> Iterator[SignedVector]:
         return iter(self.members)
@@ -384,17 +374,16 @@ class VectorFamily:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorFamily):
             return NotImplemented
-        return self.profile == other.profile and self.member_set() == other.member_set()
+        return self.profile == other.profile and self.masks == other.masks
 
     def __hash__(self) -> int:
-        return hash((self.profile, self.member_set()))
+        return hash((self.profile, self.masks))
 
     def __repr__(self) -> str:
         p = self.profile
         return f"VectorFamily(n={p.n}, k={p.k}, l={p.l}, size={len(self)})"
 
     def member_set(self) -> frozenset:
-        # built on first use: a family from _of_sorted has none until then
         if self._member_set is None:
             object.__setattr__(self, "_member_set", frozenset(self.members))
         return self._member_set
@@ -438,10 +427,10 @@ class VectorFamily:
 
 
 def _vectors_of(dim: int, masks: Iterable[tuple[int, int]]) -> tuple[SignedVector, ...]:
-    """SignedVectors of checked (pos, neg) pairs, set through their slots.
+    """SignedVectors of a family's (pos, neg) pairs, set through their slots.
 
-    Skips the dataclass __init__ and so __post_init__: _of_masks has
-    already checked every pair, and dim comes from a Profile.
+    Skips the dataclass __init__ and so __post_init__: every pair of a
+    family's masks has passed _check_pairs, and dim comes from a Profile.
     """
     new, cls = object.__new__, SignedVector
     set_dim, set_pos, set_neg = cls.dim.__set__, cls.pos.__set__, cls.neg.__set__

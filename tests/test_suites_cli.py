@@ -490,6 +490,24 @@ class TestCliSolve:
             )
             assert (payload["value"], payload["cached"]) == (6, False)
 
+    def test_an_unchanged_entry_is_not_saved_again(self, tmp_path, monkeypatch):
+        saves = []
+        monkeypatch.setattr(ResultCache, "save", lambda self: saves.append(self.path))
+        # a --witness-out re-solve of a cached exact key solves, but stores nothing new
+        witness = tmp_path / "witness.txt"
+        payload, entries = self._solve_cached(
+            tmp_path, [("4,2,1,g,pruned", 6, "exact")], "--witness-out", str(witness)
+        )
+        assert (payload["value"], payload["cached"]) == (6, False) and witness.exists()
+        assert saves == []
+        # a timeout no larger than the stored lower bound leaves the entry as it was
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({"4,2,1,g,pruned": {"value": 6, "status": "lower_bound_timeout"}}))
+        argv = ["solve", "--n", "4", "--k", "2", "--l", "1", "--budget", "0", "--cache", str(path)]
+        assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
+        assert saves == []
+        assert ResultCache(str(path)).entries["4,2,1,g,pruned"]["value"] == 6
+
     def test_budget_exhaustion_exit_code(self, tmp_path):
         out = tmp_path / "out.json"
         witness = tmp_path / "witness.txt"

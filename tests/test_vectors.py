@@ -6,8 +6,14 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from signedfam.constructions import best_split_family, ekr_family, inductive_extend
-from signedfam.solver import target_spec
+from signedfam.constructions import (
+    best_split_family,
+    ekr_family,
+    inductive_extend,
+    partition_by_last,
+    xy_families,
+)
+from signedfam.solver import solve_extremal, target_spec
 from signedfam.vectors import (
     ForbiddenSpec,
     Profile,
@@ -240,12 +246,26 @@ SMALL_PROFILES = [
 
 
 def _bulk_builds(p: Profile):
-    """(name, family) for every builder that goes through _of_masks."""
+    """(name, family) for every way the package builds a family of profile p."""
     yield "enumerate_all", enumerate_all(p)
     yield "ekr_family", ekr_family(p)
     yield "best_split_family", best_split_family(p)
     if p.l >= 1:
         yield "inductive_extend", inductive_extend(ekr_family(p))
+    for side, fam in zip(("minus", "zero", "plus"), partition_by_last(enumerate_all(p))):
+        yield f"partition_by_last[{side}]", fam
+    if p.n >= 2:
+        for side, fam in zip("xy", xy_families(p, 1, 0)):
+            yield f"xy_families[{side}]", fam
+    if p.n <= 5:
+        target = "g" if p.is_g_profile else "m"
+        for pruned in (True, False):
+            yield f"{target} witness, pruned={pruned}", solve_extremal(
+                p, target, shifted_pruning=pruned
+            ).witness
+    members = enumerate_all(p).members[::2]
+    yield "VectorFamily", VectorFamily(p, members[::-1] + members[:1])
+    yield "from_text", VectorFamily.from_text(VectorFamily(p, members).to_text())
 
 
 class TestBulkPath:
@@ -271,6 +291,8 @@ class TestBulkPath:
                 checked = VectorFamily(
                     fam.profile, [SignedVector(v.dim, v.pos, v.neg) for v in fam.members]
                 )
+                assert fam.masks == tuple(sorted((v.pos, v.neg) for v in fam.members)), (name, p)
+                assert len(fam) == len(fam.masks), (name, p)
                 assert fam.members == checked.members, (name, p)
                 assert fam == checked and hash(fam) == hash(checked), (name, p)
                 assert fam.member_set() == checked.member_set(), (name, p)
@@ -383,6 +405,11 @@ class TestVerifyFamily:
         assert check.pairs_checked == position and 1 <= position <= total
         if where == "middle":
             assert 1 < position < total
+
+    def test_a_clean_family_is_checked_without_building_its_members(self):
+        fam = ekr_family(Profile(7, 3, 1))
+        assert verify_family(fam, target_spec(fam.profile, "g")).ok
+        assert fam._members is None
 
     def test_the_least_product_in_a_class_is_caught(self):
         # k = l lets two members reach the least product -(k + l)
