@@ -14,20 +14,19 @@ masks, the images under the covering shifts only: those with no
 coordinate between i and j valued in [v_i, v_j].  Every other shift is
 a composite of covers (closure_graph gives the argument), so the covers
 generate the same order.  shift_order gives a linear extension of it,
-and closure_graph a class's conflict graph lifted to its closure, where
-the solver searches.  _cover_table lists each vector's covers by rank,
-once per class, and _closed computes a closure over that table,
-downward or upward; the solver-oracle suite checks both directions
-against a pairwise precedes scan.  compress says why searching
-shift-closed families only keeps the optimum.
+and closure_graph, on a class's (pos, neg) pairs, its conflict graph
+lifted to the closure, where the solver searches: _cover_table lists
+each vector's covers by rank, _up_sets pushes up-sets down the table,
+and one pass pulls H up it.  compress says why searching shift-closed
+families only keeps the optimum.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .vectors import SignedVector, VectorFamily
+from .vectors import SignedVector, VectorFamily, bits
 
 _ORACLE_DIM_CAP = 8
 
@@ -53,13 +52,10 @@ def shift_ij(v: SignedVector, i: int, j: int) -> SignedVector:
     return SignedVector(v.dim, pos, neg)
 
 
-def _potential(v: SignedVector) -> int:
-    """sum_i i * v_i, which the (i <- j)-shift lowers by (j - i)(v_j - v_i) when it moves v.
-
-    Computed from the masks: the bit of coordinate i has bit_length i.
-    """
+def _potential(pos: int, neg: int) -> int:
+    """sum_i i * v_i of (pos, neg); a moving (i <- j)-shift lowers it by (j - i)(v_j - v_i)."""
     total = 0
-    for mask, sign in ((v.pos, 1), (v.neg, -1)):
+    for mask, sign in ((pos, 1), (neg, -1)):
         while mask:
             low = mask & -mask
             total += sign * low.bit_length()
@@ -101,12 +97,17 @@ def shift_covers(pos: int, neg: int, full: int) -> list[tuple[int, int]]:
     return out
 
 
-def shift_order(members: Sequence[SignedVector]) -> list[int]:
-    """Indices by ascending _potential, index on ties: a linear extension of the shift order."""
-    return sorted(range(len(members)), key=lambda i: _potential(members[i]))
+def shift_order(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """Indices of (pos, neg) pairs by ascending _potential, index on ties.
+
+    That is a linear extension of the shift order.
+    """
+    return sorted(range(len(pairs)), key=lambda i: _potential(*pairs[i]))
 
 
-def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[int, list[int]]:
+def closure_graph(
+    pairs: Sequence[tuple[int, int]], n: int, adj: Sequence[int]
+) -> tuple[int, list[int]]:
     """(live, H): the conflict graph adj of a class in shift_order's order, lifted to the closure.
 
     With down(u) for u and every member below it in the shift order and
@@ -119,7 +120,8 @@ def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[
     independent set of adj; and as H holds every edge of adj between
     live vertices, every independent set of H is one of adj.
 
-    Both closures run over the covers only, from one _cover_table.  A
+    Both closures run over the covers only, from one _cover_table of the
+    class's (pos, neg) pairs and its dimension n.  A
     moving (i <- j)-shift with some coordinate k strictly between valued
     in [v_i, v_j] is a composite of shifts over shorter segments: of
     (k <- j) then (i <- k) when v_k = v_i, of (i <- k) then (k <- j) when
@@ -129,76 +131,50 @@ def closure_graph(members: Sequence[SignedVector], adj: Sequence[int]) -> tuple[
 
     With A[u] for the neighbours of down(u), u is dead when it lies in
     up(A[u]), and H[u] is up(A[u]) on live vertices, empty at dead ones.
-    up(A[u]) is up(adj[u]) with up(A[s]) for every cover s of u, built in
-    one pass.  An up-set holds the up of each of its members, so only
-    the neighbours of u outside the covers' masks are looked up: on the
-    g and m classes that is one or two per vertex.  A vertex u that lies
-    in its covers' masks, which up(A[u]) holds, is dead: its row is then
-    up(u), shared with up, at no cost.  That row still holds every vertex
-    above u, all dead too, and no live row joins a dead one.
+    up(A[u]) is up(adj[u]) with up(A[s]) for every cover s of u, pulled
+    in one pass in rank order.  An up-set holds the up of each of its
+    members, so only the neighbours of u outside the covers' rows are
+    looked up: one or two per vertex on the g and m classes, none once u
+    lies in its covers' rows, which makes u dead.  A dead row is stored
+    as up(u), shared with _up_sets: it holds dead vertices only, and no
+    live row joins a dead one.
     """
-    n = len(adj)
-    table = _cover_table(members)
-    up = _closed(table, lambda r, above: above | 1 << r, upward=True)
-    graph = _closed(
-        table, lambda r, below: up[r] if below >> r & 1 else below | _union(up, adj[r] & ~below)
-    )
+    table = _cover_table(pairs, n)
+    up = _up_sets(table)
+    graph = []
+    for r, covers in enumerate(table):
+        row = 0
+        for s in covers:
+            row |= graph[s]
+        if not row >> r & 1:
+            for low in bits(adj[r] & ~row):
+                row |= up[low.bit_length() - 1]
+        graph.append(up[r] if row >> r & 1 else row)
     del up
-    live = sum(1 << r for r in range(n) if not graph[r] >> r & 1)
-    for r in range(n):
-        graph[r] = graph[r] & live if live >> r & 1 else 0
-    return live, graph
+    live = sum(1 << r for r, row in enumerate(graph) if not row >> r & 1)
+    return live, [row & live if live >> r & 1 else 0 for r, row in enumerate(graph)]
 
 
-def _union(masks: Sequence[int], chosen: int) -> int:
-    """The OR of masks[r] over the bits r of chosen."""
-    out = 0
-    while chosen:
-        low = chosen & -chosen
-        out |= masks[low.bit_length() - 1]
-        chosen ^= low
-    return out
-
-
-def _cover_table(members: Sequence[SignedVector]) -> list[list[int]]:
-    """table[r]: the ranks of the covers of members[r], a full class in shift_order's order.
+def _cover_table(pairs: Sequence[tuple[int, int]], n: int) -> list[list[int]]:
+    """table[r]: the ranks of the covers of pairs[r], an n-dimensional class in shift_order's order.
 
     Every cover lowers _potential, so it ranks below its source.
     """
-    dim = members[0].dim
-    full = (1 << dim) - 1
-    rank = {v.pos | v.neg << dim: r for r, v in enumerate(members)}
-    return [
-        [rank[pos | neg << dim] for pos, neg in shift_covers(v.pos, v.neg, full)]
-        for v in members
-    ]
+    full = (1 << n) - 1
+    rank = {pair: r for r, pair in enumerate(pairs)}
+    return [[rank[cover] for cover in shift_covers(pos, neg, full)] for pos, neg in pairs]
 
 
-def _closed(
-    table: Sequence[Sequence[int]], step: Callable[[int, int], int], upward: bool = False
-) -> list[int]:
-    """out[r] = step(r, joined), joined the OR of out[s] over r's covers s (upward, the s r covers).
+def _up_sets(table: Sequence[Sequence[int]]) -> list[int]:
+    """up[r]: r and every rank above it in the shift order, as a mask, from _cover_table's table.
 
-    table is _cover_table's.  Covers rank below their source, so one pass
-    in rank order finds every out[s] finished; upward the pass runs in
-    reverse rank order over the transposed table.  With step(r, joined)
-    = joined | 1 << r, out[r] is r's down-set (up-set when upward).
+    In reverse rank order every source of r pushes into up[r] before r pushes it on.
     """
-    n = len(table)
-    ranks = range(n)
-    if upward:
-        above: list[list[int]] = [[] for _ in ranks]
-        for r, covers in enumerate(table):
-            for s in covers:
-                above[s].append(r)
-        table, ranks = above, reversed(ranks)
-    out = [0] * n
-    for r in ranks:
-        joined = 0
+    up = [1 << r for r in range(len(table))]
+    for r in reversed(range(len(table))):
         for s in table[r]:
-            joined |= out[s]
-        out[r] = step(r, joined)
-    return out
+            up[s] |= up[r]
+    return up
 
 
 def precedes(v: SignedVector, w: SignedVector) -> bool:
@@ -267,8 +243,9 @@ def down_set_oracle(
     single-shift images.  known maps each vector already reached to its
     down-set; the caller owns it, shares it between calls that should
     reuse work, and drops it when done.  Every vector reached is added.
-    Images rank below their source by _potential, so the explicit stack
-    finishes every image before its source.  Guarded to dimension <= 8.
+    An image u has a lower _potential(u.pos, u.neg) than its source, so
+    the explicit stack finishes every image before its source.  Guarded
+    to dimension <= 8.
     """
     if w.dim > _ORACLE_DIM_CAP:
         raise ValueError(f"oracle limited to dimension {_ORACLE_DIM_CAP}, got {w.dim}")
@@ -305,8 +282,8 @@ def compress(fam: VectorFamily) -> VectorFamily:
     One pass for a shift S at i < j replaces each member v by S(v) unless
     S(v) is already present.  Shifts are scanned in lexicographic order
     and the scan restarts after any change.  Each replacement lowers
-    _potential(v) by (j - i)(v_j - v_i) > 0, so the family's total
-    _potential strictly decreases; it is bounded below, so compression
+    _potential(v.pos, v.neg) by (j - i)(v_j - v_i) > 0, so the family's
+    total _potential strictly decreases; it is bounded below, so compression
     ends, at a shifted family.
 
     Compression keeps every product floor: if all products in F are at

@@ -3,8 +3,8 @@
 _adjacency is the one conflict-graph builder, for every spec, every
 family and any member order: it counts v.w for all members w at once in
 a bit-sliced counter, O(k + l) big-integer operations per vector.
-build_conflict_graph applies it to a whole class, and solve_extremal to
-a class in shift_order's order when it prunes.
+build_conflict_graph and solve_extremal apply it to a class's mask
+pairs, in shift_order's order when pruning: no solve builds a SignedVector.
 One search engine, _bnb, called directly, returns (best mask, nodes,
 finished) and stops at an absolute deadline, which it reads before
 every node; _result maps its mask to class indices, a witness and a
@@ -42,7 +42,6 @@ from .shifting import closure_graph, precedes, shift_order
 from .vectors import (
     ForbiddenSpec,
     Profile,
-    SignedVector,
     VectorFamily,
     bits,
     enumerate_all,
@@ -103,7 +102,7 @@ def build_conflict_graph(profile: Profile, spec: ForbiddenSpec) -> ConflictGraph
     A class above DEFAULT_VERTEX_CAP vectors raises VertexCapExceeded.
     """
     family = _capped_class(profile, DEFAULT_VERTEX_CAP)
-    return ConflictGraph(_adjacency(family.members, profile, spec), family)
+    return ConflictGraph(_adjacency(family.masks, profile, spec), family)
 
 
 def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
@@ -118,9 +117,9 @@ def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
 
 
 def _adjacency(
-    members: Sequence[SignedVector], profile: Profile, spec: ForbiddenSpec
+    pairs: Sequence[tuple[int, int]], profile: Profile, spec: ForbiddenSpec
 ) -> list[int]:
-    """Conflict masks of members of profile, in the given order, bit-sliced.
+    """Conflict masks of vectors of profile, given as (pos, neg) pairs in any order, bit-sliced.
 
     plus[i], minus[i] and zero[i] are the members with +1, -1 and 0 at
     coordinate i.  For a vector v, each of the k + l coordinates i of its
@@ -132,19 +131,19 @@ def _adjacency(
     symmetric, so the adjacency is too.
     """
     size = profile.k + profile.l
-    full = (1 << len(members)) - 1
-    plus, minus = _sign_masks(members, profile.n)
+    full = (1 << len(pairs)) - 1
+    plus, minus = _sign_masks(pairs, profile.n)
     zero = [full & ~(pos | neg) for pos, neg in zip(plus, minus)]
     forbidden = [c for c in range(2 * size + 1) if spec.forbids(c - size)]
     width = (2 * size).bit_length()
     adj = []
-    for a, v in enumerate(members):
+    for a, (pos, neg) in enumerate(pairs):
         digits = [0] * width
-        for low in bits(v.pos | v.neg):
+        for low in bits(pos | neg):
             i = low.bit_length() - 1
             # the carry out of digit 0 lies in zero[i], so it and the
             # agreeing members are disjoint and enter digit 1 as one mask
-            carry = (plus[i] if v.pos & low else minus[i]) | digits[0] & zero[i]
+            carry = (plus[i] if pos & low else minus[i]) | digits[0] & zero[i]
             digits[0] ^= zero[i]
             for j in range(1, width):
                 digits[j], carry = digits[j] ^ carry, digits[j] & carry
@@ -202,28 +201,28 @@ def _greedy_clique_cover(adj: Sequence[int], pool: int) -> list[int]:
     return cliques
 
 
-def _sign_masks(members: Sequence[SignedVector], n: int) -> tuple[list[int], list[int]]:
-    """plus[i] and minus[i]: the members, as a bit mask, with +1 and with -1 at coordinate i."""
+def _sign_masks(pairs: Sequence[tuple[int, int]], n: int) -> tuple[list[int], list[int]]:
+    """plus[i] and minus[i]: the pairs with +1 and with -1 at coordinate i, as bit masks."""
     plus = [0] * n
     minus = [0] * n
-    for a, w in enumerate(members):
-        for low in bits(w.pos):
+    for a, (pos, neg) in enumerate(pairs):
+        for low in bits(pos):
             plus[low.bit_length() - 1] |= 1 << a
-        for low in bits(w.neg):
+        for low in bits(neg):
             minus[low.bit_length() - 1] |= 1 << a
     return plus, minus
 
 
-def _orbit_key(w: SignedVector, columns: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
-    """The sorted columns of w's +1 coordinates and those of its -1 coordinates.
+def _orbit_key(pos: int, neg: int, columns: Sequence[tuple[int, int]]) -> tuple[tuple, tuple]:
+    """The sorted columns of the +1 coordinates of (pos, neg) and those of its -1 coordinates.
 
     columns[i] is coordinate i's column at a node, the taken vectors with
     +1 and with -1 there; _bnb says why two vectors share this key
     exactly when they share an orbit.
     """
     return (
-        tuple(sorted(columns[low.bit_length() - 1] for low in bits(w.pos))),
-        tuple(sorted(columns[low.bit_length() - 1] for low in bits(w.neg))),
+        tuple(sorted(columns[low.bit_length() - 1] for low in bits(pos))),
+        tuple(sorted(columns[low.bit_length() - 1] for low in bits(neg))),
     )
 
 
@@ -232,7 +231,7 @@ def _bnb(
     pool: int,
     best: int,
     deadline: float,
-    members: Optional[Sequence[SignedVector]] = None,
+    family: Optional[VectorFamily] = None,
 ) -> tuple[int, int, bool]:
     """Search the vertices of pool from an empty set; (best mask, nodes, finished).
 
@@ -244,7 +243,7 @@ def _bnb(
     each node: once it reaches the deadline the loop stops unfinished,
     at 0 nodes when the deadline had passed on entry.
 
-    members, the vectors of a whole class in graph order, turn on
+    family, a whole class whose masks are in graph order, turns on
     orbital branching under the coordinate permutations that fix every
     taken vector (Ostrowski, Linderoth, Rossi & Smriglio, Orbital
     branching, 2011).  Those permutations keep every scalar product, so
@@ -263,12 +262,12 @@ def _bnb(
     grouped by key are exactly their orbits in the pool.  The node
     branches on the lowest vertex of the largest group (the group with
     the lowest vertex on size ties), and the exclude child drops the
-    whole group.  Without members every orbit is the vertex itself, and
+    whole group.  Without a family every orbit is the vertex itself, and
     the rule is the lowest-index densest vertex.
     """
     best_size = best.bit_count()
-    if members is not None:
-        plus, minus = _sign_masks(members, members[0].dim)
+    if family is not None:
+        plus, minus = _sign_masks(family.masks, family.profile.n)
     nodes = 0
     stack = [(pool, 0, 0)]
     while stack:
@@ -307,13 +306,13 @@ def _bnb(
         if size + len(_greedy_clique_cover(adj, pool)) <= best_size:
             continue
 
-        # branch on the densest vertex; with members, on the largest orbit among the densest
+        # branch on the densest vertex; with a family, on the largest orbit among the densest
         orbit = dense & -dense
-        if members is not None:
+        if family is not None:
             columns = [(pos & mask, neg & mask) for pos, neg in zip(plus, minus)]
             groups: dict[tuple, int] = {}
             for low in bits(dense):
-                key = _orbit_key(members[low.bit_length() - 1], columns)
+                key = _orbit_key(*family.masks[low.bit_length() - 1], columns)
                 groups[key] = groups.get(key, 0) | low
             orbit = max(groups.values(), key=int.bit_count)
         bit = orbit & -orbit
@@ -433,14 +432,14 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
 
 
 def _solve_shifted(
-    family: VectorFamily, labels: Sequence[int], members: Sequence[SignedVector],
+    family: VectorFamily, labels: Sequence[int], pairs: Sequence[tuple[int, int]],
     adj: Sequence[int], deadline: float, seed: int,
 ) -> SolveResult:
     """Optimum over shift-closed families only; see shifting.compress for why it is exact.
 
-    labels is shift_order of the whole class family, members its members
-    in that order, adj their conflict graph and seed an independent set of adj,
-    the first incumbent.  _bnb searches shifting.closure_graph's H from
+    labels is shift_order of the whole class family, pairs its masks in
+    that order, adj their conflict graph and seed an independent set of
+    adj, the first incumbent.  _bnb searches shifting.closure_graph's H from
     its live vertices, where every independent set is one of adj and the
     largest are shift-closed.  A deadline (time.monotonic()) already
     passed on entry returns the seed at 0 nodes without building H, the
@@ -451,7 +450,7 @@ def _solve_shifted(
     if start >= deadline:
         # the budget is spent: return the seed rather than build the closure graph
         return _result(family, labels, seed, False, 0, start)
-    live, closed = closure_graph(members, adj)
+    live, closed = closure_graph(pairs, family.profile.n, adj)
     best, nodes, finished = _bnb(closed, live, seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
@@ -483,7 +482,7 @@ def solve_extremal(
     pruning (_solve_shifted) is on for both unless shifted_pruning is
     False, and keeps the optimum, as shifting.compress explains; the
     unpruned search is the independent route.  Without pruning _bnb
-    branches on orbits of the class's members, as its docstring
+    branches on orbits of the class, as its docstring
     explains: the spec depends only on the product, which every
     coordinate permutation keeps.  The root's orbit is the whole class,
     so the root's take child is the whole search.
@@ -502,10 +501,9 @@ def solve_extremal(
     spec = target_spec(profile, target)
     pruned = shifted_pruning is None or shifted_pruning
     family = _capped_class(profile, vertex_cap)
-    class_members = family.members
-    labels = shift_order(class_members) if pruned else range(len(family))
-    members = [class_members[i] for i in labels]
-    adj = _adjacency(members, profile, spec)
+    labels = shift_order(family.masks) if pruned else range(len(family))
+    pairs = [family.masks[i] for i in labels]
+    adj = _adjacency(pairs, profile, spec)
     full = (1 << len(adj)) - 1
     if not any(adj):
         # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
@@ -513,7 +511,7 @@ def solve_extremal(
 
     seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
     seed_masks = set(seed_family.masks)
-    seed = sum(1 << i for i, j in enumerate(labels) if family.masks[j] in seed_masks)
+    seed = sum(1 << r for r, pair in enumerate(pairs) if pair in seed_masks)
     for low in bits(seed):
         if adj[low.bit_length() - 1] & seed:
             raise ValueError("initial incumbent is not independent")
@@ -521,7 +519,7 @@ def solve_extremal(
     deadline = _deadline(start, budget)
     if not pruned:
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
-        best, nodes, finished = _bnb(adj, full, best, deadline, members)
+        best, nodes, finished = _bnb(adj, full, best, deadline, family)
         return _result(family, labels, best, finished, nodes, start)
-    result = _solve_shifted(family, labels, members, adj, deadline, seed)
+    result = _solve_shifted(family, labels, pairs, adj, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

@@ -176,7 +176,7 @@ def _add_g_case(
 def _suite_theorem1(budget: float = 60.0) -> VerificationReport:
     """Solver values against the exact closed form for l = 1."""
     report = VerificationReport("theorem1")
-    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3)):
+    for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (11, 3), (12, 3), (13, 3)):
         expected = formulas.g_closed_l1(n, k)
         _add_g_case(
             report, f"g({n},{k},1)", Profile(n, k, 1), budget, expected,
@@ -188,7 +188,7 @@ def _suite_theorem1(budget: float = 60.0) -> VerificationReport:
 def _suite_eq111(budget: float = 600.0) -> VerificationReport:
     """Solver values against the fixed-first-coordinate count in its proven window."""
     report = VerificationReport("eq111")
-    for n, k, l in ((6, 3, 2), (7, 3, 2)):
+    for n, k, l in ((6, 3, 2), (7, 3, 2), (9, 4, 2), (10, 4, 2), (10, 5, 2), (11, 4, 1)):
         expected, in_range = formulas.g_ekr_value(n, k, l)
         _add_g_case(
             report, f"g({n},{k},{l})", Profile(n, k, l), budget, expected,
@@ -274,8 +274,53 @@ def _random_biregular_params(rng: random.Random) -> tuple[int, int, int, int]:
             return a, b, da, db
 
 
+def _comparison_graph_failures(rng: random.Random) -> tuple[int, list[str]]:
+    """(graphs checked, failure descriptions) over the paper's comparison graphs G(t, m).
+
+    Every build_g_tm(Profile(n, k, l), t, m) with 4 <= n <= 8,
+    k > l >= 1, k + l < n, 1 <= t <= k, 2t - 1 <= n - 1 and 0 <= m < 2t
+    whose sides formulas.xy_family_sizes gives as nonempty and which has
+    an edge.  Each must be biregular, and the averaging bound at
+    alpha = |Y|/|X| must hold for the whole X side, the whole Y side and
+    one random independent set, seeded from rng.
+    """
+    params = [
+        (n, k, l, t, m)
+        for n in range(4, 9) for k in range(2, n) for l in range(1, min(k, n - k))
+        for t in range(1, min(k, n // 2) + 1) for m in range(2 * t)
+        if 0 not in formulas.xy_family_sizes(n - 1, k, l, t, m)
+    ]
+    checked = 0
+    failures = []
+    for n, k, l, t, m in params:
+        g = bipartite.build_g_tm(Profile(n, k, l), t, m)
+        if not g.edges:
+            continue
+        checked += 1
+        name = f"graph (n,k,l,t,m) = ({n},{k},{l},{t},{m})"
+        try:
+            bipartite.check_biregular(g)
+        except bipartite.IrregularityError as err:
+            failures.append(f"{name}: {err}")
+            continue
+        alpha = Fraction(g.b_size, g.a_size)
+        sets = [
+            (set(range(g.a_size)), set()),
+            (set(), set(range(g.b_size))),
+            bipartite.random_independent_set(g, seed=rng.randrange(2**32)),
+        ]
+        if not all(bipartite.lemma3_check(g, *side, alpha) for side in sets):
+            failures.append(f"{name}: averaging bound")
+    return checked, failures
+
+
 def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationReport:
-    """Averaging bound on randomized biregular graphs and independent sets."""
+    """Averaging bound on randomized biregular graphs and on the comparison graphs G(t, m).
+
+    The comparison graphs come after the random trials and draw their
+    independent sets' seeds from the same generator, so the trials keep
+    their draws.
+    """
     report = VerificationReport("lemma3")
     rng = random.Random(seed)
     violations = []
@@ -289,6 +334,8 @@ def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationRepor
                 f"trial {trial}: sides ({a},{b}), degrees ({da},{db}), alpha {alpha}"
             )
     report.add_failures(f"averaging-bound[{trials} trials]", "violations", violations)
+    checked, failures = _comparison_graph_failures(rng)
+    report.add_failures(f"comparison-graphs[{checked} G(t,m)]", "failures", failures)
     return report
 
 
@@ -519,13 +566,15 @@ def _setup_mismatch(profile: Profile) -> str:
     """First difference of the solver's setup from its pairwise definition.
 
     The g and m conflict graphs against _pairwise_adjacency, the shift
-    closure over the cover table, downward and upward, against a pairwise
-    precedes scan, and the g and m closure graphs against
-    _closure_graph_by_definition on that scan.
+    closure against a pairwise precedes scan (downward, closed here over
+    the cover table, and upward, shifting._up_sets), and the g and m
+    closure graphs against _closure_graph_by_definition on that scan.
     """
-    members = enumerate_all(profile).members
-    order = shifting.shift_order(members)
+    family = enumerate_all(profile)
+    members = family.members
+    order = shifting.shift_order(family.masks)
     ranked = [members[i] for i in order]
+    pairs = [family.masks[i] for i in order]
     ranked_graphs = {}
     for target in ("g", "m"):
         spec = solver.target_spec(profile, target)
@@ -542,13 +591,18 @@ def _setup_mismatch(profile: Profile) -> str:
             if shifting.precedes(ranked[a], ranked[b]):
                 down[b] |= 1 << a
                 up[a] |= 1 << b
-    table = shifting._cover_table(ranked)
-    if shifting._closed(table, lambda r, below: below | 1 << r) != down:
+    table = shifting._cover_table(pairs, profile.n)
+    below = []
+    for r, covers in enumerate(table):
+        below.append(1 << r)
+        for s in covers:
+            below[r] |= below[s]
+    if below != down:
         return "downward closure"
-    if shifting._closed(table, lambda r, above: above | 1 << r, upward=True) != up:
+    if shifting._up_sets(table) != up:
         return "upward closure"
     for target, adj in ranked_graphs.items():
-        if shifting.closure_graph(ranked, adj) != _closure_graph_by_definition(down, adj):
+        if shifting.closure_graph(pairs, profile.n, adj) != _closure_graph_by_definition(down, adj):
             return f"{target} closure graph"
     return ""
 
@@ -556,8 +610,9 @@ def _setup_mismatch(profile: Profile) -> str:
 def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
     """Branch-and-bound against the exhaustive oracle; setup against pairwise scans.
 
-    The setup check reads both directions of shifting._closed on the cover
-    table: a fault in the upward pass need not show in the closure graphs.
+    The setup check reads the cover table's downward closure and
+    shifting._up_sets: a fault in the up-sets need not show in the
+    closure graphs.
     """
     report = VerificationReport("solver-oracle")
     random_graphs = 200

@@ -90,7 +90,7 @@ class TestShiftMove:
                     }
                     expected = sorted((u.pos, u.neg) for u in covers)
                     assert sorted(shift_covers(pos, neg, full)) == expected, w
-                    assert all(_potential(u) < _potential(w) for u in covers), w
+                    assert all(_potential(u.pos, u.neg) < _potential(pos, neg) for u in covers), w
                     vectors += 1
         assert vectors == 3 + 9 + 27 + 81 + 243 + 729
 

@@ -25,10 +25,11 @@ from signedfam import (
     scalar_product,
     solver,
     suites,
+    vectors,
 )
 from signedfam.constructions import best_split_family
 from signedfam.formulas import g_closed_l1
-from signedfam.shifting import _closed, _cover_table, closure_graph, shift_ij, shift_order
+from signedfam.shifting import _cover_table, _up_sets, closure_graph, shift_ij, shift_order
 from signedfam.vectors import bits
 from signedfam.solver import (
     ConflictGraph,
@@ -164,23 +165,29 @@ class TestGeneratedSetup:
     def test_any_spec_on_any_subfamily_matches_pairwise(self, p, spec, rng):
         family = VectorFamily(p, [v for v in enumerate_all(p).members if rng.random() < 0.5])
         reference = suites._pairwise_adjacency(family.members, spec)
-        assert solver._adjacency(family.members, p, spec) == reference
+        assert solver._adjacency(family.masks, p, spec) == reference
         # any member order, as the shift-pruned search builds its graph in rank order
         shuffled = list(family.members)
         rng.shuffle(shuffled)
-        assert solver._adjacency(shuffled, p, spec) == suites._pairwise_adjacency(shuffled, spec)
+        pairs = [(v.pos, v.neg) for v in shuffled]
+        assert solver._adjacency(pairs, p, spec) == suites._pairwise_adjacency(shuffled, spec)
 
     @settings(max_examples=40, deadline=None)
     @given(small_profiles())
     @example(Profile(5, 2, 0))
     @example(Profile(7, 4, 3))
     def test_closure_matches_pairwise_precedes(self, p):
-        members = enumerate_all(p).members
-        order = shift_order(members)
+        family = enumerate_all(p)
+        members = family.members
+        order = shift_order(family.masks)
         ranked = [members[i] for i in order]
-        table = _cover_table(ranked)
-        down = _closed(table, lambda r, below: below | 1 << r)
-        up = _closed(table, lambda r, above: above | 1 << r, upward=True)
+        table = _cover_table([family.masks[i] for i in order], p.n)
+        down = []
+        for r, covers in enumerate(table):
+            down.append(1 << r)
+            for s in covers:
+                down[r] |= down[s]
+        up = _up_sets(table)
         assert sorted(order) == list(range(len(members)))
         for b in range(len(ranked)):
             wb = ranked[b]
@@ -512,10 +519,10 @@ class TestSolveExtremal:
         # on a built closure graph, a passed deadline stops _bnb before its first node
         spec = ForbiddenSpec.exact({-4})
         family = enumerate_all(p)
-        ranked = [family.members[i] for i in shift_order(family.members)]
-        adj = solver._adjacency(ranked, p, spec)
-        live, closed = closure_graph(ranked, adj)
-        seed = sum(1 << r for r, v in enumerate(ranked) if v in solved.witness)
+        pairs = [family.masks[i] for i in shift_order(family.masks)]
+        adj = solver._adjacency(pairs, p, spec)
+        live, closed = closure_graph(pairs, p.n, adj)
+        seed = sum(1 << r for r, pair in enumerate(pairs) if pair in solved.witness.masks)
         assert solver._bnb(closed, live, seed, time.monotonic()) == (seed, 0, False)
         assert sys.getrecursionlimit() == limit
 
@@ -609,6 +616,34 @@ class TestSolveExtremal:
         assert len(calls) == 1
         assert res.is_exact == (budget > 0)
 
+    @pytest.mark.parametrize(
+        "nkl, target, pruning, budget",
+        [
+            ((8, 3, 2), "g", True, 60.0),
+            ((7, 3, 1), "m", False, 60.0),
+            ((10, 6, 1), "g", True, 60.0),  # edgeless
+            ((8, 3, 2), "g", True, 0.0),  # the seed comes back
+            ((6, 3, 2), "m", None, None),  # build_conflict_graph and mis_exact
+        ],
+    )
+    def test_a_solve_builds_no_member_objects(self, nkl, target, pruning, budget, monkeypatch):
+        # the solve path reads the class's mask pairs; the witness is not read here
+        built = vectors._vectors_of
+        calls = []
+
+        def counted(dim, masks):
+            calls.append(dim)
+            return built(dim, masks)
+
+        monkeypatch.setattr(vectors, "_vectors_of", counted)
+        p = Profile(*nkl)
+        if budget is None:
+            res = mis_exact(build_conflict_graph(p, target_spec(p, target)))
+        else:
+            res = solve_extremal(p, target, budget=budget, shifted_pruning=pruning)
+        assert calls == []
+        assert res.is_exact == (budget != 0.0)
+
 
 def assert_class_witness(res, profile):
     """witness_indices ascend, and index the class to give the witness.
@@ -646,7 +681,7 @@ def unpruned_oracle_sweep(target):
         if target == "m" or p.is_g_profile:
             graph = build_conflict_graph(p, target_spec(p, target))
             full = (1 << graph.n_vertices) - 1
-            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family.members)
+            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family)
             assert finished
             solved = solve_extremal(p, target, shifted_pruning=False)
             yield p, solved, (best, graph), mis_bruteforce(graph).value
@@ -684,7 +719,7 @@ def unseeded_sweep():
             if not any(graph.adj):
                 continue
             full = (1 << graph.n_vertices) - 1
-            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family.members)
+            best, _, finished = solver._bnb(graph.adj, full, 0, float("inf"), graph.family)
             assert finished
             yield p, target, best, graph, solve_extremal(p, target).value
 
@@ -701,8 +736,9 @@ class TestOrbit:
             perms = list(permutations(range(n)))
             for k in range(1, n + 1):
                 for l in range(n - k + 1):
-                    members = enumerate_all(Profile(n, k, l)).members
-                    plus, minus = solver._sign_masks(members, n)
+                    family = enumerate_all(Profile(n, k, l))
+                    members = family.members
+                    plus, minus = solver._sign_masks(family.masks, n)
                     for _ in range(4):
                         taken = rng.sample(range(len(members)), rng.randint(0, min(3, len(members))))
                         v = rng.randrange(len(members))
@@ -713,9 +749,9 @@ class TestOrbit:
                         images = {permuted(members[v], perm) for perm in fixing}
                         mask = sum(1 << t for t in taken)
                         columns = [(pos & mask, neg & mask) for pos, neg in zip(plus, minus)]
-                        key = solver._orbit_key(members[v], columns)
+                        key = solver._orbit_key(members[v].pos, members[v].neg, columns)
                         for w in members:
-                            assert (solver._orbit_key(w, columns) == key) == (w in images)
+                            assert (solver._orbit_key(w.pos, w.neg, columns) == key) == (w in images)
                         checked += 1
         assert checked == 4 * 56
 
@@ -723,7 +759,9 @@ class TestOrbit:
         # planted fault: the columns are taken against an empty mask, so every
         # orbit is taken under all of S_n; no class of the oracle sweep shows it
         key = solver._orbit_key
-        monkeypatch.setattr(solver, "_orbit_key", lambda w, columns: key(w, [(0, 0)] * len(columns)))
+        monkeypatch.setattr(
+            solver, "_orbit_key", lambda pos, neg, columns: key(pos, neg, [(0, 0)] * len(columns))
+        )
         missed = [
             (p.n, p.k, p.l, target)
             for p, target, best, _, value in unseeded_sweep()
@@ -889,7 +927,7 @@ class TestSearchEffort:
 def closure_graph_mismatches(build):
     """(profile, target) of every class with n <= 7 on which build differs from the definition.
 
-    build(members, adj) is checked against suites._closure_graph_by_definition,
+    build(pairs, n, adj) is checked against suites._closure_graph_by_definition,
     with each down(u) found through precedes, for g and m.
     """
     mismatches = []
@@ -897,14 +935,16 @@ def closure_graph_mismatches(build):
         for k in range(1, n + 1):
             for l in range(n - k + 1):
                 p = Profile(n, k, l)
-                members = enumerate_all(p).members
-                ranked = [members[i] for i in shift_order(members)]
+                family = enumerate_all(p)
+                order = shift_order(family.masks)
+                ranked = [family.members[i] for i in order]
+                pairs = [family.masks[i] for i in order]
                 down = [
                     sum(1 << a for a, va in enumerate(ranked) if precedes(va, vb)) for vb in ranked
                 ]
                 for target in ("g", "m") if p.is_g_profile else ("m",):
-                    adj = solver._adjacency(ranked, p, target_spec(p, target))
-                    if build(ranked, adj) != suites._closure_graph_by_definition(down, adj):
+                    adj = solver._adjacency(pairs, p, target_spec(p, target))
+                    if build(pairs, n, adj) != suites._closure_graph_by_definition(down, adj):
                         mismatches.append(((n, k, l), target))
     return mismatches
 
@@ -938,13 +978,13 @@ class TestShiftedEngine:
     def test_matches_exhaustive_search_on_random_orders(self):
         """Random graphs of at most 16 vertices under random transitive orders.
 
-        pred[v] is a random down-closed set of lower ranks, as
-        shifting._closed gives less v itself; the optimum is the largest
-        independent set that holds the pred of each of its members.  live
-        and H come from their definition, and _bnb on H[live] must reach
-        the optimum with a set that is down-closed and independent, from
-        an empty incumbent and from an optimum less its top-ranked member,
-        which leaves no slack in the bound.
+        pred[v] is a random down-closed set of lower ranks, as the cover
+        table's downward closure gives less v itself; the optimum is the
+        largest independent set that holds the pred of each of its
+        members.  live and H come from their definition, and _bnb on
+        H[live] must reach the optimum with a set that is down-closed and
+        independent, from an empty incumbent and from an optimum less its
+        top-ranked member, which leaves no slack in the bound.
         """
         rng = random.Random(15)
         for _ in range(400):
@@ -982,8 +1022,8 @@ class TestShiftedEngine:
 
     @pytest.mark.parametrize("fault", ["drop an edge", "revive a dead vertex"])
     def test_closure_graph_check_catches_a_planted_fault(self, fault):
-        def faulty(members, adj):
-            live, graph = closure_graph(members, adj)
+        def faulty(pairs, n, adj):
+            live, graph = closure_graph(pairs, n, adj)
             if fault == "revive a dead vertex":
                 dead = ~live & (1 << len(graph)) - 1
                 return live | (dead & -dead), graph
@@ -1009,6 +1049,6 @@ class TestAdjacency:
                 SignedVector.parse("++0-"),
             ],
         )
-        g = ConflictGraph(solver._adjacency(fam.members, p, ForbiddenSpec.exact({-2})), fam)
+        g = ConflictGraph(solver._adjacency(fam.masks, p, ForbiddenSpec.exact({-2})), fam)
         assert g.n_vertices == 3
         assert n_edges(g) == 2  # both outer vectors hit the middle one

@@ -8,6 +8,7 @@ from signedfam import (
     Profile,
     SignedVector,
     VectorFamily,
+    bipartite,
     constructions,
     formulas,
     shifting,
@@ -148,27 +149,39 @@ class TestRunSuite:
             return case
 
         assert setup_case(run_suite("solver-oracle")).passed
-        # a closure that drops one cover table entry in one direction; the
-        # closure graphs alone do not show the upward fault
-        closed = shifting._closed
-        for faulty_pass in ("downward", "upward"):
+        # a cover table that drops one entry fails the downward closure; up-sets
+        # that drop one push fail the upward one, which the closure graphs alone
+        # do not show
+        covered = shifting._cover_table
 
-            def drop_an_entry(table, step, upward=False):
-                if upward == (faulty_pass == "upward"):
-                    r = next(r for r, covers in enumerate(table) if covers)
-                    table = list(table)
-                    table[r] = table[r][:-1]
-                return closed(table, step, upward)
+        def drop_an_entry(pairs, n):
+            table = covered(pairs, n)
+            r = next(r for r, covers in enumerate(table) if covers)
+            table[r] = table[r][:-1]
+            return table
 
-            monkeypatch.setattr(shifting, "_closed", drop_an_entry)
+        def drop_a_push(table):
+            skipped = next(r for r, covers in enumerate(table) if covers)
+            up = [1 << r for r in range(len(table))]
+            for r in reversed(range(len(table))):
+                for s in table[r]:
+                    if (r, s) != (skipped, table[skipped][-1]):
+                        up[s] |= up[r]
+            return up
+
+        for name, fault, faulty_pass in (
+            ("_cover_table", drop_an_entry, "downward"),
+            ("_up_sets", drop_a_push, "upward"),
+        ):
+            monkeypatch.setattr(shifting, name, fault)
             case = setup_case(run_suite("solver-oracle"))
             assert case.actual == f"22 mismatches; first profile (3,2,1): {faulty_pass} closure"
             monkeypatch.undo()
         # a closure graph that loses one edge
         lifted = shifting.closure_graph
 
-        def drop_an_edge(members, adj):
-            live, graph = lifted(members, adj)
+        def drop_an_edge(pairs, n, adj):
+            live, graph = lifted(pairs, n, adj)
             for u in range(len(graph)):
                 if graph[u]:
                     v = (graph[u] & -graph[u]).bit_length() - 1
@@ -243,6 +256,23 @@ class TestRunSuite:
         report = run_suite("lemma3", trials=25, seed=3)
         assert report.ok
         assert report.suite == "lemma3"
+
+    def test_lemma3_catches_a_comparison_graph_that_drops_an_edge(self, monkeypatch):
+        cases = run_suite("lemma3", trials=3).cases
+        assert [(c.case, c.actual) for c in cases] == [
+            ("averaging-bound[3 trials]", "0 violations"),
+            ("comparison-graphs[29 G(t,m)]", "0 failures"),
+        ]
+        product_edges = bipartite._product_edges
+
+        def drop_an_edge(a_fam, b_fam, product):
+            edges = product_edges(a_fam, b_fam, product)
+            return edges - {min(edges)} if edges else edges
+
+        monkeypatch.setattr(bipartite, "_product_edges", drop_an_edge)
+        case = run_suite("lemma3", trials=3).cases[1]
+        assert not case.passed
+        assert case.actual.startswith("29 failures; first graph (n,k,l,t,m) = (4,2,1,1,0): vertex")
 
     def test_precedes_small(self):
         report = run_suite("precedes", seed=1)
@@ -347,13 +377,20 @@ class TestRunSuite:
         assert (report.cases[0].case, report.cases[0].expected) == ("g(4,2,1)", "6")
 
     def test_timed_out_solve_reads_as_lower_bound(self):
-        # at budget 0 each solve stops before the shift closure, with its seed
-        small, large = run_suite("eq111", budget=0).cases
-        assert (small.actual, small.passed) == ("30 (lower bound)", False)
-        assert (large.actual, large.passed) == ("90 (lower bound)", False)
-        small, large = run_suite("eq111").cases
-        assert (small.actual, small.passed) == ("30", True)
-        assert (large.actual, large.passed) == ("90", True)
+        # at budget 0 each solve stops before the shift closure, with its seed;
+        # on these six the seed is already the fixed-first-coordinate count
+        values = {
+            "g(6,3,2)": "30", "g(7,3,2)": "90", "g(9,4,2)": "560",
+            "g(10,4,2)": "1260", "g(10,5,2)": "1260", "g(11,4,1)": "840",
+        }
+        timed_out = run_suite("eq111", budget=0).cases
+        assert [(c.case, c.actual, c.passed) for c in timed_out] == [
+            (case, f"{value} (lower bound)", False) for case, value in values.items()
+        ]
+        solved = run_suite("eq111").cases
+        assert [(c.case, c.expected, c.actual, c.passed) for c in solved] == [
+            (case, value, value, True) for case, value in values.items()
+        ]
 
 
 class TestReportShapes:
@@ -748,7 +785,7 @@ class TestCliOther:
         header = "suite,case,expected,actual,pass,provenance"
         assert lines[0] == header
         assert lines.count(header) == 1
-        assert [line.split(",")[0] for line in lines[1:]] == ["lemma3"] + ["p-increment"] * 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["lemma3"] * 2 + ["p-increment"] * 3
 
     @pytest.mark.parametrize("names", [",", "", " , "])
     def test_report_of_no_suite_is_refused(self, names, capsys):
