@@ -7,10 +7,10 @@ index subsets the same way: combinations over bit values, summed into a
 mask.  It hands the (pos, neg) pairs to VectorFamily._of_masks, which
 skips the family-level checks that the construction already makes
 true; so do partition_by_last and xy_families with the pairs they keep.
-xy_class is the one window-class rule: it puts a vector into its class
-(side, m) at window count t, so one pass over a class counts every
-window class of it.  xy_families splits a class into the x and y classes
-at one (t, m) in one pass, and family_xy_tm picks one side of it.
+xy_class is the one window-class rule: it puts a (pos, neg) pair into
+its class (side, m) at window count t, so one pass over a class's mask
+pairs counts every window class of it and builds no vector.  xy_families
+splits them into the x and y classes at one (t, m), family_xy_tm one side.
 Classification sorts the plus-final members of a family into the two
 structure classes that exhaust any shifted family avoiding the minimum
 product.
@@ -115,8 +115,8 @@ def partition_by_last(fam: VectorFamily) -> tuple[VectorFamily, VectorFamily, Ve
     return tuple(VectorFamily._of_masks(p, side) for side in (minus, zero, plus))
 
 
-def xy_class(v: SignedVector, t: int) -> Optional[tuple[Literal["x", "y"], int]]:
-    """The window class (side, m) of v at window count t, or None.
+def xy_class(pair: tuple, profile: Profile, t: int) -> Optional[tuple[Literal["x", "y"], int]]:
+    """The window class (side, m) of a (pos, neg) pair of the profile at window count t, or None.
 
     The window is [1, 2t-1] and must stay clear of the final coordinate.
     Side "y": final coordinate +1 and t plus coordinates in the window; m
@@ -124,19 +124,20 @@ def xy_class(v: SignedVector, t: int) -> Optional[tuple[Literal["x", "y"], int]]
     max(t - (k - l), 0) minus coordinates in the window; m counts its
     plus coordinates.
     """
+    pos, neg = pair
     window = (1 << (2 * t - 1)) - 1
-    last = 1 << (v.dim - 1)
-    if v.pos & last:
-        if (v.pos & window).bit_count() == t:
-            return "y", (v.neg & window).bit_count()
-    elif v.neg & last:
-        if (v.neg & window).bit_count() == max(t - (v.k - v.l), 0):
-            return "x", (v.pos & window).bit_count()
+    last = 1 << (profile.n - 1)
+    if pos & last:
+        if (pos & window).bit_count() == t:
+            return "y", (neg & window).bit_count()
+    elif neg & last:
+        if (neg & window).bit_count() == max(t - (profile.k - profile.l), 0):
+            return "x", (pos & window).bit_count()
     return None
 
 
 def xy_families(profile: Profile, t: int, m: int) -> tuple[VectorFamily, VectorFamily]:
-    """The x and y window classes (side, m) at t, split from one pass over the class."""
+    """The x and y window classes (side, m) at t, from one pass over the class's mask pairs."""
     n, k = profile.n, profile.k
     if not 1 <= t <= k:
         raise ValueError(f"requires 1 <= t <= k, got t={t}")
@@ -146,10 +147,10 @@ def xy_families(profile: Profile, t: int, m: int) -> tuple[VectorFamily, VectorF
     if 2 * t - 1 > n - 1:
         raise ValueError(f"window [1, {2 * t - 1}] reaches the final coordinate {n}")
     sides: dict[str, list[tuple[int, int]]] = {"x": [], "y": []}
-    for v in enumerate_all(profile):
-        found = xy_class(v, t)
+    for pair in enumerate_all(profile).masks:
+        found = xy_class(pair, profile, t)
         if found is not None and found[1] == m:
-            sides[found[0]].append((v.pos, v.neg))
+            sides[found[0]].append(pair)
     return VectorFamily._of_masks(profile, sides["x"]), VectorFamily._of_masks(profile, sides["y"])
 
 

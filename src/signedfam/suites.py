@@ -200,7 +200,11 @@ def _suite_eq111(budget: float = 600.0) -> VerificationReport:
 def _suite_bounds(budget: float = 60.0) -> VerificationReport:
     """Lower/upper sandwich holds at each listed instance."""
     report = VerificationReport("bounds")
-    for n, k, l in ((4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2)):
+    instances = (
+        (4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2),
+        (9, 3, 2), (10, 3, 2), (10, 5, 2), (11, 3, 1), (9, 4, 2), (11, 3, 2),
+    )
+    for n, k, l in instances:
         lower, upper = formulas.g_bounds(n, k, l)
         _add_g_case(
             report, f"bounds({n},{k},{l})", Profile(n, k, l), budget,
@@ -239,6 +243,8 @@ def _suite_lemma1(n=None, k=None, l=None) -> VerificationReport:
     """Exhaustive witness construction and validation over whole classes.
 
     n, k and l together name a single profile in place of the default list.
+    Lemma 1 needs k >= l: with k < l the whole vector sums below 0, so
+    condition (i) never holds and there would be nothing to check.
     """
     report = VerificationReport("lemma1")
     profiles = [(5, 2, 1), (6, 3, 2), (8, 3, 2)]
@@ -248,6 +254,8 @@ def _suite_lemma1(n=None, k=None, l=None) -> VerificationReport:
         profiles = [(n, k, l)]
     for n, k, l in profiles:
         profile = Profile(n, k, l)
+        if k < l:
+            raise ValueError(f"suite lemma1 needs k >= l, got profile ({n},{k},{l})")
         use_oracle = n <= 8
         eligible, failures = _witness_failures(profile, use_oracle)
         report.add_failures(
@@ -260,18 +268,17 @@ def _suite_lemma1(n=None, k=None, l=None) -> VerificationReport:
 
 
 def _random_biregular_params(rng: random.Random) -> tuple[int, int, int, int]:
-    while True:
-        a = rng.randint(2, 12)
-        da = rng.randint(1, min(4, a))
-        total = a * da
-        candidates = [
-            (b, total // b)
-            for b in range(2, 41)
-            if total % b == 0 and total // b <= a and da <= b and total // b >= 1
-        ]
-        if candidates:
-            b, db = rng.choice(candidates)
-            return a, b, da, db
+    a = rng.randint(2, 12)
+    da = rng.randint(1, min(4, a))
+    total = a * da
+    # b = a (so db = da) always qualifies, so there is always a candidate
+    candidates = [
+        (b, total // b)
+        for b in range(2, 41)
+        if total % b == 0 and total // b <= a and da <= b and total // b >= 1
+    ]
+    b, db = rng.choice(candidates)
+    return a, b, da, db
 
 
 def _comparison_graph_failures(rng: random.Random) -> tuple[int, list[str]]:
@@ -342,8 +349,9 @@ def _suite_lemma3(trials: int = 1000, seed: int = 20260815) -> VerificationRepor
 def _suite_ratios(max_dim: int = 12) -> VerificationReport:
     """Window-class cardinalities and their ratio against the closed forms.
 
-    Each (dim, k, l) class is enumerated once; xy_class sorts every member
-    into its (side, m) class at each window count t.
+    Each (dim, k, l) class is enumerated once, and its mask pairs are
+    counted by (t, xy_class(pair, profile, t)) at each window count t; no
+    vector is built.
     """
     report = VerificationReport("ratios")
     pairs = [
@@ -357,19 +365,17 @@ def _suite_ratios(max_dim: int = 12) -> VerificationReport:
             n = dim - 1
             # every t whose window [1, 2t-1] stays clear of the final coordinate
             ts = range(1, min(k, dim // 2) + 1)
-            sizes = Counter()
-            for v in enumerate_all(Profile(dim, k, l)):
-                for t in ts:
-                    found = constructions.xy_class(v, t)
-                    if found is not None:
-                        side, m = found
-                        sizes[t, side, m] += 1
+            profile = Profile(dim, k, l)
+            sizes = Counter(
+                (t, constructions.xy_class(pair, profile, t))
+                for pair in enumerate_all(profile).masks for t in ts
+            )
             mismatches = []
             checked = 0
             for t in ts:
                 for m in range(0, 2 * t):
                     x_size, y_size = formulas.xy_family_sizes(n, k, l, t, m)
-                    x_len, y_len = sizes[t, "x", m], sizes[t, "y", m]
+                    x_len, y_len = sizes[t, ("x", m)], sizes[t, ("y", m)]
                     checked += 1
                     if x_len != x_size or y_len != y_size:
                         mismatches.append(

@@ -6,10 +6,10 @@ Coordinates are 1-indexed.  Vectors are stored as a pair of bit masks
 (bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), in slots, and
 are immutable and hashable.  A family is its distinct (pos, neg) pairs,
 sorted ascending, in ``VectorFamily.masks``: that order is the canonical
-member order.  Every pair is checked once, by _check_pairs, whether it
-comes from a SignedVector or from the program's own builders
-(VectorFamily._of_masks); the members and their set are built on first
-read, so a family that is only counted never builds them.
+member order.  _check_pairs checks each vector when SignedVector's own
+constructor, the one way to build one, builds it, and each family's
+pairs when the family is built; the members and their set are built on
+first read, so a family that is only counted never builds them.
 """
 
 from __future__ import annotations
@@ -357,9 +357,10 @@ class VectorFamily:
 
     @property
     def members(self) -> tuple[SignedVector, ...]:
-        """The members in canonical order, built from masks on first read."""
+        """The members in canonical order, built by SignedVector's constructor on first read."""
         if self._members is None:
-            object.__setattr__(self, "_members", _vectors_of(self.profile.n, self.masks))
+            members = tuple(SignedVector(self.profile.n, pos, neg) for pos, neg in self.masks)
+            object.__setattr__(self, "_members", members)
         return self._members
 
     def __len__(self) -> int:
@@ -424,24 +425,6 @@ class VectorFamily:
     def load(cls, path: str) -> "VectorFamily":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
-
-
-def _vectors_of(dim: int, masks: Iterable[tuple[int, int]]) -> tuple[SignedVector, ...]:
-    """SignedVectors of a family's (pos, neg) pairs, set through their slots.
-
-    Skips the dataclass __init__ and so __post_init__: every pair of a
-    family's masks has passed _check_pairs, and dim comes from a Profile.
-    """
-    new, cls = object.__new__, SignedVector
-    set_dim, set_pos, set_neg = cls.dim.__set__, cls.pos.__set__, cls.neg.__set__
-    out = []
-    for pos, neg in masks:
-        v = new(cls)
-        set_dim(v, dim)
-        set_pos(v, pos)
-        set_neg(v, neg)
-        out.append(v)
-    return tuple(out)
 
 
 def enumerate_all(profile: Profile) -> VectorFamily:

@@ -62,8 +62,10 @@ class TestBuildGtm:
         assert calls == [p]
         monkeypatch.undo()
         # both sides are the window classes, and the edges are every pair at -2l
-        x = [v for v in enumerate_all(p) if constructions.xy_class(v, 2) == ("x", 1)]
-        y = [v for v in enumerate_all(p) if constructions.xy_class(v, 2) == ("y", 1)]
+        fam = enumerate_all(p)
+        classes = [constructions.xy_class(pair, p, 2) for pair in fam.masks]
+        x = [v for v, found in zip(fam.members, classes) if found == ("x", 1)]
+        y = [v for v, found in zip(fam.members, classes) if found == ("y", 1)]
         assert (g.a_family.members, g.b_family.members) == (tuple(x), tuple(y))
         expected = [
             (a, b) for a, u in enumerate(x) for b, w in enumerate(y) if scalar_product(u, w) == -4

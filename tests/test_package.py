@@ -13,6 +13,7 @@ import pytest
 
 import signedfam
 from signedfam import solver
+from signedfam.vectors import Profile, enumerate_all
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,13 +37,19 @@ def _bindings():
     return found
 
 
+def _load_tracing():
+    """perfbench/tracing.py as a module, read from its file and not installed."""
+    spec = importlib.util.spec_from_file_location("signedfam_bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 @pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ beside the tests")
 def test_benchmark_tracer_finds_every_name_it_patches():
     # the tracer looks up functions by name, so a renamed one fails here
     # rather than only in a traced benchmark run
-    spec = importlib.util.spec_from_file_location("signedfam_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_tracing()
     for info in pkgutil.iter_modules(signedfam.__path__):
         importlib.import_module(f"signedfam.{info.name}")
     before = _bindings()
@@ -55,6 +62,22 @@ def test_benchmark_tracer_finds_every_name_it_patches():
         tracer.uninstall()
     assert solver.solve_extremal is solve
     assert _bindings() == before
+
+
+@pytest.mark.skipif(not TRACING.exists(), reason="no perfbench/ beside the tests")
+def test_benchmark_tracer_counts_every_member_built():
+    # members are built by SignedVector's constructor, where the tracer counts them
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        members = enumerate_all(Profile(6, 3, 2)).members
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert len(members) == 60
+    assert tracing.layer_metrics(tracer.spans, tracer.counts)["vectors.members_built"] == 60
 
 
 def test_runs_without_networkx():

@@ -627,15 +627,17 @@ class TestSolveExtremal:
         ],
     )
     def test_a_solve_builds_no_member_objects(self, nkl, target, pruning, budget, monkeypatch):
-        # the solve path reads the class's mask pairs; the witness is not read here
-        built = vectors._vectors_of
+        # the solve path reads the class's mask pairs; the witness is not read here.
+        # Every vector is built through SignedVector's own constructor, so
+        # counting its __post_init__ counts every vector built
+        check = vectors.SignedVector.__post_init__
         calls = []
 
-        def counted(dim, masks):
-            calls.append(dim)
-            return built(dim, masks)
+        def counted(v):
+            calls.append(v)
+            return check(v)
 
-        monkeypatch.setattr(vectors, "_vectors_of", counted)
+        monkeypatch.setattr(vectors.SignedVector, "__post_init__", counted)
         p = Profile(*nkl)
         if budget is None:
             res = mis_exact(build_conflict_graph(p, target_spec(p, target)))

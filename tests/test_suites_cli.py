@@ -325,8 +325,8 @@ class TestRunSuite:
     def test_ratios_catches_a_bad_enumeration(self, monkeypatch):
         xy_class = constructions.xy_class
 
-        def drops_y_at_2(v, t):
-            found = xy_class(v, t)
+        def drops_y_at_2(pair, profile, t):
+            found = xy_class(pair, profile, t)
             return None if t == 2 and found is not None and found[0] == "y" else found
 
         monkeypatch.setattr(constructions, "xy_class", drops_y_at_2)
@@ -370,6 +370,14 @@ class TestRunSuite:
         report = run_suite("lemma1", n=5, k=2, l=1)
         assert report.ok
         assert any("(5,2,1)" in c.case for c in report.cases)
+
+    def test_lemma1_refuses_a_profile_outside_its_scope(self, capsys):
+        # with k < l no vector meets condition (i), so the suite would check nothing
+        with pytest.raises(ValueError, match=r"k >= l, got profile \(4,1,2\)"):
+            run_suite("lemma1", n=4, k=1, l=2)
+        assert main(["verify", "lemma1", "--n", "4", "--k", "1", "--l", "2"]) == 3
+        assert "profile (4,1,2)" in capsys.readouterr().err
+        assert run_suite("lemma1", n=4, k=1, l=1).ok
 
     def test_theorem1_custom_instance(self):
         report = run_suite("theorem1", budget=60.0)

@@ -14,6 +14,7 @@ from signedfam.constructions import (
     xy_families,
 )
 from signedfam.solver import solve_extremal, target_spec
+from signedfam.suites import run_suite
 from signedfam.vectors import (
     ForbiddenSpec,
     Profile,
@@ -325,6 +326,40 @@ class TestBulkPath:
                 assert size == len(fam.members) == len(fam), (name, p)
         assert len(enumerate_all(Profile(7, 2, 2))) == Profile(7, 2, 2).family_size()
         assert len(ekr_family(Profile(7, 3, 1))) == 60
+
+    def test_members_pass_the_vector_checks_and_class_walks_build_none(self, monkeypatch):
+        counts = _count_builds(monkeypatch)
+        fam = enumerate_all(Profile(6, 3, 2))
+        assert counts == {"checked": 0, "members": 0}
+        members = fam.members
+        assert counts == {"checked": 60, "members": 60}
+        assert fam.members is members and counts["checked"] == 60
+        counts.update(checked=0, members=0)
+        # the window-class walks read the class's mask pairs only
+        for t, m in ((1, 0), (2, 1), (3, 2)):
+            xy_families(Profile(10, 3, 2), t, m)
+        assert run_suite("ratios", max_dim=8).ok
+        assert counts == {"checked": 0, "members": 0}
+
+
+def _count_builds(monkeypatch) -> dict:
+    """Counts of vectors built: SignedVector.__post_init__ calls, and members a family builds."""
+    counts = {"checked": 0, "members": 0}
+    check = SignedVector.__post_init__
+    read = VectorFamily.members.fget
+
+    def counted_check(v):
+        counts["checked"] += 1
+        return check(v)
+
+    def counted_read(fam):
+        if fam._members is None:
+            counts["members"] += len(fam.masks)
+        return read(fam)
+
+    monkeypatch.setattr(SignedVector, "__post_init__", counted_check)
+    monkeypatch.setattr(VectorFamily, "members", property(counted_read))
+    return counts
 
 
 def _naive_check(fam: VectorFamily, spec) -> tuple:
