@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import xy_families
-from .vectors import Profile, VectorFamily, enumerate_all, scalar_product
+from .vectors import Profile, VectorFamily, enumerate_all
 
-# stub pairings random_biregular draws before it falls back to a cyclic layout
+# stub shuffles random_biregular draws before it falls back to a cyclic layout
 _MAX_RETRIES = 500
 
 
@@ -63,12 +63,14 @@ class BipartiteGraph:
 def _product_edges(
     a_fam: VectorFamily, b_fam: VectorFamily, product: int
 ) -> frozenset[tuple[int, int]]:
-    edges = set()
-    for ia, va in enumerate(a_fam.members):
-        for ib, vb in enumerate(b_fam.members):
-            if scalar_product(va, vb) == product:
-                edges.add((ia, ib))
-    return frozenset(edges)
+    """The (a, b) index pairs whose members have the given product, read from the mask pairs."""
+    return frozenset(
+        (ia, ib)
+        for ia, (pa, na) in enumerate(a_fam.masks)
+        for ib, (pb, nb) in enumerate(b_fam.masks)
+        if (pa & pb).bit_count() + (na & nb).bit_count()
+        - (pa & nb).bit_count() - (na & pb).bit_count() == product
+    )
 
 
 def build_g_tm(profile: Profile, t: int, m: int) -> BipartiteGraph:
@@ -167,13 +169,14 @@ def random_biregular(
 
     When deg_a == b_size the complete graph K_{a,b} is the only simple
     biregular graph, and it is returned without drawing.  Otherwise each
-    A vertex appears deg_a times and each B vertex deg_b times; a random
-    stub pairing is drawn and redrawn when it collapses to a multi-edge.
-    Dense parameter choices rarely survive that rejection, so after
-    _MAX_RETRIES draws the graph falls back to a cyclic layout (A_i
-    adjacent to B_{(i*deg_a + r) mod b_size}, always simple and
-    biregular when the handshake holds) under random relabelings of both
-    sides.
+    A vertex appears deg_a times and each B vertex deg_b times; one
+    shuffle pairs the stubs, and a walk over the A stubs in order swaps
+    each B stub that would repeat an edge with a random later one that
+    gives a new edge, reshuffling only when none does.  The draw is not
+    uniform over pairings; the averaging bound holds for every biregular
+    graph.  After _MAX_RETRIES shuffles the graph is a cyclic layout, A_i
+    adjacent to B_{(i*deg_a + r) mod b_size} (simple and biregular when
+    the handshake holds), under random relabelings of both sides.
     """
     if a_size < 1 or b_size < 1 or deg_a < 1 or deg_b < 1:
         raise ValueError("sizes and degrees must be positive")
@@ -191,9 +194,17 @@ def random_biregular(
     b_stubs = [b for b in range(b_size) for _ in range(deg_b)]
     for _ in range(_MAX_RETRIES):
         rng.shuffle(b_stubs)
-        pairs = list(zip(a_stubs, b_stubs))
-        if len(set(pairs)) == len(pairs):
-            return BipartiteGraph(a_size, b_size, frozenset(pairs))
+        edges = set()
+        for i, a in enumerate(a_stubs):
+            if (a, b_stubs[i]) in edges:
+                later = [j for j in range(i + 1, len(b_stubs)) if (a, b_stubs[j]) not in edges]
+                if not later:
+                    break
+                j = rng.choice(later)
+                b_stubs[i], b_stubs[j] = b_stubs[j], b_stubs[i]
+            edges.add((a, b_stubs[i]))
+        else:
+            return BipartiteGraph(a_size, b_size, frozenset(edges))
     relabel_a = list(range(a_size))
     relabel_b = list(range(b_size))
     rng.shuffle(relabel_a)

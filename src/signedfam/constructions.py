@@ -2,11 +2,11 @@
 
 Constructions: the fixed-first-coordinate family, the one-dimension
 inductive extension, and one-cut split families, with best_split_family
-the one place that picks the optimal cut.  Each builds its members from
-index subsets the same way: combinations over bit values, summed into a
-mask.  It hands the (pos, neg) pairs to VectorFamily._of_masks, which
-skips the family-level checks that the construction already makes
-true; so do partition_by_last and xy_families with the pairs they keep.
+the one place that picks the optimal cut.  Each takes its (pos, neg)
+pairs, in canonical order, from the one generator vectors.canonical_pairs
+and hands them to VectorFamily._of_masks, which skips the family-level
+checks that the construction already makes true; so do
+partition_by_last and xy_families with the pairs they keep.
 xy_class is the one window-class rule: it puts a (pos, neg) pair into
 its class (side, m) at window count t, so one pass over a class's mask
 pairs counts every window class of it and builds no vector.  xy_families
@@ -19,7 +19,6 @@ product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Literal, Optional
 
 from .formulas import p_split
@@ -28,6 +27,7 @@ from .vectors import (
     SignedVector,
     SuffixMarkers,
     VectorFamily,
+    canonical_pairs,
     enumerate_all,
     full_window,
     suffix_markers,
@@ -40,14 +40,9 @@ def ekr_family(profile: Profile) -> VectorFamily:
     No two members reach the minimum product -2l since their plus
     supports share coordinate 1.
     """
-    n, k, l = profile.n, profile.k, profile.l
-    masks = []
-    for rest in combinations([1 << i for i in range(1, n)], k + l - 1):
-        support_mask = 1 + sum(rest)  # coordinate 1 is in every support
-        for minus in combinations(rest, l):
-            neg = sum(minus)
-            masks.append((support_mask ^ neg, neg))
-    return VectorFamily._of_masks(profile, masks)
+    rest = [1 << i for i in range(1, profile.n)]
+    pairs = canonical_pairs(rest, rest, profile.k - 1, profile.l, fixed_pos=1)
+    return VectorFamily._of_masks(profile, pairs)
 
 
 def inductive_extend(fam: VectorFamily) -> VectorFamily:
@@ -65,14 +60,9 @@ def inductive_extend(fam: VectorFamily) -> VectorFamily:
     if p.l < 1:
         raise ValueError("extension requires l >= 1")
     new_profile = Profile(p.n + 1, p.k, p.l)
-    masks = list(fam.masks)
-    last_bit = 1 << p.n
-    for support in combinations([1 << i for i in range(p.n)], p.k + p.l - 1):
-        support_mask = sum(support)
-        for minus in combinations(support, p.l - 1):
-            neg = sum(minus)
-            masks.append((support_mask ^ neg, neg | last_bit))
-    return VectorFamily._of_masks(new_profile, masks)
+    every = [1 << i for i in range(p.n)]
+    added = canonical_pairs(every, every, p.k, p.l - 1, fixed_neg=1 << p.n)
+    return VectorFamily._of_masks(new_profile, [*fam.masks, *added])
 
 
 def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
@@ -91,12 +81,8 @@ def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
     y = [i for i in range(1, n + 1) if i not in x]
     if len(y) < l:
         raise ValueError(f"minus side has {len(y)} coordinates; needs at least l={l}")
-    minus_masks = [sum(c) for c in combinations([1 << (i - 1) for i in y], l)]
-    masks = []
-    for plus in combinations([1 << (i - 1) for i in x], k):
-        pos = sum(plus)
-        masks.extend((pos, neg) for neg in minus_masks)
-    return VectorFamily._of_masks(profile, masks)
+    pairs = canonical_pairs([1 << (i - 1) for i in x], [1 << (i - 1) for i in y], k, l)
+    return VectorFamily._of_masks(profile, pairs)
 
 
 def best_split_family(profile: Profile) -> VectorFamily:

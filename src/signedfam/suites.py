@@ -446,9 +446,7 @@ def _suite_precedes(seed: int = 20260815) -> VerificationReport:
 
 def _random_vector(rng: random.Random, n: int, k: int, l: int) -> SignedVector:
     support = rng.sample(range(1, n + 1), k + l)
-    plus = rng.sample(support, k)
-    minus = [i for i in support if i not in set(plus)]
-    return SignedVector.from_supports(n, plus, minus)
+    return SignedVector.from_supports(n, support[:k], support[k:])
 
 
 def _size_sweep(report: VerificationReport, case: str, noun: str, dims, size, expected) -> None:

@@ -6,10 +6,11 @@ Coordinates are 1-indexed.  Vectors are stored as a pair of bit masks
 (bit ``i-1`` of ``pos``/``neg`` holds coordinate ``i``), in slots, and
 are immutable and hashable.  A family is its distinct (pos, neg) pairs,
 sorted ascending, in ``VectorFamily.masks``: that order is the canonical
-member order.  _check_pairs checks each vector when SignedVector's own
-constructor, the one way to build one, builds it, and each family's
-pairs when the family is built; the members and their set are built on
-first read, so a family that is only counted never builds them.
+member order, and canonical_pairs is the one generator that emits it.
+_check_pairs checks each vector when SignedVector's own constructor, the
+one way to build one, builds it, and each family's pairs when the family
+is built; the members and their set are built on first read, so a family
+that is only counted never builds them.
 """
 
 from __future__ import annotations
@@ -339,6 +340,8 @@ class VectorFamily:
         The pairs must be distinct and of the profile, as neither is
         checked here; each is checked by _check_pairs, as SignedVector
         checks its masks, so a bad pair raises ValueError from this call.
+        The builders hand their pairs in canonical order, in one or two
+        ascending runs, on which the sort is a linear pass.
         """
         pairs = tuple(sorted(masks))
         _check_pairs(profile.n, pairs)
@@ -427,16 +430,27 @@ class VectorFamily:
             return cls.from_text(fh.read())
 
 
+def canonical_pairs(
+    plus_bits: list[int], minus_bits: list[int], k: int, l: int, fixed_pos=0, fixed_neg=0
+) -> Iterator[tuple[int, int]]:
+    """The (pos, neg) pairs of k plus and l minus bits, in canonical order.
+
+    pos is fixed_pos with each k-subset of plus_bits and neg is fixed_neg
+    with each l-subset of the minus_bits outside pos, each ascending:
+    combinations over descending bits lists the subsets' masks descending.
+    """
+    minus_desc = sorted(minus_bits, reverse=True)
+    for plus in reversed([sum(c) for c in combinations(sorted(plus_bits, reverse=True), k)]):
+        pos = fixed_pos | plus
+        free = [b for b in minus_desc if not b & pos]
+        for minus in reversed([sum(c) for c in combinations(free, l)]):
+            yield pos, fixed_neg | minus
+
+
 def enumerate_all(profile: Profile) -> VectorFamily:
     """Every vector of the profile, in canonical order.
 
     The count always equals C(n, k+l) * C(k+l, k).
     """
-    n, k, l = profile.n, profile.k, profile.l
-    masks = []
-    for support in combinations([1 << i for i in range(n)], k + l):
-        support_mask = sum(support)
-        for plus in combinations(support, k):
-            pos = sum(plus)
-            masks.append((pos, support_mask ^ pos))
-    return VectorFamily._of_masks(profile, masks)
+    every = [1 << i for i in range(profile.n)]
+    return VectorFamily._of_masks(profile, canonical_pairs(every, every, profile.k, profile.l))

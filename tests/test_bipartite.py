@@ -1,6 +1,7 @@
 """Bipartite comparison graphs and the exact averaging bound."""
 
 import random
+import statistics
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -71,6 +72,42 @@ class TestBuildGtm:
             (a, b) for a, u in enumerate(x) for b, w in enumerate(y) if scalar_product(u, w) == -4
         ]
         assert sorted(g.edges) == expected
+
+
+class TestProductEdges:
+    """Edges read from the mask pairs equal the pairwise scalar_product reference."""
+
+    @staticmethod
+    def assert_pairwise(g, product):
+        from signedfam import scalar_product
+
+        expected = {
+            (a, b)
+            for a, u in enumerate(g.a_family.members)
+            for b, w in enumerate(g.b_family.members)
+            if scalar_product(u, w) == product
+        }
+        assert g.edges == expected
+
+    def test_every_lemma3_comparison_graph(self, monkeypatch):
+        from signedfam import suites
+
+        built = []
+
+        def recording(profile, t, m):
+            g = build_g_tm(profile, t, m)
+            built.append((profile, g))
+            return g
+
+        monkeypatch.setattr(bipartite, "build_g_tm", recording)
+        suites._comparison_graph_failures(random.Random(0))
+        assert built
+        for profile, g in built:
+            self.assert_pairwise(g, -2 * profile.l)
+
+    def test_suffix_marker_graphs(self):
+        for j, jprime, k, l in [(2, 5, 3, 2), (2, 7, 4, 3)]:
+            self.assert_pairwise(build_g_prime(j, jprime, k, l), -2 * l + 2 * j - 1)
 
 
 class TestBuildGPrime:
@@ -161,11 +198,45 @@ class TestRandomBiregular:
         assert check_biregular(g) == (3, 2)
         assert len(g.edges) == 30
 
-    def test_dense_fallback(self):
-        # 36 of 54 possible edges; stub sampling essentially never lands
-        # on a simple graph here, so the cyclic fallback must kick in
-        g = random_biregular(9, 6, 4, 6, seed=1)
-        assert check_biregular(g) == (4, 6)
+    def test_dense_fallback(self, monkeypatch):
+        # with no draws allowed, the cyclic layout is the graph
+        monkeypatch.setattr(bipartite, "_MAX_RETRIES", 0)
+        for case in [(9, 6, 4, 6), (11, 11, 4, 4), (12, 8, 4, 6), (10, 15, 3, 2)]:
+            g = random_biregular(*case, seed=1)
+            assert check_biregular(g) == case[2:]
+            assert len(g.edges) == case[0] * case[2]
+
+    def test_seeded_draws_are_simple_and_biregular(self):
+        from signedfam.suites import _random_biregular_params
+
+        rng = random.Random(5)
+        for seed in range(2000):
+            a, b, da, db = _random_biregular_params(rng)
+            g = random_biregular(a, b, da, db, seed=seed)
+            # edges is a set, so a multi-edge would leave a vertex short
+            assert check_biregular(g) == (da, db), (a, b, da, db, seed)
+
+    def test_dense_sets_draw_few_shuffles(self, monkeypatch):
+        # a clash is repaired by a swap and only a stuck walk reshuffles,
+        # so even these dense sets take a few shuffles per draw
+        shuffles = []
+
+        class CountingRandom(random.Random):
+            def shuffle(self, x):
+                shuffles.append(len(x))
+                super().shuffle(x)
+
+        monkeypatch.setattr(bipartite, "random", SimpleNamespace(Random=CountingRandom))
+        for case in [(9, 6, 4, 6), (11, 11, 4, 4), (12, 8, 4, 6)]:
+            per_draw = []
+            for seed in range(100):
+                shuffles.clear()
+                g = random_biregular(*case, seed=seed)
+                assert check_biregular(g) == case[2:]
+                per_draw.append(len(shuffles))
+            assert statistics.median(per_draw) <= 3, case
+            assert statistics.mean(per_draw) <= 3, case
+            assert max(per_draw) < bipartite._MAX_RETRIES, case
 
     def test_complete_case_draws_nothing(self, monkeypatch):
         # deg_a == b_size leaves K_{a,b} as the only simple biregular graph

@@ -155,6 +155,56 @@ class TestConstructionsMatchDefinitions:
             assert plus_side == (1 << x) - 1, p
 
 
+def _loop_enumerate_all(p):
+    """Reference: the class from nested loops over supports and their plus subsets, sorted."""
+    masks = []
+    for support in combinations([1 << i for i in range(p.n)], p.k + p.l):
+        for plus in combinations(support, p.k):
+            masks.append((sum(plus), sum(support) ^ sum(plus)))
+    return sorted(masks)
+
+
+def _loop_ekr(p):
+    masks = []
+    for rest in combinations([1 << i for i in range(1, p.n)], p.k + p.l - 1):
+        for minus in combinations(rest, p.l):
+            masks.append(((1 + sum(rest)) ^ sum(minus), sum(minus)))
+    return sorted(masks)
+
+
+def _loop_extend(fam):
+    p = fam.profile
+    masks = list(fam.masks)
+    for support in combinations([1 << i for i in range(p.n)], p.k + p.l - 1):
+        for minus in combinations(support, p.l - 1):
+            masks.append((sum(support) ^ sum(minus), sum(minus) | 1 << p.n))
+    return sorted(masks)
+
+
+def _loop_best_split(p):
+    x = formulas.p_split(p.n, p.k, p.l).argmax
+    minus_masks = [sum(c) for c in combinations([1 << i for i in range(x, p.n)], p.l)]
+    masks = []
+    for plus in combinations([1 << i for i in range(x)], p.k):
+        masks.extend((sum(plus), neg) for neg in minus_masks)
+    return sorted(masks)
+
+
+class TestCanonicalOrderBuilders:
+    """Each builder's pairs equal the nested loops' pairs, sorted, on every profile with n <= 10."""
+
+    def test_class_and_constructions(self):
+        for p in _profiles(10):
+            assert list(enumerate_all(p).masks) == _loop_enumerate_all(p), p
+            assert list(constructions.best_split_family(p).masks) == _loop_best_split(p), p
+            ekr = constructions.ekr_family(p)
+            assert list(ekr.masks) == _loop_ekr(p), p
+            if p.l >= 1:
+                for base in (ekr, enumerate_all(p)):
+                    grown = constructions.inductive_extend(base)
+                    assert list(grown.masks) == _loop_extend(base), p
+
+
 class TestTrustedBuildersMatchCheckedConstructor:
     """The builders skip VectorFamily's checks; on every profile with n <= 7
     the checked constructor, given their members, returns the same members

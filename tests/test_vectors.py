@@ -21,6 +21,7 @@ from signedfam.vectors import (
     SignedVector,
     SuffixMarkers,
     VectorFamily,
+    canonical_pairs,
     enumerate_all,
     min_suffix_sum,
     scalar_product,
@@ -190,6 +191,30 @@ class TestEnumeration:
     def test_no_duplicates(self):
         fam = enumerate_all(Profile(6, 3, 2))
         assert len(set(fam)) == len(fam)
+
+
+class TestCanonicalPairs:
+    def test_raw_output_is_ascending(self):
+        for n in range(1, 9):
+            every = [1 << i for i in range(n)]
+            odd, even = every[::2], every[1::2]
+            for k in range(0, n + 1):
+                for l in range(0, n - k + 1):
+                    runs = [
+                        canonical_pairs(every, every, k, l),
+                        canonical_pairs(odd, even, k, l),
+                        canonical_pairs(every[1:], every[1:], k, l, fixed_pos=1),
+                        canonical_pairs(every, every, k, l, fixed_neg=1 << n),
+                    ]
+                    for run in runs:
+                        pairs = list(run)
+                        assert pairs == sorted(set(pairs)), (n, k, l)
+
+    def test_bit_order_does_not_matter(self):
+        every = [1 << i for i in range(7)]
+        assert list(canonical_pairs(every[::-1], every, 3, 2)) == list(
+            canonical_pairs(every, every[::-1], 3, 2)
+        )
 
 
 class TestVectorFamily:
