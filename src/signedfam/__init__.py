@@ -84,75 +84,8 @@ from .suites import CaseResult, VerificationReport, run_suite, suite_names
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Profile",
-    "SignedVector",
-    "SuffixMarkers",
-    "VectorFamily",
-    "enumerate_all",
-    "min_suffix_sum",
-    "scalar_product",
-    "suffix_markers",
-    "compress",
-    "is_shifted",
-    "precedes",
-    "precedes_oracle",
-    "shift_ij",
-    "ClaimCheck",
-    "ClaimReport",
-    "WitnessTrace",
-    "check_conditions",
-    "construct_witness",
-    "verify_trace_claims",
-    "DegenerateInstanceError",
-    "EkrValue",
-    "GBounds",
-    "IncrementReport",
-    "IncrementValue",
-    "RatioAlpha",
-    "SplitValue",
-    "XYSizes",
-    "binom",
-    "family_size",
-    "g_bounds",
-    "g_closed_l1",
-    "g_ekr_value",
-    "increment_value",
-    "n0_threshold",
-    "p_increment_report",
-    "p_split",
-    "ratio_and_alpha",
-    "xy_family_sizes",
-    "ClassificationLabel",
-    "classify_vector",
-    "ekr_family",
-    "family_xy_tm",
-    "inductive_extend",
-    "partition_by_last",
-    "split_family",
-    "ConflictGraph",
-    "FamilyCheck",
-    "ForbiddenSpec",
-    "SolveResult",
-    "VertexCapExceeded",
-    "build_conflict_graph",
-    "greedy_seed_g",
-    "mis_bruteforce",
-    "mis_exact",
-    "solve_extremal",
-    "verify_family",
-    "BipartiteGraph",
-    "IrregularityError",
-    "build_g_prime",
-    "build_g_tm",
-    "check_biregular",
-    "lemma3_check",
-    "random_biregular",
-    "random_independent_set",
-    "ResultCache",
-    "cache_key",
-    "CaseResult",
-    "VerificationReport",
-    "run_suite",
-    "suite_names",
-]
+# every name the imports above bind from the package's modules, and no module
+__all__ = sorted(
+    name for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith(__name__ + ".")
+)

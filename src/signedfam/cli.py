@@ -332,18 +332,8 @@ def _cmd_formula(args) -> int:
 
 
 def _suite_params(args) -> dict:
-    params: dict = {}
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.budget is not None:
-        params["budget"] = args.budget
-    if args.trials is not None:
-        params["trials"] = args.trials
-    for name in _NKL:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return params
+    names = ("seed", "budget", "trials") + _NKL
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def _cmd_verify(args) -> int:

@@ -12,10 +12,11 @@ VerificationReport.add_failures: it expects "0 <noun>", gets
 A case that checks a construction's size against its closed form over a
 range of dimensions is a size sweep, added by _size_sweep: it stops at
 the first dimension where the two differ and reports it.
-The theorem1, eq111 and bounds suites solve each of their fixed
-instances afresh through _add_g_case; the CLI's result cache is the
+The theorem1, eq111 and bounds suites are tables of rows that one
+builder, _g_value_suite, solves afresh; the CLI's result cache is the
 only store of solve results.  A solve the budget cuts short reports
-"<value> (lower bound)" and fails.
+"<value> (lower bound)" and fails.  The solver-oracle suite compares
+every search with mis_bruteforce through one loop, _oracle_mismatches.
 render() is the one writer of reports: plain text, one JSON document, or
 CSV with a single header row.
 """
@@ -30,6 +31,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 from typing import Callable, Optional, Sequence
 
 from . import bipartite, constructions, formulas, shifting, solver, witness
@@ -154,63 +156,50 @@ def render(reports: list[VerificationReport], fmt: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_g_case(
-    report: VerificationReport,
-    case: str,
-    profile: Profile,
-    budget: float,
-    expected,
-    holds: Callable[[int], bool],
-    required: bool = True,
-) -> None:
-    """Solve g on profile; the case passes when the solve is exact and holds(value).
+def _g_value_suite(name: str, budget: float, rows) -> VerificationReport:
+    """Solve g on each row; a row passes when the solve is exact and lower <= value <= upper.
 
-    A solve the budget cuts short shows "<value> (lower bound)".
+    A row is (case, (n, k, l), expected, lower, upper, required).  A solve
+    the budget cuts short shows "<value> (lower bound)".
     """
-    result = solver.solve_extremal(profile, "g", budget=budget)
-    actual = str(result.value) if result.is_exact else f"{result.value} (lower bound)"
-    passed = result.is_exact and holds(result.value)
-    report.add(case, expected, actual, passed, PROVENANCE_FORMULA, required)
+    report = VerificationReport(name)
+    for case, nkl, expected, lower, upper, required in rows:
+        result = solver.solve_extremal(Profile(*nkl), "g", budget=budget)
+        actual = str(result.value) if result.is_exact else f"{result.value} (lower bound)"
+        passed = result.is_exact and lower <= result.value <= upper
+        report.add(case, expected, actual, passed, PROVENANCE_FORMULA, required)
+    return report
 
 
 def _suite_theorem1(budget: float = 60.0) -> VerificationReport:
     """Solver values against the exact closed form for l = 1."""
-    report = VerificationReport("theorem1")
+    rows = []
     for n, k in ((4, 2), (5, 2), (6, 2), (6, 3), (11, 3), (12, 3), (13, 3)):
-        expected = formulas.g_closed_l1(n, k)
-        _add_g_case(
-            report, f"g({n},{k},1)", Profile(n, k, 1), budget, expected,
-            lambda value: value == expected,
-        )
-    return report
+        value = formulas.g_closed_l1(n, k)
+        rows.append((f"g({n},{k},1)", (n, k, 1), value, value, value, True))
+    return _g_value_suite("theorem1", budget, rows)
 
 
 def _suite_eq111(budget: float = 600.0) -> VerificationReport:
     """Solver values against the fixed-first-coordinate count in its proven window."""
-    report = VerificationReport("eq111")
+    rows = []
     for n, k, l in ((6, 3, 2), (7, 3, 2), (9, 4, 2), (10, 4, 2), (10, 5, 2), (11, 4, 1)):
-        expected, in_range = formulas.g_ekr_value(n, k, l)
-        _add_g_case(
-            report, f"g({n},{k},{l})", Profile(n, k, l), budget, expected,
-            lambda value: value == expected, required=in_range,
-        )
-    return report
+        value, in_range = formulas.g_ekr_value(n, k, l)
+        rows.append((f"g({n},{k},{l})", (n, k, l), value, value, value, in_range))
+    return _g_value_suite("eq111", budget, rows)
 
 
 def _suite_bounds(budget: float = 60.0) -> VerificationReport:
     """Lower/upper sandwich holds at each listed instance."""
-    report = VerificationReport("bounds")
-    instances = (
+    rows = []
+    for n, k, l in (
         (4, 2, 1), (5, 2, 1), (6, 2, 1), (5, 3, 1), (5, 3, 2), (6, 3, 2), (6, 4, 2),
         (9, 3, 2), (10, 3, 2), (10, 5, 2), (11, 3, 1), (9, 4, 2), (11, 3, 2),
-    )
-    for n, k, l in instances:
+    ):
         lower, upper = formulas.g_bounds(n, k, l)
-        _add_g_case(
-            report, f"bounds({n},{k},{l})", Profile(n, k, l), budget,
-            f"{lower} <= value <= {upper}", lambda value: lower <= value <= upper,
-        )
-    return report
+        expected = f"{lower} <= value <= {upper}"
+        rows.append((f"bounds({n},{k},{l})", (n, k, l), expected, lower, upper, True))
+    return _g_value_suite("bounds", budget, rows)
 
 
 def _witness_failures(profile: Profile, use_oracle: bool) -> tuple[int, list[str]]:
@@ -611,9 +600,26 @@ def _setup_mismatch(profile: Profile) -> str:
     return ""
 
 
-def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
-    """Branch-and-bound against the exhaustive oracle; setup against pairwise scans.
+def _oracle_mismatches(cases) -> list[str]:
+    """Disagreements with mis_bruteforce over (label, graph, solves) cases, in order.
 
+    mis_exact(graph) and each (route, result) of solves must be exact and
+    equal the oracle's value on graph.
+    """
+    mismatches = []
+    for label, graph, solves in cases:
+        oracle = solver.mis_bruteforce(graph).value
+        for route, result in (("mis_exact", solver.mis_exact(graph, budget=60.0)), *solves):
+            if not result.is_exact or result.value != oracle:
+                mismatches.append(f"{label}, {route}: {result.value} vs {oracle}")
+    return mismatches
+
+
+def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
+    """Search and both solve routes against the exhaustive oracle; setup against pairwise scans.
+
+    On each profile graph, mis_exact and solve_extremal with shift
+    pruning on and off must each match mis_bruteforce on the class graph.
     The setup check reads the cover table's downward closure and
     shifting._up_sets: a fault in the up-sets need not show in the
     closure graphs.
@@ -634,39 +640,30 @@ def _suite_solver_oracle(seed: int = 20260815) -> VerificationReport:
             mismatches.append(f"profile ({profile.n},{profile.k},{profile.l}): {where}")
     report.add_failures(f"setup-pairwise[{len(setup_profiles)}]", "mismatches", mismatches)
 
-    profile_cases = []
-    for n in range(2, 9):
-        for k in range(1, n + 1):
-            for l in range(0, min(k, n - k) + 1):
-                profile = Profile(n, k, l)
-                if profile.family_size() > solver.BRUTEFORCE_VERTEX_CAP:
-                    continue
-                targets = ["m", "g"] if profile.is_g_profile else ["m"]
-                specs = [solver.target_spec(profile, target) for target in targets]
-                for spec in specs:
-                    profile_cases.append((profile, spec))
-    mismatches = []
-    for profile, spec in profile_cases:
-        graph = solver.build_conflict_graph(profile, spec)
-        exact = solver.mis_exact(graph, budget=60.0)
-        oracle = solver.mis_bruteforce(graph)
-        if not exact.is_exact or exact.value != oracle.value:
-            mismatches.append(
-                f"profile ({profile.n},{profile.k},{profile.l}), {spec.describe()}: "
-                f"{exact.value} vs {oracle.value}"
-            )
+    profile_cases = [
+        (profile, target, solver.target_spec(profile, target))
+        for n in range(2, 9) for k in range(1, n + 1) for l in range(min(k, n - k) + 1)
+        for profile in [Profile(n, k, l)] if profile.family_size() <= solver.BRUTEFORCE_VERTEX_CAP
+        for target in (("m", "g") if profile.is_g_profile else ("m",))
+    ]
+    mismatches = _oracle_mismatches(
+        (
+            f"profile ({profile.n},{profile.k},{profile.l}), {spec.describe()}",
+            solver.build_conflict_graph(profile, spec),
+            (
+                ("pruned solve", solver.solve_extremal(profile, target)),
+                ("unpruned solve", solver.solve_extremal(profile, target, shifted_pruning=False)),
+            ),
+        )
+        for profile, target, spec in profile_cases
+    )
     report.add_failures(f"profile-graphs[{len(profile_cases)}]", "mismatches", mismatches)
 
     rng = random.Random(seed)
-    mismatches = []
-    densities = [0.1, 0.3, 0.5]
-    for i in range(random_graphs):
-        p = densities[i % len(densities)]
-        graph = _random_graph(rng, 25, p)
-        exact = solver.mis_exact(graph, budget=60.0)
-        oracle = solver.mis_bruteforce(graph)
-        if not exact.is_exact or exact.value != oracle.value:
-            mismatches.append(f"graph {i} (p={p}): {exact.value} vs {oracle.value}")
+    mismatches = _oracle_mismatches(
+        (f"graph {i} (p={p})", _random_graph(rng, 25, p), ())
+        for i, p in zip(range(random_graphs), cycle((0.1, 0.3, 0.5)))
+    )
     report.add_failures(f"random-graphs[{random_graphs}]", "mismatches", mismatches)
     return report
 

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -21,6 +22,11 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 def test_every_exported_name_resolves_once():
     assert [name for name, count in Counter(signedfam.__all__).items() if count > 1] == []
     assert [name for name in signedfam.__all__ if not hasattr(signedfam, name)] == []
+    # __all__ is read off the imports' bindings: no submodule and no dunder
+    assert [
+        name for name in signedfam.__all__
+        if name.startswith("_") or isinstance(getattr(signedfam, name), types.ModuleType)
+    ] == []
 
 
 def _bindings():

@@ -1,6 +1,8 @@
 """Verification suites, the result cache, and the command-line surface."""
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -399,6 +401,62 @@ class TestRunSuite:
         assert [(c.case, c.expected, c.actual, c.passed) for c in solved] == [
             (case, value, value, True) for case, value in values.items()
         ]
+
+    @pytest.mark.parametrize("name", ["theorem1", "eq111", "bounds"])
+    def test_value_suite_rows_check_their_own_reference(self, name, monkeypatch):
+        # (lower, upper) of each row from its own (n, k, l)
+        reference = {
+            "theorem1": lambda n, k, l: (formulas.g_closed_l1(n, k),) * 2,
+            "eq111": lambda n, k, l: (formulas.g_ekr_value(n, k, l).value,) * 2,
+            "bounds": formulas.g_bounds,
+        }[name]
+        # every eq111 row lies in the proven window; take g(11,4,1) out of it
+        ekr = formulas.g_ekr_value
+        monkeypatch.setattr(
+            formulas, "g_ekr_value", lambda n, k, l: ekr(n, k, l)._replace(in_range=n != 11)
+        )
+
+        def planted(above):
+            def solve(profile, target, budget):
+                _, upper = reference(profile.n, profile.k, profile.l)
+                return solver.SolveResult(upper + above, solver.STATUS_EXACT, 0, 0.0, ())
+
+            return solve
+
+        monkeypatch.setattr(solver, "solve_extremal", planted(0))
+        at_upper = run_suite(name)
+        monkeypatch.setattr(solver, "solve_extremal", planted(1))
+        above = run_suite(name)
+        assert at_upper.ok and all(c.passed for c in at_upper.cases)
+        assert not above.ok and not any(c.passed for c in above.cases)
+        for case in above.cases:
+            n, k, l = map(int, re.fullmatch(r"\w+\((\d+),(\d+),(\d+)\)", case.case).groups())
+            lower, upper = reference(n, k, l)
+            assert case.expected == (
+                f"{lower} <= value <= {upper}" if name == "bounds" else str(upper)
+            )
+            assert case.actual == str(upper + 1)
+            assert case.required == (name != "eq111" or n != 11)
+
+    @pytest.mark.parametrize(
+        "route, options", [("pruned solve", {}), ("unpruned solve", {"shifted_pruning": False})]
+    )
+    def test_solver_oracle_checks_both_solve_routes(self, route, options, monkeypatch):
+        solve = solver.solve_extremal
+
+        def one_too_many(profile, target, **given):
+            result = solve(profile, target, **given)
+            if (profile, target, given) == (Profile(4, 2, 1), "g", options):
+                return replace(result, value=result.value + 1)
+            return result
+
+        monkeypatch.setattr(solver, "solve_extremal", one_too_many)
+        report = run_suite("solver-oracle")
+        assert [(c.case, c.passed) for c in report.cases if not c.passed] == [
+            ("profile-graphs[56]", False)
+        ]
+        (case,) = [c for c in report.cases if c.case == "profile-graphs[56]"]
+        assert case.actual == f"1 mismatches; first profile (4,2,1), exact:-2, {route}: 7 vs 6"
 
 
 class TestReportShapes:
