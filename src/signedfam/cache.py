@@ -14,9 +14,10 @@ holds an entry whose value is not a non-negative integer or whose status
 is neither exact nor a timeout; it is moved aside to "<path>.corrupt"
 and rebuilt from scratch with a warning rather than failing.  A path
 that cannot be read, such as a directory, is not corrupt: its OSError
-propagates and the path is left as it is.  Saves write a temporary
-file and rename it into place, so an interrupted save leaves the
-previous file intact.
+propagates and the path is left as it is.  A save encodes the entries
+as compact JSON with sorted keys, writes it to a temporary file in one
+write and renames that file into place, so an interrupted save leaves
+the previous file intact.  Files saved indented load the same.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ class ResultCache:
     def save(self) -> None:
         # a sibling file, so the rename stays on one file system
         tmp = f"{self.path}.{os.getpid()}.tmp"
+        text = json.dumps(self.entries, sort_keys=True) + "\n"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(self.entries, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
             os.replace(tmp, self.path)
         finally:
             if os.path.exists(tmp):

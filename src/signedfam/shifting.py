@@ -17,14 +17,15 @@ generate the same order.  shift_order gives a linear extension of it,
 and closure_graph, on a class's (pos, neg) pairs, its conflict graph
 lifted to the closure, where the solver searches: _cover_table lists
 each vector's covers by rank, _up_sets pushes up-sets down the table,
-and one pass pulls H up it.  compress says why searching shift-closed
-families only keeps the optimum.
+and one pass pulls H up it, asking for a vector's conflict row only
+when its covers leave it undecided.  compress says why searching
+shift-closed families only keeps the optimum.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .vectors import SignedVector, VectorFamily, bits
 
@@ -106,11 +107,12 @@ def shift_order(pairs: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def closure_graph(
-    pairs: Sequence[tuple[int, int]], n: int, adj: Sequence[int]
+    pairs: Sequence[tuple[int, int]], n: int, conflict_row: Callable[[int], int]
 ) -> tuple[int, list[int]]:
-    """(live, H): the conflict graph adj of a class in shift_order's order, lifted to the closure.
+    """(live, H): a class's conflict graph adj, in shift_order's order, lifted to the closure.
 
-    With down(u) for u and every member below it in the shift order and
+    conflict_row(r) is adj[r], the conflict row of pairs[r].  With
+    down(u) for u and every member below it in the shift order and
     up(u) for u and every member above it: u is live when down(u) is
     independent in adj, and H joins live u and v when some a in down(u)
     and b in down(v) are adjacent.  A shift-closed independent set of
@@ -135,9 +137,14 @@ def closure_graph(
     in one pass in rank order.  An up-set holds the up of each of its
     members, so only the neighbours of u outside the covers' rows are
     looked up: one or two per vertex on the g and m classes, none once u
-    lies in its covers' rows, which makes u dead.  A dead row is stored
-    as up(u), shared with _up_sets: it holds dead vertices only, and no
-    live row joins a dead one.
+    lies in its covers' rows, which makes u dead.  So conflict_row is
+    called once for each vertex whose covers are all live, and for no
+    other: the live vertices, and any dead one that only its own row
+    kills.  There is no such dead vertex on the 282 g and m classes with
+    n <= 10 and at most 3000 vectors, so there it is called for the live
+    vertices alone.
+    A dead row is stored as up(u), shared with _up_sets: it holds dead
+    vertices only, and no live row joins a dead one.
     """
     table = _cover_table(pairs, n)
     up = _up_sets(table)
@@ -147,7 +154,7 @@ def closure_graph(
         for s in covers:
             row |= graph[s]
         if not row >> r & 1:
-            for low in bits(adj[r] & ~row):
+            for low in bits(conflict_row(r) & ~row):
                 row |= up[low.bit_length() - 1]
         graph.append(up[r] if row >> r & 1 else row)
     del up

@@ -1,10 +1,16 @@
 """Exact maximum-independent-set solving over conflict graphs of vector families.
 
-_adjacency is the one conflict-graph builder, for every spec, every
-family and any member order: it counts v.w for all members w at once in
-a bit-sliced counter, O(k + l) big-integer operations per vector.
-build_conflict_graph and solve_extremal apply it to a class's mask
-pairs, in shift_order's order when pruning: no solve builds a SignedVector.
+_row_builder is the one conflict-graph builder, for every spec, every
+family and any member order: set up once per family, it computes a
+vector's row on demand, counting v.w for all members w at once in a
+bit-sliced counter, O(k + l) big-integer operations per row.
+_adjacency computes every row, for build_conflict_graph and the
+suites.  solve_extremal computes rows only as it reads them, on a
+class's mask pairs, in shift_order's order when pruning: row 0 decides
+whether the class has edges (every vertex has the same degree), the
+seed's rows check the seed, and a pruned solve's closure graph asks
+only for the rows its covers leave undecided, those of its live
+vertices on every class measured.  No solve builds a SignedVector.
 One search engine, _bnb, called directly, returns (best mask, nodes,
 finished) and stops at an absolute deadline, which it reads before
 every node; _result maps its mask to class indices, a witness and a
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .constructions import best_split_family, ekr_family, inductive_extend
 # precedes and scalar_product are not used here; with verify_family they
@@ -119,16 +125,24 @@ def _capped_class(profile: Profile, vertex_cap: int) -> VectorFamily:
 def _adjacency(
     pairs: Sequence[tuple[int, int]], profile: Profile, spec: ForbiddenSpec
 ) -> list[int]:
-    """Conflict masks of vectors of profile, given as (pos, neg) pairs in any order, bit-sliced.
+    """Every conflict row of vectors of profile, given as (pos, neg) pairs in any order."""
+    return list(map(_row_builder(pairs, profile, spec), range(len(pairs))))
+
+
+def _row_builder(
+    pairs: Sequence[tuple[int, int]], profile: Profile, spec: ForbiddenSpec
+) -> Callable[[int], int]:
+    """row(a): the conflict mask of pairs[a] among vectors of profile given as pairs, bit-sliced.
 
     plus[i], minus[i] and zero[i] are the members with +1, -1 and 0 at
-    coordinate i.  For a vector v, each of the k + l coordinates i of its
-    support adds 1 + v_i w_i for every member w at once: zero[i] at
-    weight 1 and the members agreeing with v at i at weight 2, into a
-    counter kept as one bit mask per binary digit.  The counter then
-    reads v.w + k + l for every w, and v's neighbours are the members
-    whose count is a forbidden product, v itself excepted.  Products are
-    symmetric, so the adjacency is too.
+    coordinate i, set up once.  For a vector v, each of the k + l
+    coordinates i of its support adds 1 + v_i w_i for every member w at
+    once: zero[i] at weight 1 and the members agreeing with v at i at
+    weight 2, into a counter kept as one bit mask per binary digit.  The
+    counter then reads v.w + k + l for every w, and v's neighbours are
+    the members whose count is a forbidden product, v itself excepted.
+    Products are symmetric, so the adjacency is too.  A row costs
+    O(k + l) big-integer operations and is computed anew on each call.
     """
     size = profile.k + profile.l
     full = (1 << len(pairs)) - 1
@@ -136,8 +150,9 @@ def _adjacency(
     zero = [full & ~(pos | neg) for pos, neg in zip(plus, minus)]
     forbidden = [c for c in range(2 * size + 1) if spec.forbids(c - size)]
     width = (2 * size).bit_length()
-    adj = []
-    for a, (pos, neg) in enumerate(pairs):
+
+    def row(a: int) -> int:
+        pos, neg = pairs[a]
         digits = [0] * width
         for low in bits(pos | neg):
             i = low.bit_length() - 1
@@ -153,8 +168,9 @@ def _adjacency(
             for j, digit in enumerate(digits):
                 eq &= digit if count >> j & 1 else ~digit
             mask |= eq
-        adj.append(mask & ~(1 << a))
-    return adj
+        return mask & ~(1 << a)
+
+    return row
 
 
 @dataclass(frozen=True)
@@ -433,24 +449,25 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
 
 def _solve_shifted(
     family: VectorFamily, labels: Sequence[int], pairs: Sequence[tuple[int, int]],
-    adj: Sequence[int], deadline: float, seed: int,
+    conflict_row: Callable[[int], int], deadline: float, seed: int,
 ) -> SolveResult:
     """Optimum over shift-closed families only; see shifting.compress for why it is exact.
 
     labels is shift_order of the whole class family, pairs its masks in
-    that order, adj their conflict graph and seed an independent set of
-    adj, the first incumbent.  _bnb searches shifting.closure_graph's H from
-    its live vertices, where every independent set is one of adj and the
-    largest are shift-closed.  A deadline (time.monotonic()) already
-    passed on entry returns the seed at 0 nodes without building H, the
-    one costly phase worth skipping; after that _bnb checks the deadline
-    before each node.  elapsed covers the H build and search.
+    that order, conflict_row(r) the conflict row of pairs[r] and seed an
+    independent set of their conflict graph, the first incumbent.  _bnb
+    searches shifting.closure_graph's H from its live vertices, where
+    every independent set is one of the conflict graph and the largest
+    are shift-closed.  A deadline (time.monotonic()) already passed on
+    entry returns the seed at 0 nodes without building H, the one costly
+    phase worth skipping; after that _bnb checks the deadline before
+    each node.  elapsed covers the H build and search.
     """
     start = time.monotonic()
     if start >= deadline:
         # the budget is spent: return the seed rather than build the closure graph
         return _result(family, labels, seed, False, 0, start)
-    live, closed = closure_graph(pairs, family.profile.n, adj)
+    live, closed = closure_graph(pairs, family.profile.n, conflict_row)
     best, nodes, finished = _bnb(closed, live, seed, deadline)
     return _result(family, labels, best, finished, nodes, start)
 
@@ -486,12 +503,17 @@ def solve_extremal(
     explains: the spec depends only on the product, which every
     coordinate permutation keeps.  The root's orbit is the whole class,
     so the root's take child is the whole search.
-    One conflict graph is built per call, its vertices in shift_order's
-    order when pruning, in class order otherwise.
-    A graph with no edges needs no search: the whole class is the
-    answer, exact at 0 nodes.  Otherwise the search starts from a
-    construction (greedy_seed_g for g, the best split family for m); one
-    with a conflicting pair raises ValueError.
+    One row builder (_row_builder) is set up per call, on the class in
+    shift_order's order when pruning, in class order otherwise, and no
+    row is computed twice.  The class is one orbit of the coordinate
+    permutations, which keep every product, so every vertex has the same
+    degree and row 0 alone tells whether the graph has edges.  One with
+    no edges needs no search: the whole class is the answer, exact at 0
+    nodes.  Otherwise the search starts from a construction
+    (greedy_seed_g for g, the best split family for m), whose rows are
+    computed to check it; one with a conflicting pair raises ValueError.
+    The unpruned search reads every row; a pruned solve hands the rows
+    it has to closure_graph, which computes only the others it reads.
     budget bounds the whole call: it sets one deadline (_deadline from
     entry) that the search stops at, and elapsed is measured from entry.
     A pruned solve checks it once more, in _solve_shifted, before the
@@ -503,23 +525,32 @@ def solve_extremal(
     family = _capped_class(profile, vertex_cap)
     labels = shift_order(family.masks) if pruned else range(len(family))
     pairs = [family.masks[i] for i in labels]
-    adj = _adjacency(pairs, profile, spec)
-    full = (1 << len(adj)) - 1
-    if not any(adj):
+    row = _row_builder(pairs, profile, spec)
+    known = {0: row(0)}
+    full = (1 << len(pairs)) - 1
+    if not known[0]:
         # nothing to avoid (for g, n < 2k leaves no room for a product -2l)
         return _result(family, labels, full, True, 0, start)
+
+    def conflict_row(r: int) -> int:
+        """Row r, handed over once from known when it was computed already."""
+        return known.pop(r) if r in known else row(r)
 
     seed_family = greedy_seed_g(profile) if target == "g" else best_split_family(profile)
     seed_masks = set(seed_family.masks)
     seed = sum(1 << r for r, pair in enumerate(pairs) if pair in seed_masks)
     for low in bits(seed):
-        if adj[low.bit_length() - 1] & seed:
+        r = low.bit_length() - 1
+        if r not in known:
+            known[r] = row(r)
+        if known[r] & seed:
             raise ValueError("initial incumbent is not independent")
 
     deadline = _deadline(start, budget)
     if not pruned:
+        adj = [conflict_row(r) for r in range(len(pairs))]
         best = max(seed, _greedy_independent(adj, full), key=int.bit_count)
         best, nodes, finished = _bnb(adj, full, best, deadline, family)
         return _result(family, labels, best, finished, nodes, start)
-    result = _solve_shifted(family, labels, pairs, adj, deadline, seed)
+    result = _solve_shifted(family, labels, pairs, conflict_row, deadline, seed)
     return replace(result, elapsed=time.monotonic() - start)

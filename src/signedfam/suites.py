@@ -31,11 +31,11 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle
-from typing import Callable, Optional, Sequence
+from itertools import cycle, product
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import bipartite, constructions, formulas, shifting, solver, witness
-from .vectors import Profile, SignedVector, VectorFamily, enumerate_all, scalar_product
+from .vectors import Profile, SignedVector, VectorFamily, bits, enumerate_all, scalar_product
 
 PROVENANCE_FORMULA = "closed-form"
 PROVENANCE_ORACLE = "oracle"
@@ -386,6 +386,22 @@ def _suite_ratios(max_dim: int = 12) -> VerificationReport:
     return report
 
 
+def _precedes_mismatches(
+    pairs: Iterable[tuple[SignedVector, SignedVector]], known: dict
+) -> tuple[int, list[str]]:
+    """(pairs checked, "v=..., w=..." for each (v, w) where precedes and down_set_oracle disagree).
+
+    known is the down-set memo that down_set_oracle shares between calls.
+    """
+    checked = 0
+    mismatches = []
+    for v, w in pairs:
+        checked += 1
+        if shifting.precedes(v, w) != (v in shifting.down_set_oracle(w, known)):
+            mismatches.append(f"v={v}, w={w}")
+    return checked, mismatches
+
+
 def _suite_precedes(seed: int = 20260815) -> VerificationReport:
     """Fast reachability test against the shift down-set oracle.
 
@@ -396,23 +412,19 @@ def _suite_precedes(seed: int = 20260815) -> VerificationReport:
     random_pairs = 10000
     known: dict = {}
 
-    mismatches = []
-    checked = 0
-    for n in range(2, max_exhaustive + 1):
-        for k in range(1, n + 1):
-            for l in range(0, min(k, n - k) + 1):
-                fam = enumerate_all(Profile(n, k, l)).members
-                for v in fam:
-                    for w in fam:
-                        checked += 1
-                        if shifting.precedes(v, w) != (v in shifting.down_set_oracle(w, known)):
-                            mismatches.append(f"v={v}, w={w}")
+    classes = (
+        enumerate_all(Profile(n, k, l)).members
+        for n in range(2, max_exhaustive + 1)
+        for k in range(1, n + 1)
+        for l in range(0, min(k, n - k) + 1)
+    )
+    exhaustive = (pair for fam in classes for pair in product(fam, repeat=2))
+    checked, mismatches = _precedes_mismatches(exhaustive, known)
     report.add_failures(
         f"exhaustive(n<={max_exhaustive})", "mismatches", mismatches, f" among {checked}"
     )
 
     rng = random.Random(seed)
-    mismatches = []
     dims = [6, 7]
     profiles_by_dim = {
         n: [
@@ -422,13 +434,13 @@ def _suite_precedes(seed: int = 20260815) -> VerificationReport:
         ]
         for n in dims
     }
-    for _ in range(random_pairs):
+
+    def random_pair():
         n = rng.choice(dims)
         k, l = rng.choice(profiles_by_dim[n])
-        v = _random_vector(rng, n, k, l)
-        w = _random_vector(rng, n, k, l)
-        if shifting.precedes(v, w) != (v in shifting.down_set_oracle(w, known)):
-            mismatches.append(f"v={v}, w={w}")
+        return _random_vector(rng, n, k, l), _random_vector(rng, n, k, l)
+
+    _, mismatches = _precedes_mismatches((random_pair() for _ in range(random_pairs)), known)
     report.add_failures(f"random(n=6..7, {random_pairs} pairs)", "mismatches", mismatches)
     return report
 
@@ -568,6 +580,9 @@ def _setup_mismatch(profile: Profile) -> str:
     order = shifting.shift_order(family.masks)
     ranked = [members[i] for i in order]
     pairs = [family.masks[i] for i in order]
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
     ranked_graphs = {}
     for target in ("g", "m"):
         spec = solver.target_spec(profile, target)
@@ -575,7 +590,7 @@ def _setup_mismatch(profile: Profile) -> str:
         if list(solver.build_conflict_graph(profile, spec).adj) != pairwise:
             return f"{target} conflict graph"
         ranked_graphs[target] = [
-            sum((pairwise[i] >> j & 1) << r for r, j in enumerate(order)) for i in order
+            sum(1 << rank[low.bit_length() - 1] for low in bits(pairwise[i])) for i in order
         ]
     down = [1 << b for b in range(len(ranked))]
     up = list(down)
@@ -595,7 +610,8 @@ def _setup_mismatch(profile: Profile) -> str:
     if shifting._up_sets(table) != up:
         return "upward closure"
     for target, adj in ranked_graphs.items():
-        if shifting.closure_graph(pairs, profile.n, adj) != _closure_graph_by_definition(down, adj):
+        lifted = shifting.closure_graph(pairs, profile.n, adj.__getitem__)
+        if lifted != _closure_graph_by_definition(down, adj):
             return f"{target} closure graph"
     return ""
 

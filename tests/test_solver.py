@@ -521,7 +521,7 @@ class TestSolveExtremal:
         family = enumerate_all(p)
         pairs = [family.masks[i] for i in shift_order(family.masks)]
         adj = solver._adjacency(pairs, p, spec)
-        live, closed = closure_graph(pairs, p.n, adj)
+        live, closed = closure_graph(pairs, p.n, adj.__getitem__)
         seed = sum(1 << r for r, pair in enumerate(pairs) if pair in solved.witness.masks)
         assert solver._bnb(closed, live, seed, time.monotonic()) == (seed, 0, False)
         assert sys.getrecursionlimit() == limit
@@ -604,17 +604,68 @@ class TestSolveExtremal:
         ],
     )
     def test_one_graph_build_per_solve(self, nkl, target, pruning, budget, monkeypatch):
-        built = solver._adjacency
+        # a solve sets up one row builder and computes its graph's rows from it
+        built = solver._row_builder
         calls = []
 
         def counted(*args):
             calls.append(args)
             return built(*args)
 
-        monkeypatch.setattr(solver, "_adjacency", counted)
+        monkeypatch.setattr(solver, "_row_builder", counted)
         res = solve_extremal(Profile(*nkl), target, budget=budget, shifted_pruning=pruning)
         assert len(calls) == 1
         assert res.is_exact == (budget > 0)
+
+    @staticmethod
+    def rows_computed(monkeypatch, *args, **kwargs):
+        """(solve_extremal(*args, **kwargs), the rows it computed in call order)."""
+        built = solver._row_builder
+        computed = []
+
+        def counted(*builder_args):
+            row = built(*builder_args)
+
+            def counted_row(r):
+                computed.append(r)
+                return row(r)
+
+            return counted_row
+
+        monkeypatch.setattr(solver, "_row_builder", counted)
+        res = solve_extremal(*args, **kwargs)
+        monkeypatch.undo()
+        return res, computed
+
+    @pytest.mark.parametrize(
+        "nkl, target, budget",
+        [((8, 3, 2), "g", 60.0), ((7, 3, 2), "m", 60.0), ((8, 3, 2), "g", 0.0)],
+    )
+    def test_a_pruned_solve_computes_only_the_rows_it_reads(self, nkl, target, budget, monkeypatch):
+        # each row at most once: the seed's for its check, then those the closure reads
+        p = Profile(*nkl)
+        res, computed = self.rows_computed(monkeypatch, p, target, budget=budget)
+        assert len(computed) == len(set(computed))
+        family = enumerate_all(p)
+        pairs = [family.masks[i] for i in shift_order(family.masks)]
+        seed_family = greedy_seed_g(p) if target == "g" else best_split_family(p)
+        seed = {r for r, pair in enumerate(pairs) if pair in set(seed_family.masks)}
+        if budget == 0:
+            assert set(computed) == seed | {0}
+            assert res.witness.masks == seed_family.masks
+            return
+        adj = solver._adjacency(pairs, p, target_spec(p, target))
+        live, _ = closure_graph(pairs, p.n, adj.__getitem__)
+        assert set(computed) == seed | {r for r in range(len(pairs)) if live >> r & 1}
+        assert len(computed) < len(pairs)
+
+    def test_edgeless_and_unpruned_row_counts(self, monkeypatch):
+        # every vertex of a class has the same degree: row 0 decides that there are no edges
+        res, computed = self.rows_computed(monkeypatch, Profile(10, 6, 1), "g")
+        assert (res.value, res.nodes_explored, computed) == (840, 0, [0])
+        res, computed = self.rows_computed(monkeypatch, Profile(7, 3, 1), "m", shifted_pruning=False)
+        assert (res.value, res.status) == (28, "exact")
+        assert sorted(computed) == list(range(Profile(7, 3, 1).family_size()))
 
     @pytest.mark.parametrize(
         "nkl, target, pruning, budget",
@@ -929,7 +980,7 @@ class TestSearchEffort:
 def closure_graph_mismatches(build):
     """(profile, target) of every class with n <= 7 on which build differs from the definition.
 
-    build(pairs, n, adj) is checked against suites._closure_graph_by_definition,
+    build(pairs, n, conflict_row) is checked against suites._closure_graph_by_definition,
     with each down(u) found through precedes, for g and m.
     """
     mismatches = []
@@ -946,7 +997,8 @@ def closure_graph_mismatches(build):
                 ]
                 for target in ("g", "m") if p.is_g_profile else ("m",):
                     adj = solver._adjacency(pairs, p, target_spec(p, target))
-                    if build(pairs, n, adj) != suites._closure_graph_by_definition(down, adj):
+                    lifted = build(pairs, n, adj.__getitem__)
+                    if lifted != suites._closure_graph_by_definition(down, adj):
                         mismatches.append(((n, k, l), target))
     return mismatches
 
@@ -1024,8 +1076,8 @@ class TestShiftedEngine:
 
     @pytest.mark.parametrize("fault", ["drop an edge", "revive a dead vertex"])
     def test_closure_graph_check_catches_a_planted_fault(self, fault):
-        def faulty(pairs, n, adj):
-            live, graph = closure_graph(pairs, n, adj)
+        def faulty(pairs, n, conflict_row):
+            live, graph = closure_graph(pairs, n, conflict_row)
             if fault == "revive a dead vertex":
                 dead = ~live & (1 << len(graph)) - 1
                 return live | (dead & -dead), graph

@@ -1,6 +1,7 @@
 """Verification suites, the result cache, and the command-line surface."""
 
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from signedfam import (
     solver,
     suites,
 )
+from signedfam import cache as cache_module
 from signedfam.cache import ResultCache, cache_key, cache_keys
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
@@ -105,19 +107,63 @@ class TestResultCache:
         cache.put("6,3,2,g,pruned", 30, "exact")
         cache.save()
         before = path.read_text()
+        written = []
 
-        def broken_dump(obj, fh, **kwargs):
-            fh.write('{"7,3,2,g,pruned": {"val')
-            raise OSError("disk full")
+        class DiskFull:
+            """A file that writes the first half of its one write and then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                written.append((text, os.path.getsize(self.fh.name)))
+                raise OSError("disk full")
+
+        def disk_full_open(*args, **kwargs):
+            return DiskFull(open(*args, **kwargs))
 
         cache.put("7,3,2,g,pruned", 90, "exact")
-        monkeypatch.setattr(json, "dump", broken_dump)
+        monkeypatch.setattr(cache_module, "open", disk_full_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             cache.save()
         monkeypatch.undo()
+        # the new entries reached the temporary file in part, never the cache file
+        [(text, size)] = written
+        assert json.loads(text)["7,3,2,g,pruned"]["value"] == 90
+        assert 0 < size < len(text)
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
         assert ResultCache(str(path)).get("6,3,2,g,pruned")["value"] == 30
+
+    def test_save_writes_compact_sorted_json(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = ResultCache(str(path))
+        cache.put("7,3,2,g,pruned", 90, "exact")
+        cache.put("6,3,2,g,pruned", 30, "lower_bound_timeout")
+        cache.save()
+        assert path.read_text() == json.dumps(cache.entries, sort_keys=True) + "\n"
+        assert ResultCache(str(path)).entries == cache.entries
+
+    def test_indented_file_still_loads(self, tmp_path):
+        # a file saved with indent=2, as earlier versions saved the cache
+        path = tmp_path / "cache.json"
+        entries = {
+            "6,3,2,g,pruned": {"status": "exact", "timestamp": "2026-01-01T00:00:00", "value": 30},
+            "7,3,1,m,unpruned": {"status": "lower_bound_timeout", "value": 28},
+        }
+        path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+        cache = ResultCache(str(path))
+        assert cache.entries == entries
+        assert cache.get("6,3,2,g,pruned")["value"] == 30
+        assert not (tmp_path / "cache.json.corrupt").exists()
 
     def test_corrupt_file_kept_aside(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -182,8 +228,8 @@ class TestRunSuite:
         # a closure graph that loses one edge
         lifted = shifting.closure_graph
 
-        def drop_an_edge(pairs, n, adj):
-            live, graph = lifted(pairs, n, adj)
+        def drop_an_edge(pairs, n, conflict_row):
+            live, graph = lifted(pairs, n, conflict_row)
             for u in range(len(graph)):
                 if graph[u]:
                     v = (graph[u] & -graph[u]).bit_length() - 1
