@@ -1,10 +1,10 @@
 """Bipartite comparison graphs, biregularity checks, and the averaging bound.
 
 The comparison graphs connect two vector classes by edges at one exact
-scalar product.  For any biregular bipartite graph and any independent
-set I, the averaging bound states |I & B| + alpha * |I & A| <= alpha * |A|
-for every rational alpha >= |B| / |A|; it is checked here in exact
-arithmetic.
+scalar product, read one products row per A member.  For any biregular
+bipartite graph and any independent set I, the averaging bound states
+|I & B| + alpha * |I & A| <= alpha * |A| for every rational alpha >=
+|B| / |A|; it is checked here in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -15,10 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .constructions import xy_families
-from .vectors import Profile, VectorFamily, enumerate_all
-
-# stub shuffles random_biregular draws before it falls back to a cyclic layout
-_MAX_RETRIES = 500
+from .vectors import Profile, VectorFamily, enumerate_all, products
 
 
 class IrregularityError(ValueError):
@@ -63,13 +60,12 @@ class BipartiteGraph:
 def _product_edges(
     a_fam: VectorFamily, b_fam: VectorFamily, product: int
 ) -> frozenset[tuple[int, int]]:
-    """The (a, b) index pairs whose members have the given product, read from the mask pairs."""
+    """The (a, b) index pairs whose members have the given product, one products row per a."""
     return frozenset(
         (ia, ib)
-        for ia, (pa, na) in enumerate(a_fam.masks)
-        for ib, (pb, nb) in enumerate(b_fam.masks)
-        if (pa & pb).bit_count() + (na & nb).bit_count()
-        - (pa & nb).bit_count() - (na & pb).bit_count() == product
+        for ia, pair in enumerate(a_fam.masks)
+        for ib, prod in enumerate(products(pair, b_fam.masks))
+        if prod == product
     )
 
 
@@ -165,18 +161,21 @@ def random_biregular(
     deg_b: int,
     seed: int,
 ) -> BipartiteGraph:
-    """Random simple biregular bipartite graph.
+    """Random simple biregular bipartite graph, drawn with one shuffle.
 
     When deg_a == b_size the complete graph K_{a,b} is the only simple
-    biregular graph, and it is returned without drawing.  Otherwise each
-    A vertex appears deg_a times and each B vertex deg_b times; one
-    shuffle pairs the stubs, and a walk over the A stubs in order swaps
-    each B stub that would repeat an edge with a random later one that
-    gives a new edge, reshuffling only when none does.  The draw is not
-    uniform over pairings; the averaging bound holds for every biregular
-    graph.  After _MAX_RETRIES shuffles the graph is a cyclic layout, A_i
-    adjacent to B_{(i*deg_a + r) mod b_size} (simple and biregular when
-    the handshake holds), under random relabelings of both sides.
+    biregular graph, and it is returned without drawing.  Otherwise one
+    shuffle pairs the A stubs (deg_a per vertex) with the B stubs (deg_b
+    per vertex), and a walk over the A stubs in order swaps each B stub b
+    that would repeat the edge (a, b) with a random later one that gives
+    a new edge.  When none does, an exchange turns (a, b) and a placed
+    edge (a2, b2), drawn from the sorted candidates, into (a2, b) and
+    (a, b2), which keeps every degree.  One exists: a has at most
+    deg_a - 1 < b_size neighbours, so some b2 is not one; every stub left
+    is a neighbour of a, so b2 has all deg_b edges; b has a stub left, so
+    at most deg_b - 1 edges, and some neighbour a2 of b2 is not adjacent
+    to b.  The draw is not uniform over pairings; the averaging bound
+    holds for every biregular graph.
     """
     if a_size < 1 or b_size < 1 or deg_a < 1 or deg_b < 1:
         raise ValueError("sizes and degrees must be positive")
@@ -192,29 +191,24 @@ def random_biregular(
     rng = random.Random(seed)
     a_stubs = [a for a in range(a_size) for _ in range(deg_a)]
     b_stubs = [b for b in range(b_size) for _ in range(deg_b)]
-    for _ in range(_MAX_RETRIES):
-        rng.shuffle(b_stubs)
-        edges = set()
-        for i, a in enumerate(a_stubs):
-            if (a, b_stubs[i]) in edges:
-                later = [j for j in range(i + 1, len(b_stubs)) if (a, b_stubs[j]) not in edges]
-                if not later:
-                    break
+    rng.shuffle(b_stubs)
+    edges = set()
+    for i, a in enumerate(a_stubs):
+        b = b_stubs[i]
+        if (a, b) in edges:
+            later = [j for j in range(i + 1, len(b_stubs)) if (a, b_stubs[j]) not in edges]
+            if later:
                 j = rng.choice(later)
-                b_stubs[i], b_stubs[j] = b_stubs[j], b_stubs[i]
-            edges.add((a, b_stubs[i]))
-        else:
-            return BipartiteGraph(a_size, b_size, frozenset(edges))
-    relabel_a = list(range(a_size))
-    relabel_b = list(range(b_size))
-    rng.shuffle(relabel_a)
-    rng.shuffle(relabel_b)
-    pairs = [
-        (relabel_a[i], relabel_b[(i * deg_a + r) % b_size])
-        for i in range(a_size)
-        for r in range(deg_a)
-    ]
-    return BipartiteGraph(a_size, b_size, frozenset(pairs))
+                b_stubs[i], b_stubs[j] = b_stubs[j], b
+            else:
+                a2, b2 = rng.choice(sorted(
+                    (a2, b2) for a2, b2 in edges if (a, b2) not in edges and (a2, b) not in edges
+                ))
+                edges.remove((a2, b2))
+                edges.add((a2, b))
+                b_stubs[i] = b2
+        edges.add((a, b_stubs[i]))
+    return BipartiteGraph(a_size, b_size, frozenset(edges))
 
 
 def random_independent_set(

@@ -25,7 +25,9 @@ def binom(n: int, r: int) -> int:
 
 
 def family_size(n: int, k: int, l: int) -> int:
-    """Number of (n, k, l) vectors: C(n, k+l) * C(k+l, k)."""
+    """Number of (n, k, l) vectors: C(n, k+l) * C(k+l, k), so 0 when n < k + l."""
+    if min(n, k, l) < 0:
+        raise ValueError(f"family size requires n, k, l >= 0, got n={n}, k={k}, l={l}")
     return binom(n, k + l) * binom(k + l, k)
 
 

@@ -278,9 +278,10 @@ def down_set_oracle(
 
 def is_shifted(fam: VectorFamily) -> bool:
     """True when every single-shift image of every member is itself a member."""
-    members = fam.member_set()
+    masks = set(fam.masks)
     moves = list(combinations(range(1, fam.profile.n + 1), 2))
-    return all(shift_ij(v, i, j) in members for v in fam for i, j in moves)
+    images = (shift_ij(v, i, j) for v in fam for i, j in moves)
+    return all((img.pos, img.neg) in masks for img in images)
 
 
 def compress(fam: VectorFamily) -> VectorFamily:
@@ -303,7 +304,7 @@ def compress(fam: VectorFamily) -> VectorFamily:
     at least 0; so for both targets some optimum is shifted, and the
     solver searches shift-closed families only.
     """
-    members = set(fam.member_set())
+    members = set(fam.members)
     moves = list(combinations(range(1, fam.profile.n + 1), 2))
     changed = True
     while changed:

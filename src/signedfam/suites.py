@@ -35,7 +35,9 @@ from itertools import cycle, product
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import bipartite, constructions, formulas, shifting, solver, witness
-from .vectors import Profile, SignedVector, VectorFamily, bits, enumerate_all, scalar_product
+from .vectors import (
+    Profile, SignedVector, VectorFamily, bits, enumerate_all, products, scalar_product
+)
 
 PROVENANCE_FORMULA = "closed-form"
 PROVENANCE_ORACLE = "oracle"
@@ -532,14 +534,12 @@ def _random_graph(rng: random.Random, n: int, p: float) -> solver.ConflictGraph:
     return solver.ConflictGraph(adj)
 
 
-def _pairwise_adjacency(
-    members: Sequence[SignedVector], spec: solver.ForbiddenSpec
-) -> list[int]:
-    """The conflict graph by its definition: spec tested on every pair's product."""
-    adj = [0] * len(members)
-    for a, v in enumerate(members):
-        for b in range(a + 1, len(members)):
-            if spec.forbids(scalar_product(v, members[b])):
+def _pairwise_adjacency(pairs: Sequence[tuple[int, int]], spec: solver.ForbiddenSpec) -> list[int]:
+    """The conflict graph by its definition: spec tested on every product of two mask pairs."""
+    adj = [0] * len(pairs)
+    for a, pair in enumerate(pairs):
+        for b, prod in enumerate(products(pair, pairs[a + 1:]), a + 1):
+            if spec.forbids(prod):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
     return adj
@@ -586,7 +586,7 @@ def _setup_mismatch(profile: Profile) -> str:
     ranked_graphs = {}
     for target in ("g", "m"):
         spec = solver.target_spec(profile, target)
-        pairwise = _pairwise_adjacency(members, spec)
+        pairwise = _pairwise_adjacency(family.masks, spec)
         if list(solver.build_conflict_graph(profile, spec).adj) != pairwise:
             return f"{target} conflict graph"
         ranked_graphs[target] = [

@@ -9,15 +9,16 @@ sorted ascending, in ``VectorFamily.masks``: that order is the canonical
 member order, and canonical_pairs is the one generator that emits it.
 _check_pairs checks each vector when SignedVector's own constructor, the
 one way to build one, builds it, and each family's pairs when the family
-is built; the members and their set are built on first read, so a family
-that is only counted never builds them.
+is built; the members are built on first read, so a family that is only
+counted never builds them.  Every bulk product scan reads one kernel, products.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .formulas import family_size
 
@@ -193,6 +194,16 @@ def scalar_product(v: SignedVector, w: SignedVector) -> int:
     )
 
 
+def products(pair: tuple[int, int], pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The scalar product of the (pos, neg) pair against each pair of pairs, in order."""
+    pa, na = pair
+    return [
+        (pa & pb).bit_count() + (na & nb).bit_count()
+        - (pa & nb).bit_count() - (na & pb).bit_count()
+        for pb, nb in pairs
+    ]
+
+
 @dataclass(frozen=True)
 class ForbiddenSpec:
     """Which scalar products create a conflict edge.
@@ -239,31 +250,23 @@ class FamilyCheck:
 def verify_family(fam: VectorFamily, spec: ForbiddenSpec) -> FamilyCheck:
     """Scan all pairs of a family for a forbidden product; first hit wins.
 
-    Each product is scalar_product's, read inline from the four support
-    intersections of two mask pairs, and tested against the forbidden
+    Row a holds the products of member a with every later member, read
+    from the mask pairs by products and tested against the forbidden
     products in [-(k+l), k+l], the only ones two members of the profile
     can have.  Members are built only to report a violation.
     """
     reach = fam.profile.k + fam.profile.l
     forbidden = {x for x in range(-reach, reach + 1) if spec.forbids(x)}
-    pos = [p for p, _ in fam.masks]
-    neg = [n for _, n in fam.masks]
-    size = len(pos)
-    for a in range(size):
-        pa, na = pos[a], neg[a]
-        for b in range(a + 1, size):
-            pb, nb = pos[b], neg[b]
-            prod = (
-                (pa & pb).bit_count()
-                + (na & nb).bit_count()
-                - (pa & nb).bit_count()
-                - (na & pb).bit_count()
-            )
-            if prod in forbidden:
-                # rows 0..a-1 hold size-1-i pairs each; row a has reached b
-                checked = a * (2 * size - a - 1) // 2 + b - a
-                members = fam.members
-                return FamilyCheck(False, checked, (members[a], members[b], prod))
+    masks = fam.masks
+    size = len(masks)
+    for a in range(size - 1):
+        row = products(masks[a], masks[a + 1:])
+        if not forbidden.isdisjoint(row):
+            j = next(j for j, prod in enumerate(row) if prod in forbidden)
+            # rows 0..a-1 hold size-1-i pairs each; row a has reached its pair j
+            checked = a * (2 * size - a - 1) // 2 + j + 1
+            members = fam.members
+            return FamilyCheck(False, checked, (members[a], members[a + 1 + j], row[j]))
     return FamilyCheck(True, size * (size - 1) // 2)
 
 
@@ -318,10 +321,10 @@ class VectorFamily:
     """Immutable, deduplicated, canonically ordered set of same-profile vectors.
 
     masks holds the members' (pos, neg) pairs in canonical order; the
-    members and their set are built from it on first read.
+    members are built from it on first read, and membership bisects it.
     """
 
-    __slots__ = ("profile", "masks", "_members", "_member_set")
+    __slots__ = ("profile", "masks", "_members")
 
     def __init__(self, profile: Profile, members: Iterable[SignedVector] = ()):
         dedup = set(members)
@@ -353,7 +356,6 @@ class VectorFamily:
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "_members", None)
-        object.__setattr__(self, "_member_set", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("VectorFamily is immutable")
@@ -373,7 +375,11 @@ class VectorFamily:
         return iter(self.members)
 
     def __contains__(self, v: object) -> bool:
-        return v in self.member_set()
+        if not isinstance(v, SignedVector) or v.dim != self.profile.n:
+            return False
+        pair = (v.pos, v.neg)
+        i = bisect_left(self.masks, pair)
+        return i < len(self.masks) and self.masks[i] == pair
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorFamily):
@@ -386,11 +392,6 @@ class VectorFamily:
     def __repr__(self) -> str:
         p = self.profile
         return f"VectorFamily(n={p.n}, k={p.k}, l={p.l}, size={len(self)})"
-
-    def member_set(self) -> frozenset:
-        if self._member_set is None:
-            object.__setattr__(self, "_member_set", frozenset(self.members))
-        return self._member_set
 
     def to_text(self) -> str:
         """Family file format: header line 'n k l', then one vector per line."""

@@ -34,6 +34,14 @@ class TestFamilySize:
         assert formulas.family_size(4, 2, 1) == 12
         assert formulas.family_size(6, 3, 2) == 60
 
+    def test_empty_class_and_negative_arguments(self):
+        # a nonnegative n below k + l is an empty class
+        assert formulas.family_size(2, 2, 1) == 0
+        assert formulas.family_size(0, 0, 0) == 1
+        for args in ((-3, 1, 0), (5, -1, 1), (5, 2, -1)):
+            with pytest.raises(ValueError, match=r"n, k, l >= 0"):
+                formulas.family_size(*args)
+
     def test_matches_direct_count(self):
         # count support choices then sign placements by hand
         n, k, l = 6, 2, 2

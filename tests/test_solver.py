@@ -154,7 +154,7 @@ class TestGeneratedSetup:
     def test_min_product_graph_matches_pairwise(self, p):
         spec = ForbiddenSpec.exact({-2 * p.l})
         g = build_conflict_graph(p, spec)
-        assert list(g.adj) == suites._pairwise_adjacency(enumerate_all(p).members, spec)
+        assert list(g.adj) == suites._pairwise_adjacency(enumerate_all(p).masks, spec)
         degree = comb(p.k, p.l) * comb(p.n - p.k - p.l, p.k - p.l) if p.k >= p.l else 0
         assert degrees(g) == [degree] * g.n_vertices
 
@@ -164,13 +164,12 @@ class TestGeneratedSetup:
     @example(Profile(6, 3, 3), ForbiddenSpec.exact({6}), random.Random(0))  # v.v is never an edge
     def test_any_spec_on_any_subfamily_matches_pairwise(self, p, spec, rng):
         family = VectorFamily(p, [v for v in enumerate_all(p).members if rng.random() < 0.5])
-        reference = suites._pairwise_adjacency(family.members, spec)
+        reference = suites._pairwise_adjacency(family.masks, spec)
         assert solver._adjacency(family.masks, p, spec) == reference
         # any member order, as the shift-pruned search builds its graph in rank order
-        shuffled = list(family.members)
-        rng.shuffle(shuffled)
-        pairs = [(v.pos, v.neg) for v in shuffled]
-        assert solver._adjacency(pairs, p, spec) == suites._pairwise_adjacency(shuffled, spec)
+        pairs = list(family.masks)
+        rng.shuffle(pairs)
+        assert solver._adjacency(pairs, p, spec) == suites._pairwise_adjacency(pairs, spec)
 
     @settings(max_examples=40, deadline=None)
     @given(small_profiles())

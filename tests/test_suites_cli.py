@@ -255,6 +255,20 @@ class TestRunSuite:
         case = setup_case(run_suite("solver-oracle"))
         assert not case.passed and "g conflict graph" in case.actual
 
+    def test_solver_oracle_catches_a_kernel_without_a_term(self, monkeypatch):
+        # a products kernel that drops the (neg & neg) term, where the suite reads it
+        def no_neg_overlap(pair, pairs):
+            pa, na = pair
+            return [
+                (pa & pb).bit_count() - (pa & nb).bit_count() - (na & pb).bit_count()
+                for pb, nb in pairs
+            ]
+
+        monkeypatch.setattr(suites, "products", no_neg_overlap)
+        (case,) = [c for c in run_suite("solver-oracle").cases if c.case == "setup-pairwise[22]"]
+        assert not case.passed
+        assert case.actual == "2 mismatches; first profile (6,3,2): m conflict graph"
+
     def test_names_sorted_and_complete(self):
         names = suite_names()
         assert names == sorted(names)
@@ -823,6 +837,12 @@ class TestCliOther:
     def test_formula_missing_arg(self, capsys):
         assert main(["formula", "p-split", "--n", "10", "--k", "2"]) == 3
         assert "--l" in capsys.readouterr().err
+
+    def test_formula_family_size_refuses_a_negative_argument(self, capsys):
+        assert main(["formula", "family-size", "--n", "-3", "--k", "1", "--l", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "error: family size requires n, k, l >= 0, got n=-3, k=1, l=0\n"
+        )
 
     def test_verify_list(self, capsys, tmp_path):
         assert main(["verify", "list"]) == 0
