@@ -197,6 +197,8 @@ def xy_family_sizes(n: int, k: int, l: int, t: int, m: int) -> XYSizes:
     """
     if not (1 <= t <= k):
         raise ValueError(f"requires 1 <= t <= k, got t={t}")
+    if l < 0:
+        raise ValueError(f"xy sizes require l >= 0, got l={l}")
     if m < 0:
         raise ValueError(f"requires m >= 0, got m={m}")
     # the window must avoid the fixed final coordinate n + 1

@@ -187,27 +187,21 @@ def _up_sets(table: Sequence[Sequence[int]]) -> list[int]:
 def precedes(v: SignedVector, w: SignedVector) -> bool:
     """Fast reachability test: is v obtainable from w by shifts?
 
-    Characterization used: the coordinate multisets agree, and for every
-    prefix [1, p] and both thresholds c in {0, 1} the count of
-    coordinates >= c in v dominates the count in w.  Validated against
+    Characterization used: the coordinate multisets agree, and every
+    prefix [1, p] of v holds at least as many +1s and at most as many
+    -1s as that of w, each a popcount of the masks.  The full prefix
+    agrees once k and l do, so p runs to dim - 1.  Validated against
     both shift oracles.
     """
     if v.dim != w.dim:
         raise ValueError(f"dimension mismatch: {v.dim} vs {w.dim}")
     if v.k != w.k or v.l != w.l:
         return False
-    plus_v = plus_w = nonneg_v = nonneg_w = 0
-    for p in range(1, v.dim + 1):
-        bit = 1 << (p - 1)
-        if v.pos & bit:
-            plus_v += 1
-        if w.pos & bit:
-            plus_w += 1
-        if not v.neg & bit:
-            nonneg_v += 1
-        if not w.neg & bit:
-            nonneg_w += 1
-        if plus_v < plus_w or nonneg_v < nonneg_w:
+    for p in range(1, v.dim):
+        prefix = (1 << p) - 1
+        if (v.pos & prefix).bit_count() < (w.pos & prefix).bit_count():
+            return False
+        if (v.neg & prefix).bit_count() > (w.neg & prefix).bit_count():
             return False
     return True
 

@@ -699,24 +699,18 @@ def _suite_p_increment() -> VerificationReport:
         required=False,
     )
 
-    total = 0
-    eq_fail = 0
-    avg_fail = 0
-    min_fail = 0
-    for k in range(1, 6):
-        for l in range(1, 6):
-            for n in range(k + l + 1, 61):
-                rep = formulas.p_increment_report(n, k, l)
-                total += 1
-                if not rep.equality_holds:
-                    eq_fail += 1
-                if not rep.ge_average_holds:
-                    avg_fail += 1
-                if not rep.le_min_holds:
-                    min_fail += 1
+    reps = [
+        formulas.p_increment_report(n, k, l)
+        for k in range(1, 6)
+        for l in range(1, 6)
+        for n in range(k + l + 1, 61)
+    ]
+    eq_fail = sum(not rep.equality_holds for rep in reps)
+    avg_fail = sum(not rep.ge_average_holds for rep in reps)
+    min_fail = sum(not rep.le_min_holds for rep in reps)
     report.add(
         "sweep(n<=60,k,l<=5)",
-        f"{total} instances examined",
+        f"{len(reps)} instances examined",
         f"equality fails {eq_fail}, >=average fails {avg_fail}, <=min fails {min_fail}",
         True,
         PROVENANCE_ORACLE,

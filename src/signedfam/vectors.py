@@ -11,6 +11,11 @@ _check_pairs checks each vector when SignedVector's own constructor, the
 one way to build one, builds it, and each family's pairs when the family
 is built; the members are built on first read, so a family that is only
 counted never builds them.  Every bulk product scan reads one kernel, products.
+Every count over a range of coordinates is a popcount of the masks cut
+to that range: a suffix sum [i+1, dim] is (pos >> i).bit_count() -
+(neg >> i).bit_count(), and a window or prefix [1, p] reads
+pos & (1 << p) - 1; min_suffix_sum, suffix_markers, full_window, the
+shift order's precedes and the witness trace all read them so.
 """
 
 from __future__ import annotations
@@ -25,9 +30,9 @@ from .formulas import family_size
 _DIM_CAP = 128
 
 
-def _mask_of(indices: Iterable[int], dim: int) -> int:
+def _mask_of(coords: Iterable[int], dim: int) -> int:
     mask = 0
-    for i in indices:
+    for i in coords:
         if not 1 <= i <= dim:
             raise ValueError(f"index {i} out of range [1, {dim}]")
         mask |= 1 << (i - 1)
@@ -44,7 +49,8 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _indices_of(mask: int) -> tuple[int, ...]:
+def indices(mask: int) -> tuple[int, ...]:
+    """The 1-indexed coordinates of the set bits of mask, ascending."""
     return tuple(low.bit_length() for low in bits(mask))
 
 
@@ -149,15 +155,15 @@ class SignedVector:
         return 0
 
     def values(self) -> tuple[int, ...]:
-        return tuple(self.value_at(i) for i in range(1, self.dim + 1))
+        return tuple((self.pos >> i & 1) - (self.neg >> i & 1) for i in range(self.dim))
 
     def pos_support(self) -> tuple[int, ...]:
         """Ascending 1-indexed positions of +1 coordinates."""
-        return _indices_of(self.pos)
+        return indices(self.pos)
 
     def neg_support(self) -> tuple[int, ...]:
         """Ascending 1-indexed positions of -1 coordinates."""
-        return _indices_of(self.neg)
+        return indices(self.neg)
 
     def format(self) -> str:
         chars = []
@@ -276,14 +282,7 @@ def min_suffix_sum(v: SignedVector) -> int:
     The empty suffix is excluded, so the result is at most the full
     coordinate sum k - l and can be negative.
     """
-    running = 0
-    best = None
-    for i in range(v.dim, 0, -1):
-        running += v.value_at(i)
-        if best is None or running < best:
-            best = running
-    assert best is not None
-    return best
+    return min((v.pos >> i).bit_count() - (v.neg >> i).bit_count() for i in range(v.dim))
 
 
 def suffix_markers(v: SignedVector) -> Optional[SuffixMarkers]:
@@ -293,27 +292,18 @@ def suffix_markers(v: SignedVector) -> Optional[SuffixMarkers]:
     exist whenever min_suffix_sum(v) <= -1, because consecutive suffix
     sums differ by at most 1.
     """
-    running = 0
-    for i in range(v.dim, 0, -1):
-        running += v.value_at(i)
-        if running == -1:
-            shifted = v.neg >> (i - 1)
-            return SuffixMarkers(i, shifted.bit_count())
+    for i in reversed(range(v.dim)):
+        negs = (v.neg >> i).bit_count()
+        if (v.pos >> i).bit_count() - negs == -1:
+            return SuffixMarkers(i + 1, negs)
     return None
 
 
 def full_window(v: SignedVector) -> Optional[int]:
     """The smallest t whose window [1, 2t-1] holds exactly t plus coordinates, or None."""
-    count = 0
-    t = 1
-    while 2 * t - 1 <= v.dim:
-        # grow the window from 2t-3 to 2t-1 coordinates
-        for idx in range(2 * t - 3 if t > 1 else 0, 2 * t - 1):
-            if v.pos & (1 << idx):
-                count += 1
-        if count == t:
+    for t in range(1, (v.dim + 1) // 2 + 1):
+        if (v.pos & (1 << 2 * t - 1) - 1).bit_count() == t:
             return t
-        t += 1
     return None
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .shifting import shift_ij
-from .vectors import SignedVector, full_window, min_suffix_sum, scalar_product
+from .vectors import SignedVector, full_window, indices, min_suffix_sum, scalar_product
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,11 @@ def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:
             f"conditions not met for {w}: suffix condition {cond_i}, window condition {cond_ii}"
         )
 
-    neg_desc = tuple(sorted(w.neg_support(), reverse=True))
-    pos_desc = tuple(sorted(w.pos_support(), reverse=True))
-    nonplus = [i for i in range(1, w.dim + 1) if w.value_at(i) != 1]
-    assert len(nonplus) >= k, "window condition guarantees k non-plus indices"
-    nonplus_asc = tuple(nonplus[:k])
+    full = (1 << w.dim) - 1
+    neg_desc = w.neg_support()[::-1]
+    pos_desc = w.pos_support()[::-1]
+    nonplus_asc = indices(full & ~w.pos)[:k]
+    assert len(nonplus_asc) == k, "window condition guarantees k non-plus indices"
 
     pairing = []
     used: set[int] = set()
@@ -106,11 +106,9 @@ def construct_witness(w: SignedVector) -> tuple[SignedVector, WitnessTrace]:
         cur = shift_ij(cur, q, p)
     mid = cur
 
-    zeros_asc = tuple(i for i in range(1, w.dim + 1) if w.value_at(i) == 0)[: k - l]
+    zeros_asc = indices(full & ~(w.pos | w.neg))[: k - l]
     assert len(zeros_asc) == k - l, "window condition guarantees k - l zero indices"
-    kept_plus_asc = tuple(
-        i for i in range(1, w.dim + 1) if w.value_at(i) == 1 and mid.value_at(i) == 1
-    )
+    kept_plus_asc = indices(w.pos & mid.pos)
     assert len(kept_plus_asc) == k - l
 
     for a, b in zip(zeros_asc, kept_plus_asc):
@@ -149,11 +147,15 @@ def verify_trace_claims(trace: WitnessTrace, w: SignedVector) -> ClaimReport:
         f"expected l={l}, k={k}, k-l={k - l}",
     )
 
+    # an index past dim finds no bit in the masks, and 1 <= q < p keeps a
+    # corrupted 0 from a negative shift count
     partners = [p for _, p in trace.pairing]
     add(
         "pairing",
         len(set(partners)) == len(partners)
-        and all(w.value_at(q) == -1 and w.value_at(p) == 1 and p > q for q, p in trace.pairing),
+        and all(
+            1 <= q < p and w.neg >> q - 1 & 1 and w.pos >> p - 1 & 1 for q, p in trace.pairing
+        ),
         f"pairing {trace.pairing}",
     )
 
@@ -170,16 +172,19 @@ def verify_trace_claims(trace: WitnessTrace, w: SignedVector) -> ClaimReport:
 
     # in [1, b] with the zero targets and kept plus indices removed, the
     # paired coordinates of w cancel exactly
-    excluded = set(trace.zeros_asc) | set(trace.kept_plus_asc)
-    zero_sum_ok = True
+    targets = {*trace.zeros_asc, *trace.kept_plus_asc}
+    excluded = sum(1 << i - 1 for i in targets if 1 <= i <= w.dim)
     zero_sum_detail = ""
     for b in trace.kept_plus_asc:
-        total = sum(w.value_at(s) for s in range(1, b + 1) if s not in excluded)
+        if not 1 <= b <= w.dim:
+            zero_sum_detail = f"kept plus index {b} out of range [1, {w.dim}]"
+            break
+        window = ((1 << b) - 1) & ~excluded
+        total = (w.pos & window).bit_count() - (w.neg & window).bit_count()
         if total != 0:
-            zero_sum_ok = False
             zero_sum_detail = f"window [1, {b}] sums to {total}"
             break
-    add("zero_sum", zero_sum_ok, zero_sum_detail)
+    add("zero_sum", not zero_sum_detail, zero_sum_detail)
 
     # a corrupted trace may hold unusable move pairs; that is a failure,
     # not an error
@@ -198,10 +203,8 @@ def verify_trace_claims(trace: WitnessTrace, w: SignedVector) -> ClaimReport:
         replay_ok = False
     add("replay", replay_ok, "recorded intermediates do not replay from w")
 
-    add(
-        "product",
-        scalar_product(trace.result, w) == -2 * l,
-        f"product {scalar_product(trace.result, w)} != {-2 * l}",
-    )
+    # a result of another dimension has no product with w
+    product = scalar_product(trace.result, w) if trace.result.dim == w.dim else None
+    add("product", product == -2 * l, f"product {product} != {-2 * l}")
 
     return ClaimReport(tuple(checks))

@@ -844,6 +844,11 @@ class TestCliOther:
             "error: family size requires n, k, l >= 0, got n=-3, k=1, l=0\n"
         )
 
+    def test_formula_xy_sizes_refuses_a_negative_l(self, capsys):
+        argv = ["formula", "xy-sizes", "--n", "7", "--k", "2", "--l", "-1", "--t", "1", "--m", "0"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: xy sizes require l >= 0, got l=-1\n"
+
     def test_verify_list(self, capsys, tmp_path):
         assert main(["verify", "list"]) == 0
         assert "lemma3" in capsys.readouterr().out

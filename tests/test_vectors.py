@@ -173,11 +173,14 @@ class TestSuffixFunctionals:
         assert suffix_markers(SignedVector.parse("00--+")) == SuffixMarkers(3, 2)
 
     def test_exhaustive_against_oracle(self):
-        for profile in [Profile(5, 2, 1), Profile(6, 3, 2), Profile(4, 2, 2)]:
-            for v in enumerate_all(profile):
-                lam, markers = suffix_oracle(v)
-                assert min_suffix_sum(v) == lam
-                assert suffix_markers(v) == markers
+        # every profile with n <= 8
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                for l in range(0, n - k + 1):
+                    for v in enumerate_all(Profile(n, k, l)):
+                        lam, markers = suffix_oracle(v)
+                        assert min_suffix_sum(v) == lam, str(v)
+                        assert suffix_markers(v) == markers, str(v)
 
     @given(vectors())
     def test_markers_iff_interlacedness(self, v):

@@ -149,3 +149,22 @@ class TestClaimVerifier:
         corrupted = dataclasses.replace(trace, pairing=((3, 2),))
         report = verify_trace_claims(corrupted, w)
         assert not report.all_pass
+
+    @pytest.mark.parametrize(
+        "field, value, check",
+        [
+            ("pairing", ((9, 2),), "pairing"),
+            ("kept_plus_asc", (9,), "zero_sum"),
+            ("pairing", ((0, 4),), "pairing"),
+            ("kept_plus_asc", (0,), "zero_sum"),
+            ("result", v("+0+-0"), "product"),
+        ],
+    )
+    def test_corrupt_trace_fails_a_check_and_never_raises(self, field, value, check):
+        # an index outside [1, 4], or a result of another dimension, is a
+        # corrupted trace: reported, never raised
+        w = v("0+-+")
+        _, trace = construct_witness(w)
+        report = verify_trace_claims(dataclasses.replace(trace, **{field: value}), w)
+        failed = {c.name for c in report.checks if not c.ok}
+        assert check in failed and "replay" in failed
