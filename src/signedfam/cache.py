@@ -1,8 +1,9 @@
 """JSON-backed cache of solver results, keyed by instance and search mode.
 
 Keys are "n,k,l,target,pruning".  Each entry stores the best known value
-with its status and a timestamp.  A solve request reads the keys of
-cache_keys: its own, and for a pruned m request also "m,unpruned".  An
+with its status and a timestamp.  answer is the one rule for which
+entry serves a solve request: the exact entry of its own key, and for a
+pruned m request, failing that, the exact "m,unpruned" entry.  An
 exact m value does not depend on the search mode, and m results were
 stored only as unpruned until m solves were shift-pruned, so those
 entries keep serving.  An unpruned request, the independent route,
@@ -33,14 +34,6 @@ from .solver import STATUS_EXACT, STATUS_TIMEOUT
 
 def cache_key(n: int, k: int, l: int, target: str, pruning: bool) -> str:
     return f"{n},{k},{l},{target},{'pruned' if pruning else 'unpruned'}"
-
-
-def cache_keys(n: int, k: int, l: int, target: str, pruning: bool) -> tuple[str, ...]:
-    """Keys whose exact entry answers a solve request, its own key first."""
-    own = cache_key(n, k, l, target, pruning)
-    if target == "m" and pruning:
-        return own, cache_key(n, k, l, target, False)
-    return (own,)
 
 
 def improves(value: int, status: str, old_value: int, old_status: str) -> bool:
@@ -85,6 +78,14 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[dict]:
         return self.entries.get(key)
+
+    def answer(self, n: int, k: int, l: int, target: str, pruning: bool) -> Optional[dict]:
+        """The exact entry that answers a solve request, or None: its own key first."""
+        keys = [cache_key(n, k, l, target, pruning)]
+        if target == "m" and pruning:
+            keys.append(cache_key(n, k, l, target, False))
+        found = (self.get(key) for key in keys)
+        return next((e for e in found if e and e["status"] == STATUS_EXACT), None)
 
     def put(self, key: str, value: int, status: str) -> bool:
         """Record a result by the rule of improves; True when the entry changed."""

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import constructions, formulas, solver, suites
-from .cache import ResultCache, cache_keys
+from .cache import ResultCache, cache_key
 from .vectors import Profile, SignedVector, VectorFamily, enumerate_all
 
 EXIT_OK = 0
@@ -201,11 +201,7 @@ def _cmd_solve(args) -> int:
             raise ValueError(f"directory of {path} does not exist")
     pruning = not args.no_shift_pruning
     cache = ResultCache(args.cache) if args.cache else None
-    keys = cache_keys(args.n, args.k, args.l, args.target, pruning)
-    cached = None
-    if cache:
-        found = (cache.get(key) for key in keys)
-        cached = next((e for e in found if e and e["status"] == solver.STATUS_EXACT), None)
+    cached = cache.answer(args.n, args.k, args.l, args.target, pruning) if cache else None
     payload = {"n": args.n, "k": args.k, "l": args.l, "target": args.target}
     if cached and not args.witness_out:
         payload.update(value=cached["value"], status=cached["status"], cached=True)
@@ -219,7 +215,8 @@ def _cmd_solve(args) -> int:
         shifted_pruning=pruning,
         vertex_cap=args.vertex_cap,
     )
-    if cache and cache.put(keys[0], result.value, result.status):
+    key = cache_key(args.n, args.k, args.l, args.target, pruning)
+    if cache and cache.put(key, result.value, result.status):
         cache.save()
     if args.witness_out and result.witness is not None:
         result.witness.save(args.witness_out)

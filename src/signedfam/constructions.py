@@ -27,6 +27,8 @@ from .vectors import (
     SignedVector,
     SuffixMarkers,
     VectorFamily,
+    _mask_of,
+    bits,
     canonical_pairs,
     enumerate_all,
     full_window,
@@ -72,16 +74,13 @@ def split_family(profile: Profile, plus_side: Iterable[int]) -> VectorFamily:
     maximized over |X| by the split count p(n, k, l).
     """
     n, k, l = profile.n, profile.k, profile.l
-    x = sorted(set(plus_side))
-    for i in x:
-        if not 1 <= i <= n:
-            raise ValueError(f"index {i} out of range [1, {n}]")
-    if len(x) < k:
-        raise ValueError(f"plus side has {len(x)} coordinates; needs at least k={k}")
-    y = [i for i in range(1, n + 1) if i not in x]
-    if len(y) < l:
-        raise ValueError(f"minus side has {len(y)} coordinates; needs at least l={l}")
-    pairs = canonical_pairs([1 << (i - 1) for i in x], [1 << (i - 1) for i in y], k, l)
+    plus = _mask_of(plus_side, n)
+    minus = (1 << n) - 1 & ~plus
+    if plus.bit_count() < k:
+        raise ValueError(f"plus side has {plus.bit_count()} coordinates; needs at least k={k}")
+    if minus.bit_count() < l:
+        raise ValueError(f"minus side has {minus.bit_count()} coordinates; needs at least l={l}")
+    pairs = canonical_pairs(bits(plus), bits(minus), k, l)
     return VectorFamily._of_masks(profile, pairs)
 
 

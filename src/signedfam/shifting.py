@@ -40,16 +40,12 @@ def shift_ij(v: SignedVector, i: int, j: int) -> SignedVector:
     """
     if not (1 <= i < j <= v.dim):
         raise ValueError(f"invalid move ({i}, {j}) for dimension {v.dim}")
-    pos, neg = v.pos, v.neg
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    vi = 1 if pos & bi else -1 if neg & bi else 0
-    vj = 1 if pos & bj else -1 if neg & bj else 0
-    if vi >= vj:
+    if v.value_at(i) >= v.value_at(j):
         return v
     # v_i < v_j, so each mask holds at most one of the two bits: swap it
-    swap = bi | bj
-    pos = pos ^ swap if pos & swap else pos
-    neg = neg ^ swap if neg & swap else neg
+    swap = 1 << (i - 1) | 1 << (j - 1)
+    pos = v.pos ^ swap if v.pos & swap else v.pos
+    neg = v.neg ^ swap if v.neg & swap else v.neg
     return SignedVector(v.dim, pos, neg)
 
 

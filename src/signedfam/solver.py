@@ -436,9 +436,8 @@ def greedy_seed_g(profile: Profile) -> VectorFamily:
     one dimension at a time, keeping the larger of the inductive
     extension and the fixed-first-coordinate family.
     """
+    target_spec(profile, "g")  # refuses a profile outside k > l >= 1
     n, k, l = profile.n, profile.k, profile.l
-    if not profile.is_g_profile:
-        raise ValueError("seed construction applies to profiles with k > l >= 1")
     fam = enumerate_all(Profile(k + l, k, l))
     for dim in range(k + l + 1, n + 1):
         grown = inductive_extend(fam)

@@ -247,7 +247,7 @@ def _suite_lemma1(n=None, k=None, l=None) -> VerificationReport:
         profile = Profile(n, k, l)
         if k < l:
             raise ValueError(f"suite lemma1 needs k >= l, got profile ({n},{k},{l})")
-        use_oracle = n <= 8
+        use_oracle = n <= shifting._ORACLE_DIM_CAP
         eligible, failures = _witness_failures(profile, use_oracle)
         report.add_failures(
             f"witness({n},{k},{l})", "failures", failures, f" among {eligible} eligible"

@@ -166,11 +166,8 @@ class SignedVector:
         return indices(self.neg)
 
     def format(self) -> str:
-        chars = []
-        for i in range(self.dim):
-            bit = 1 << i
-            chars.append("+" if self.pos & bit else "-" if self.neg & bit else "0")
-        return "".join(chars)
+        # "0+-"[-1] is "-"
+        return "".join("0+-"[value] for value in self.values())
 
     def __str__(self) -> str:
         return self.format()

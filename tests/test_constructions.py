@@ -98,6 +98,10 @@ class TestSplitFamily:
         with pytest.raises(ValueError):
             constructions.split_family(Profile(4, 2, 1), [0, 1, 2])
 
+    def test_index_out_of_range_is_named(self):
+        with pytest.raises(ValueError, match=r"index 5 out of range \[1, 4\]"):
+            constructions.split_family(Profile(4, 2, 1), [1, 2, 5])
+
 
 def _profiles(max_n):
     return [

@@ -401,7 +401,7 @@ class TestGreedySeed:
         assert verify_family(fam, ForbiddenSpec.exact({-4})).ok
 
     def test_requires_g_profile(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="target g requires k > l >= 1"):
             greedy_seed_g(Profile(4, 2, 2))
 
 

@@ -19,7 +19,7 @@ from signedfam import (
     suites,
 )
 from signedfam import cache as cache_module
-from signedfam.cache import ResultCache, cache_key, cache_keys
+from signedfam.cache import ResultCache, cache_key
 from signedfam.cli import build_parser, main
 from signedfam.suites import (
     VerificationReport,
@@ -35,11 +35,28 @@ class TestCacheKey:
         assert cache_key(6, 3, 2, "g", True) == "6,3,2,g,pruned"
         assert cache_key(5, 2, 1, "m", False) == "5,2,1,m,unpruned"
 
-    def test_pruned_m_also_reads_unpruned(self):
-        assert cache_keys(5, 2, 1, "m", True) == ("5,2,1,m,pruned", "5,2,1,m,unpruned")
-        assert cache_keys(5, 2, 1, "m", False) == ("5,2,1,m,unpruned",)
-        assert cache_keys(5, 2, 1, "g", True) == ("5,2,1,g,pruned",)
-        assert cache_keys(5, 2, 1, "g", False) == ("5,2,1,g,unpruned",)
+    def test_pruned_m_also_reads_unpruned(self, tmp_path):
+        def answer(entries, target, pruning):
+            cache = ResultCache(str(tmp_path / "cache.json"))
+            for key, value, status in entries:
+                cache.put(key, value, status)
+            found = cache.answer(5, 2, 1, target, pruning)
+            return found and found["value"]
+
+        m = [("5,2,1,m,pruned", 6, "exact"), ("5,2,1,m,unpruned", 7, "exact")]
+        g = [("5,2,1,g,pruned", 8, "exact"), ("5,2,1,g,unpruned", 9, "exact")]
+        # a pruned m request reads its own key first, then m,unpruned
+        assert answer(m, "m", True) == 6
+        assert answer(m[1:], "m", True) == 7
+        # an unpruned m request, and each g request, reads only its own key
+        assert answer(m, "m", False) == 7
+        assert answer(m[:1], "m", False) is None
+        assert answer(g, "g", True) == 8
+        assert answer(g[1:], "g", True) is None
+        assert answer(g, "g", False) == 9
+        assert answer(g[:1], "g", False) is None
+        # only an exact entry answers
+        assert answer([("5,2,1,m,unpruned", 7, "lower_bound_timeout")], "m", True) is None
 
 
 class TestResultCache:
@@ -84,6 +101,15 @@ class TestResultCache:
         path.write_text('{"k": {"value": "not-int", "status": "exact"}}')
         with pytest.warns(UserWarning, match="corrupt"):
             assert ResultCache(str(path)).entries == {}
+
+    def test_root_not_an_object_is_corrupt(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text('[{"value": 30, "status": "exact"}]')
+        with pytest.warns(UserWarning, match="cache root is not an object"):
+            cache = ResultCache(str(path))
+        assert cache.entries == {}
+        assert (tmp_path / "cache.json.corrupt").read_text() == '[{"value": 30, "status": "exact"}]'
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", ["true", "-1"])
     def test_value_not_a_count_is_corrupt(self, tmp_path, value):
@@ -828,6 +854,24 @@ class TestCliOther:
         text = capsys.readouterr().out
         assert "B1" in text
 
+    def test_classify_b2_vector(self, capsys):
+        assert main(["classify", "--vector", "0+--+"]) == 0
+        assert capsys.readouterr().out == "0+--+: B2 j=2 jprime=3 cond12=True\n"
+
+    def test_classify_family(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text("4 2 1\n++0-\n+0+-\n0++-\n+-0+\n")
+        assert main(["classify", "--family", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "(partition): last=-1:3 last=0:0 last=+1:1\n"
+            "+-0+: B1 t=1 m=0 in_b1_prime=True\n"
+        )
+        assert main(["classify", "--family", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"vector": "(partition)", "kind": "last=-1:3 last=0:0 last=+1:1"},
+            {"vector": "+-0+", "kind": "B1", "t": 1, "m": 0, "in_b1_prime": True},
+        ]
+
     def test_formula_plain(self, capsys):
         assert main(["formula", "p-split", "--n", "10", "--k", "2", "--l", "1"]) == 0
         text = capsys.readouterr().out
@@ -948,6 +992,22 @@ class TestCliOther:
             "theorem1": {"budget": 9.0},
             "ratios": {},
         }
+
+    @pytest.mark.parametrize("names", ["default", "all"])
+    def test_report_named_sets_run_in_order(self, names, monkeypatch, tmp_path):
+        calls = []
+
+        def fake_run_suite(name, **kwargs):
+            calls.append(name)
+            return VerificationReport(name)
+
+        monkeypatch.setattr(suites, "run_suite", fake_run_suite)
+        assert main(["report", "--suites", names, "--out", str(tmp_path / "r.txt")]) == 0
+        expected = suite_names()
+        if names == "default":
+            expected = [name for name in expected if name != "eq111"]
+        assert calls == expected
+        assert ("eq111" in calls) == (names == "all")
 
     def test_report_checks_every_name_before_running_any(self, monkeypatch, capsys):
         calls = []

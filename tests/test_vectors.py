@@ -272,6 +272,15 @@ class TestVectorFamily:
         with pytest.raises(ValueError):
             VectorFamily.from_text("4 2 1\n+-0\n")
 
+    def test_from_text_rejects_an_empty_file(self):
+        for text in ("", "\n  \n"):
+            with pytest.raises(ValueError, match="empty family file"):
+                VectorFamily.from_text(text)
+
+    def test_from_text_rejects_a_header_that_is_not_integers(self):
+        with pytest.raises(ValueError, match=r"malformed header line '4 2 x'; expected integers"):
+            VectorFamily.from_text("4 2 x\n+-00\n")
+
     def test_contains(self):
         fam = enumerate_all(Profile(3, 1, 1))
         assert SignedVector.parse("+-0") in fam
